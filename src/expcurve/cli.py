@@ -132,28 +132,20 @@ def cmd_hindcast(args) -> int:
 # ----------------------------------------------------------------- diagnose
 
 
-def _recovered_m(errors) -> int:
-    counts: dict[int, int] = {}
-    for rec in errors:
-        m = round(rec.tau * rec.tau / (rec.A - rec.tau))
-        counts[m] = counts.get(m, 0) + 1
-    return max(counts, key=lambda k: (counts[k], -k))
-
-
 def cmd_diagnose(args) -> int:
     outdir = _outdir(args)
     errors = read_errors_csv(args.errors)
-    if not errors:
+    if not len(errors):
         raise DataError("error CSV has no rows")
-    m = _recovered_m(errors)
+    # the most common window size; a tie goes to the smaller one
+    sizes, counts = np.unique(errors.m, return_counts=True)
+    m = int(sizes[np.argmax(counts)])
     df = m - 1 if args.reference == "student" else None
 
     summary = [f"reference={args.reference}", f"df={df}", f"window_m={m}"]
     ecdf_rows, pit_rows = [], []
     for model in ("moore", "wright"):
-        vals = np.array(
-            [rec.pooled_error for rec in errors if rec.model == model], dtype=float
-        )
+        vals = errors.pooled_error[errors.model == model]
         finite = vals[np.isfinite(vals)]
         dropped = len(vals) - len(finite)
         if len(finite) < 2:
@@ -319,7 +311,7 @@ def cmd_simulate(args) -> int:
             errs = run_hindcast(dataset, cfg)
             out = np.full(2 * len(taus), np.nan)
             for k, model in enumerate(("moore", "wright")):
-                table = mse_by_horizon([e for e in errs if e.model == model])
+                table = mse_by_horizon(errs[errs.model == model])
                 for i, tau in enumerate(taus):
                     if int(tau) in table:
                         out[k * len(taus) + i] = table[int(tau)][0]

@@ -11,6 +11,12 @@ that accounts for that downstream.
 Future experience is always the realized series (costs are forecast
 conditional on experience), and the experience-curve forecasts always use
 the plain least-squares slope.
+
+Errors come back as a :class:`HindcastTable`: one row per (technology,
+origin, horizon, model), stored column by column. ``table.pooled_error`` is
+a NumPy array over all rows and ``table[table.model == "moore"]`` is a
+sub-table; ``len``, ``table[i]`` and iteration give :class:`HindcastError`
+row views for code that works record by record.
 """
 
 from __future__ import annotations
@@ -18,10 +24,12 @@ from __future__ import annotations
 import csv
 import math
 import warnings
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from itertools import islice, repeat
+from operator import attrgetter
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .series import TechSeries, _fmt
 from .variance import ma1_variance_constant_x
@@ -64,16 +72,17 @@ class HindcastConfig:
 
 @dataclass(frozen=True, slots=True)
 class HindcastError:
-    """One pseudo-forecast error.
+    """One pseudo-forecast error (a row of a :class:`HindcastTable`).
 
     ``raw_error`` is realized minus forecast log cost. ``normalized_error``
     divides by the window's random-walk scale ``K_hat`` for both models so
     the two are directly comparable; ``pooled_error`` additionally rescales
     so errors of different horizons can be aggregated (``/ sqrt(A)`` for the
     random walk, ``/ sqrt(constant-growth MA(1) variance)`` for the
-    experience curve). ``wright_variance`` is the realized-experience MA(1)
-    variance of this window/horizon. Records loaded from CSV carry ``None``
-    for the fields the CSV format omits.
+    experience curve). ``m`` is the window size. ``wright_variance`` is the
+    realized-experience MA(1) variance of this window/horizon. Records
+    loaded from CSV carry ``None`` for ``origin_index`` and the variances,
+    which the CSV format omits.
     """
 
     technology: str
@@ -86,116 +95,235 @@ class HindcastError:
     A: float
     normalized_error: float
     pooled_error: float
+    m: int | None = None
     origin_index: int | None = None
     moore_variance: float | None = None
     wright_variance: float | None = None
 
 
-def _hindcast_one(ts: TechSeries, cfg: HindcastConfig) -> tuple[list[HindcastError], int]:
-    m = cfg.m
-    T = ts.T
-    if T < m + 2:
-        warnings.warn(
-            f"{ts.name}: too short for m={m} (T={T}); skipped", stacklevel=3
+_FIELDS = tuple(f.name for f in fields(HindcastError))
+# Rows turned into Python objects at a time when iterating or doing CSV I/O.
+_CHUNK = 4096
+_OPTIONAL = ("m", "origin_index", "moore_variance", "wright_variance")
+_DTYPES = {
+    "technology": str,
+    "model": str,
+    "origin_year": np.int64,
+    "tau": np.int64,
+    "m": np.int64,
+    "origin_index": np.int64,
+}
+
+
+def _same_column(a, b) -> bool:
+    if a is None or b is None:
+        return a is b
+    return a.shape == b.shape and np.array_equal(a, b, equal_nan=a.dtype.kind == "f")
+
+
+class HindcastTable:
+    """Hindcast errors stored column-wise, in record order (technology,
+    origin, horizon, model).
+
+    Each :class:`HindcastError` field is a NumPy array attribute of the same
+    name. An optional column (``m``, ``origin_index``, ``moore_variance``,
+    ``wright_variance``) is ``None`` when the source lacks it; a table read
+    from CSV has no origin index or variances.
+
+    ``len(table)``, ``table[i]`` and iteration give :class:`HindcastError`
+    row views, so record-wise code and ``dataclasses.replace`` keep working;
+    a slice or a boolean/integer index array gives a sub-table. A table
+    equals another table with the same columns (NaN matching NaN) and a
+    list of equal records.
+    """
+
+    __slots__ = _FIELDS
+
+    def __init__(self, **columns):
+        n = None
+        for name in _FIELDS:
+            col = columns.pop(name, None)
+            if col is not None:
+                col = np.asarray(col, dtype=_DTYPES.get(name, float))
+                if col.ndim != 1 or n not in (None, len(col)):
+                    raise ValueError("columns must be one-dimensional and of equal length")
+                n = len(col)
+            elif name not in _OPTIONAL:
+                raise TypeError(f"missing column '{name}'")
+            setattr(self, name, col)
+        if columns:
+            raise TypeError(f"unknown column(s): {', '.join(columns)}")
+
+    @classmethod
+    def from_records(cls, records) -> HindcastTable:
+        """Columns of a sequence of :class:`HindcastError` records.
+
+        An optional column with a ``None`` anywhere is dropped as a whole.
+        """
+        rows = list(map(attrgetter(*_FIELDS), records))
+        cols = zip(*rows) if rows else repeat((), len(_FIELDS))
+        return cls(
+            **{
+                name: None if name in _OPTIONAL and None in col else col
+                for name, col in zip(_FIELDS, cols)
+            }
         )
-        return [], 0
 
-    y = ts.log_cost
-    dy = np.diff(y)
-    dx = np.diff(ts.log_experience)
-    rho = cfg.rho
-    su_factor = 1.0 / (1.0 + rho * rho)
-    records: list[HindcastError] = []
-    zero_scale = 0
+    def __len__(self) -> int:
+        return len(self.tau)
 
-    for o in range(m, T - 1):
-        yw = dy[o - m:o]
-        xw = dx[o - m:o]
-        sx2 = float(xw @ xw)
-        omega = float(xw @ yw) / sx2
-        resid = yw - omega * xw
-        sig_eta2 = float(resid @ resid) / (m - 1)
-        sig_eta = math.sqrt(sig_eta2)
-        mu = float(yw.mean())
-        k2 = float(yw.var(ddof=1))
-        k_hat = math.sqrt(k2)
+    def __iter__(self):
+        # Python objects are made one chunk of rows at a time, so iterating
+        # never holds more than a chunk beyond what the caller keeps.
+        columns = self._columns()
+        for lo in range(0, len(self), _CHUNK):
+            yield from map(
+                HindcastError,
+                *(repeat(None) if col is None else col[lo:lo + _CHUNK].tolist() for col in columns),
+            )
 
-        reach = T - 1 - o
-        n_tau = reach if cfg.tau_max is None else min(cfg.tau_max, reach)
-        taus = np.arange(1, n_tau + 1)
-        fsum = np.cumsum(dx[o:o + n_tau])
-        actual = y[o + 1:o + n_tau + 1] - y[o]
-        e_w = actual - omega * fsum
-        e_m = actual - mu * taus
-        a = taus + taus * taus / m
-
-        # Realized-experience MA(1) variance, expanded so one window shares
-        # the invariant pieces across horizons.
-        su2 = sig_eta2 * su_factor
-        c = fsum / sx2
-        s1 = float(np.sum((xw[:-1] + rho * xw[1:]) ** 2))
-        v_wright = su2 * (
-            rho * rho * c * c * xw[0] * xw[0]
-            + c * c * s1
-            + (rho - c * xw[-1]) ** 2
-            + (taus - 1) * (1.0 + rho) ** 2
-            + 1.0
+    def __getitem__(self, index):
+        if isinstance(index, (int, np.integer)):
+            return HindcastError(
+                *(None if col is None else col[index].item() for col in self._columns())
+            )
+        return HindcastTable(
+            **{
+                name: None if col is None else col[index]
+                for name, col in zip(_FIELDS, self._columns())
+            }
         )
-        v_moore = k2 * a
 
-        if k_hat > 0.0:
-            norm_w = e_w / k_hat
-            norm_m = e_m / k_hat
-            pooled_m = e_m / (k_hat * np.sqrt(a))
-        else:
-            zero_scale += 1
-            norm_w = np.full(n_tau, np.nan)
-            norm_m = np.full(n_tau, np.nan)
-            pooled_m = np.full(n_tau, np.nan)
-        if sig_eta > 0.0:
-            v_pool = ma1_variance_constant_x(math.sqrt(su2), rho, taus, m)
-            pooled_w = e_w / np.sqrt(v_pool)
-        else:
-            pooled_w = np.full(n_tau, np.nan)
+    def __eq__(self, other):
+        if isinstance(other, HindcastTable):
+            return all(map(_same_column, self._columns(), other._columns()))
+        if isinstance(other, list):
+            return list(self) == other
+        return NotImplemented
 
-        origin_year = int(ts.years[o])
-        for i, tau in enumerate(taus):
-            tau = int(tau)
-            records.append(
-                HindcastError(
-                    technology=ts.name,
-                    origin_year=origin_year,
-                    tau=tau,
-                    model="moore",
-                    raw_error=float(e_m[i]),
-                    K_hat=k_hat,
-                    sigma_eta_hat=sig_eta,
-                    A=float(a[i]),
-                    normalized_error=float(norm_m[i]),
-                    pooled_error=float(pooled_m[i]),
-                    origin_index=o,
-                    moore_variance=float(v_moore[i]),
-                    wright_variance=float(v_wright[i]),
-                )
-            )
-            records.append(
-                HindcastError(
-                    technology=ts.name,
-                    origin_year=origin_year,
-                    tau=tau,
-                    model="wright",
-                    raw_error=float(e_w[i]),
-                    K_hat=k_hat,
-                    sigma_eta_hat=sig_eta,
-                    A=float(a[i]),
-                    normalized_error=float(norm_w[i]),
-                    pooled_error=float(pooled_w[i]),
-                    origin_index=o,
-                    moore_variance=float(v_moore[i]),
-                    wright_variance=float(v_wright[i]),
-                )
-            )
-    return records, zero_scale
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return f"HindcastTable({len(self)} rows)"
+
+    def _columns(self) -> list:
+        return [getattr(self, name) for name in _FIELDS]
+
+
+def _as_table(errors) -> HindcastTable:
+    if isinstance(errors, HindcastTable):
+        return errors
+    return HindcastTable.from_records(errors)
+
+
+def _hindcast_rows(series: list[TechSeries], cfg: HindcastConfig) -> tuple[HindcastTable, int]:
+    """Every error of series long enough for one window, and the number of
+    windows with zero random-walk scale.
+
+    Windows of all series are rows of one ``(n_windows, m)`` matrix: window
+    ``w`` of a series ends at origin ``o[w]`` and holds the differences
+    ``o - m .. o - 1``. For horizons, each series makes an ``(n, h)`` matrix
+    of future paths whose row holds horizons ``1..h`` from one origin;
+    entries past the end of the series are padding that the row mask drops.
+    Per element the arithmetic is that of forecasting one window at a time,
+    so no value depends on the batching.
+    """
+    m, rho = cfg.m, cfg.rho
+    T = np.array([ts.T for ts in series])
+    ys = [ts.log_cost for ts in series]
+    dxs = [np.diff(ts.log_experience) for ts in series]
+    n_win = T - 1 - m
+    first = np.cumsum(n_win) - n_win
+    sid = np.repeat(np.arange(len(series)), n_win)
+    o = np.arange(len(sid)) - first[sid] + m
+    start = (np.cumsum(T - 1) - (T - 1))[sid] + o - m
+    xw = sliding_window_view(np.concatenate(dxs), m)[start]
+    yw = sliding_window_view(np.concatenate([np.diff(y) for y in ys]), m)[start]
+
+    sx2 = np.vecdot(xw, xw)
+    omega = np.vecdot(xw, yw) / sx2
+    resid = yw - omega[:, None] * xw
+    sig_eta2 = np.vecdot(resid, resid) / (m - 1)
+    sig_eta = np.sqrt(sig_eta2)
+    mu = yw.mean(axis=1)
+    k2 = yw.var(axis=1, ddof=1)
+    k_hat = np.sqrt(k2)
+    su2 = sig_eta2 * (1.0 / (1.0 + rho * rho))
+    s1 = np.sum((xw[:, :-1] + rho * xw[:, 1:]) ** 2, axis=1)
+
+    reach = T[sid] - 1 - o
+    n_tau = reach if cfg.tau_max is None else np.minimum(reach, cfg.tau_max)
+    fsum, actual = [], []
+    for j, ts in enumerate(series):
+        t_end = ts.T - 1
+        rows = slice(first[j], first[j] + n_win[j])
+        h = int(n_tau[rows][0])
+        buf = np.zeros((2, t_end + h))
+        buf[0, :t_end] = dxs[j]
+        buf[1, :t_end] = ys[j][1:]
+        future = sliding_window_view(buf, h, axis=1)[:, m:t_end]
+        keep = np.arange(1, h + 1) <= n_tau[rows, None]
+        fsum.append(np.cumsum(future[0], axis=1)[keep])
+        actual.append((future[1] - ys[j][m:t_end, None])[keep])
+    fsum = np.concatenate(fsum)
+    actual = np.concatenate(actual)
+    win = np.repeat(np.arange(len(o)), n_tau)
+    taus = np.arange(len(win)) - np.repeat(np.cumsum(n_tau) - n_tau, n_tau) + 1
+
+    e_w = actual - omega[win] * fsum
+    e_m = actual - mu[win] * taus
+    a = taus + taus * taus / m
+
+    # Realized-experience MA(1) variance, expanded so one window shares
+    # the invariant pieces across horizons.
+    c = fsum / sx2[win]
+    x_first = xw[win, 0]
+    v_wright = su2[win] * (
+        rho * rho * c * c * x_first * x_first
+        + c * c * s1[win]
+        + (rho - c * xw[win, -1]) ** 2
+        + (taus - 1) * (1.0 + rho) ** 2
+        + 1.0
+    )
+    v_moore = k2[win] * a
+
+    n = len(taus)
+    k_row = k_hat[win]
+    scaled = k_row > 0.0
+    norm_w = np.divide(e_w, k_row, out=np.full(n, np.nan), where=scaled)
+    norm_m = np.divide(e_m, k_row, out=np.full(n, np.nan), where=scaled)
+    pooled_m = np.divide(e_m, k_row * np.sqrt(a), out=np.full(n, np.nan), where=scaled)
+    pooled_w = np.full(n, np.nan)
+    pos = sig_eta[win] > 0.0
+    v_pool = ma1_variance_constant_x(np.sqrt(su2[win[pos]]), rho, taus[pos], m)
+    pooled_w[pos] = e_w[pos] / np.sqrt(v_pool)
+
+    def per_model(moore, wright):
+        return np.stack([moore, wright], axis=1).ravel()
+
+    def per_row(values):
+        return np.repeat(values, 2)
+
+    row_sid = sid[win]
+    # years are consecutive, so an origin's year is the first year plus o
+    first_year = np.array([ts.years[0] for ts in series])
+    table = HindcastTable(
+        technology=per_row(np.array([ts.name for ts in series])[row_sid]),
+        origin_year=per_row(first_year[row_sid] + o[win]),
+        tau=per_row(taus),
+        model=np.tile(np.array(["moore", "wright"]), n),
+        raw_error=per_model(e_m, e_w),
+        K_hat=per_row(k_row),
+        sigma_eta_hat=per_row(sig_eta[win]),
+        A=per_row(a),
+        normalized_error=per_model(norm_m, norm_w),
+        pooled_error=per_model(pooled_m, pooled_w),
+        m=np.full(2 * n, m),
+        origin_index=per_row(o[win]),
+        moore_variance=per_row(v_moore),
+        wright_variance=per_row(v_wright),
+    )
+    return table, int(np.count_nonzero(~(k_hat > 0.0)))
 
 
 def run_hindcast(
@@ -203,138 +331,136 @@ def run_hindcast(
     config: HindcastConfig | None = None,
     *,
     threads: int | None = None,
-) -> list[HindcastError]:
+) -> HindcastTable:
     """Run the rolling-origin procedure over a dataset.
 
     Series too short for one window plus one forecast are skipped with a
-    warning, not an error. Per-technology work is independent; with
-    ``threads > 1`` it runs in a thread pool, and records are merged in
-    dataset order either way, so output order never depends on scheduling.
-    Record order is (technology, origin, horizon, model).
+    warning, not an error. All windows of the dataset are computed in one
+    vectorized pass. Row order is (technology, origin, horizon, model), with
+    technologies in dataset order. ``threads`` is accepted for
+    compatibility and has no effect: a thread pool made the pass slower.
     """
     cfg = config or HindcastConfig()
-    if threads is not None and threads > 1 and len(dataset) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(lambda ts: _hindcast_one(ts, cfg), dataset))
-    else:
-        results = [_hindcast_one(ts, cfg) for ts in dataset]
-    records: list[HindcastError] = []
-    zero_scale = 0
-    for recs, zs in results:
-        records.extend(recs)
-        zero_scale += zs
+    usable = []
+    for ts in dataset:
+        if ts.T < cfg.m + 2:
+            warnings.warn(
+                f"{ts.name}: too short for m={cfg.m} (T={ts.T}); skipped", stacklevel=2
+            )
+        else:
+            usable.append(ts)
+    if not usable:
+        return HindcastTable.from_records([])
+    table, zero_scale = _hindcast_rows(usable, cfg)
     if zero_scale:
         warnings.warn(
             f"{zero_scale} window(s) had zero residual scale; their normalized "
             "errors are recorded as nan",
             stacklevel=2,
         )
-    return records
+    return table
 
 
-def _m_from_record(rec: HindcastError) -> int:
-    # A = tau + tau^2/m  =>  m = tau^2 / (A - tau)
-    return round(rec.tau * rec.tau / (rec.A - rec.tau))
-
-
-def mse_by_horizon(
-    errors: list[HindcastError], normalization: str = "moore"
-) -> dict[int, tuple[float, int]]:
+def mse_by_horizon(errors, normalization: str = "moore") -> dict[int, tuple[float, int]]:
     """Mean squared normalized error and sample count per horizon.
 
+    ``errors`` is a :class:`HindcastTable` or a list of records.
     ``normalization`` selects the error field: ``"moore"`` for the
     scale-normalized error, ``"pooled"`` for the horizon-rescaled one.
     Non-finite entries (zero-scale windows) are dropped. Technologies with
     more windows weigh in more often; that is accepted.
     """
-    if not errors:
+    table = _as_table(errors)
+    if not len(table):
         raise ValueError("empty error list")
     if normalization not in ("moore", "pooled"):
         raise ValueError("normalization must be 'moore' or 'pooled'")
-    field = "normalized_error" if normalization == "moore" else "pooled_error"
-    sums: dict[int, float] = {}
-    counts: dict[int, int] = {}
-    for rec in errors:
-        val = getattr(rec, field)
-        if not math.isfinite(val):
-            continue
-        sums[rec.tau] = sums.get(rec.tau, 0.0) + val * val
-        counts[rec.tau] = counts.get(rec.tau, 0) + 1
-    return {tau: (sums[tau] / counts[tau], counts[tau]) for tau in sorted(sums)}
+    vals = table.normalized_error if normalization == "moore" else table.pooled_error
+    finite = np.isfinite(vals)
+    taus = table.tau[finite]
+    vals = vals[finite]
+    # bincount adds in row order, as a running sum per horizon would
+    sums = np.bincount(taus, weights=vals * vals)
+    counts = np.bincount(taus)
+    return {
+        tau: (float(sums[tau] / counts[tau]), int(counts[tau]))
+        for tau in np.flatnonzero(counts).tolist()
+    }
 
 
-def pooled_errors(
-    errors: list[HindcastError], config: HindcastConfig | None = None
-) -> np.ndarray:
-    """Flat array of pooled errors, recomputed from the raw fields.
+def pooled_errors(errors, config: HindcastConfig | None = None) -> np.ndarray:
+    """Pooled errors, recomputed from the raw fields, one per row.
 
     Random-walk errors are divided by ``K_hat * sqrt(A)``; experience-curve
     errors by the square root of the constant-growth MA(1) variance at
-    ``config.rho`` (which reduces to ``sigma_eta_hat * sqrt(A)`` when
-    ``rho = 0``). Passing a config with a different ``rho`` re-pools an
-    existing run without re-running it.
+    ``config.rho`` and each row's window size ``m`` (which reduces to
+    ``sigma_eta_hat * sqrt(A)`` when ``rho = 0``). Passing a config with a
+    different ``rho`` re-pools an existing run without re-running it.
+    ``errors`` is a :class:`HindcastTable` or a list of records.
     """
     cfg = config or HindcastConfig()
-    out = np.empty(len(errors))
-    for i, rec in enumerate(errors):
-        if rec.model == "moore":
-            if rec.K_hat > 0.0:
-                out[i] = rec.raw_error / (rec.K_hat * math.sqrt(rec.A))
-            else:
-                out[i] = np.nan
-        else:
-            if rec.sigma_eta_hat > 0.0:
-                su = rec.sigma_eta_hat / math.sqrt(1.0 + cfg.rho * cfg.rho)
-                v = ma1_variance_constant_x(su, cfg.rho, rec.tau, _m_from_record(rec))
-                out[i] = rec.raw_error / math.sqrt(v)
-            else:
-                out[i] = np.nan
+    table = _as_table(errors)
+    out = np.full(len(table), np.nan)
+    moore = table.model == "moore"
+    rw = moore & (table.K_hat > 0.0)
+    out[rw] = table.raw_error[rw] / (table.K_hat[rw] * np.sqrt(table.A[rw]))
+    ec = ~moore & (table.sigma_eta_hat > 0.0)
+    if ec.any():
+        if table.m is None:
+            raise ValueError("pooling experience-curve errors needs the window size m")
+        su = table.sigma_eta_hat[ec] / math.sqrt(1.0 + cfg.rho * cfg.rho)
+        v = ma1_variance_constant_x(su, cfg.rho, table.tau[ec], table.m[ec])
+        out[ec] = table.raw_error[ec] / np.sqrt(v)
     return out
 
 
-def write_errors_csv(path, errors: list[HindcastError]) -> None:
+def write_errors_csv(path, errors) -> None:
     """Write hindcast errors with 17 significant digits per value."""
+    table = _as_table(errors)
+    columns = [getattr(table, name) for name in ERROR_COLUMNS]
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(ERROR_COLUMNS)
-        for rec in errors:
-            writer.writerow(
-                [
-                    rec.technology,
-                    rec.origin_year,
-                    rec.tau,
-                    rec.model,
-                    _fmt(rec.raw_error),
-                    _fmt(rec.K_hat),
-                    _fmt(rec.sigma_eta_hat),
-                    _fmt(rec.A),
-                    _fmt(rec.normalized_error),
-                    _fmt(rec.pooled_error),
-                ]
-            )
+        for lo in range(0, len(table), _CHUNK):
+            text = [col[lo:lo + _CHUNK].tolist() for col in columns]
+            for i in range(4, len(text)):
+                text[i] = list(map(_fmt, text[i]))
+            writer.writerows(zip(*text))
 
 
-def read_errors_csv(path) -> list[HindcastError]:
-    """Read a hindcast error CSV back into records."""
-    records = []
+def read_errors_csv(path) -> HindcastTable:
+    """Read a hindcast error CSV back into a table.
+
+    The window size ``m`` is recovered from ``A = tau + tau**2 / m``;
+    ``origin_index`` and the variances are not stored, so those columns are
+    ``None``.
+    """
+    parsers = (str, int, int, str) + (float,) * (len(ERROR_COLUMNS) - 4)
+    chunks = {name: [] for name in ERROR_COLUMNS}
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        missing = [c for c in ERROR_COLUMNS if c not in (reader.fieldnames or [])]
+        reader = csv.reader(fh)
+        header = next(reader, [])
+        missing = [c for c in ERROR_COLUMNS if c not in header]
         if missing:
             raise ValueError(f"error CSV missing column(s): {', '.join(missing)}")
-        for row in reader:
-            records.append(
-                HindcastError(
-                    technology=row["technology"],
-                    origin_year=int(row["origin_year"]),
-                    tau=int(row["tau"]),
-                    model=row["model"],
-                    raw_error=float(row["raw_error"]),
-                    K_hat=float(row["K_hat"]),
-                    sigma_eta_hat=float(row["sigma_eta_hat"]),
-                    A=float(row["A"]),
-                    normalized_error=float(row["normalized_error"]),
-                    pooled_error=float(row["pooled_error"]),
-                )
-            )
-    return records
+        positions = [header.index(name) for name in ERROR_COLUMNS]
+        while chunk := list(islice(reader, _CHUNK)):
+            # zip stops at the shortest row, so a short row shows as a
+            # missing column
+            text = list(zip(*(row for row in chunk if row)))
+            if not text:
+                continue
+            if len(text) < len(header):
+                raise ValueError("error CSV has a row with missing fields")
+            for name, i, parse in zip(ERROR_COLUMNS, positions, parsers):
+                chunks[name].append(np.array(list(map(parse, text[i]))))
+    columns = {
+        name: np.concatenate(parts) if parts else np.array([], dtype=_DTYPES.get(name, float))
+        for name, parts in chunks.items()
+    }
+    tau, A = columns["tau"], columns["A"]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        m = np.rint(tau * tau / (A - tau))
+    if not np.all(np.isfinite(m)):
+        raise ValueError("error CSV: window size m cannot be recovered from tau and A")
+    return HindcastTable(m=m.astype(np.int64), **columns)

@@ -72,18 +72,19 @@ class TechSeries:
             raise DataError(f"{self.name}: duplicate year")
         if np.any(steps != 1):
             raise DataError(f"{self.name}: gap in years")
-        if np.any(self.cost <= 0):
+        # NaN fails every comparison, so test finiteness as well as sign
+        if not np.all(np.isfinite(self.cost) & (self.cost > 0)):
             raise DataError(f"{self.name}: non-positive cost")
-        if np.any(self.production <= 0):
+        if not np.all(np.isfinite(self.production) & (self.production > 0)):
             raise DataError(f"{self.name}: non-positive production")
         if self.experience is not None:
             z = _frozen(self.experience)
             object.__setattr__(self, "experience", z)
             if len(z) != n:
                 raise DataError(f"{self.name}: experience length differs")
-            if np.any(z <= 0) or np.any(np.diff(z) <= 0):
+            if not (np.all(np.isfinite(z) & (z > 0)) and np.all(np.diff(z) > 0)):
                 raise DataError(
-                    f"{self.name}: experience must be positive and strictly increasing"
+                    f"{self.name}: experience must be finite, positive and strictly increasing"
                 )
 
     @property

@@ -367,15 +367,15 @@ def run_calibration_study(
         )
         dataset = make_dataset(spec, 0)
         errors = run_hindcast(dataset, HindcastConfig(m=m, tau_max=None, rho=rn))
-        wright = [rec for rec in errors if rec.model == "wright"]
-        raw = np.array([rec.raw_error for rec in wright])
-        v_est = np.array([rec.wright_variance for rec in wright])
+        wright = errors[errors.model == "wright"]
+        raw = wright.raw_error
+        v_est = wright.wright_variance
         if variance == "estimated":
             norm = raw / np.sqrt(v_est)
         else:
             # The variance is linear in sigma_u^2; rescale the per-window
             # value to the true innovation scale.
-            sig_eta_hat2 = np.array([rec.sigma_eta_hat for rec in wright]) ** 2
+            sig_eta_hat2 = wright.sigma_eta_hat ** 2
             su_hat2 = sig_eta_hat2 / (1.0 + rn * rn)
             norm = raw / np.sqrt(v_est / su_hat2 * su_true * su_true)
 

@@ -45,7 +45,7 @@ def a_factor(tau, m):
     tau = np.asarray(tau, dtype=float)
     if np.any(tau < 0):
         raise ValueError("tau must be non-negative")
-    if m <= 0:
+    if np.any(np.asarray(m) <= 0):
         raise ValueError("m must be positive")
     out = tau + tau * tau / m
     return float(out) if out.ndim == 0 else out
@@ -147,9 +147,9 @@ def ma1_variance_constant_x(sigma_u, rho, tau, m):
     expression gives the drifting-random-walk variance under MA(1) noise
     (substitute the walk's theta and innovation scale). Values below
     ``sigma_u**2 * 1e-12`` (possible only outside the meaningful parameter
-    range) are floored with a warning.
+    range) are floored with a warning. Elementwise on arrays, ``m`` included.
     """
-    if m < 1:
+    if np.any(np.asarray(m) < 1):
         raise ValueError("m must be at least 1")
     if not abs(rho) <= 1.0:
         raise ValueError("rho must lie in [-1, 1]")

@@ -1,12 +1,19 @@
+import dataclasses
+import hashlib
 import math
+import warnings
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from numpy.testing import assert_allclose, assert_array_equal
 
 from expcurve import (
     DiffSeries,
     HindcastConfig,
+    HindcastError,
+    HindcastTable,
     SurrogateSpec,
     TechSeries,
     fit_moore,
@@ -285,3 +292,125 @@ class TestCsvRoundTrip:
             assert a.raw_error == b.raw_error  # exact: 17 significant digits
             assert a.pooled_error == b.pooled_error
             assert a.A == b.A
+
+
+# SHA-256 of errors.csv for surrogate(n_tech=3, T=20, seed=2016) at m=5,
+# captured from the record-by-record engine that the columnar one replaced.
+GOLDEN_ERRORS_CSV = {
+    None: "1996d561f92b49754020602cc3e56429624b4f2a14d3696876d54fe79c8ca0e8",
+    4: "31874de37fbb5d0178cbbf18288fa9e1b103bcf34331cc2f2a147726f707e9db",
+}
+
+
+@pytest.mark.parametrize("tau_max", [None, 4])
+def test_errors_csv_golden_bytes(tmp_path, tau_max):
+    errs = run_hindcast(surrogate(n_tech=3, T=20, seed=2016), HindcastConfig(m=5, tau_max=tau_max))
+    path = tmp_path / "errors.csv"
+    write_errors_csv(path, errs)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_ERRORS_CSV[tau_max]
+
+
+class TestTable:
+    def test_rows_are_records(self):
+        errs = run_hindcast(surrogate(n_tech=2, T=9, seed=4), HindcastConfig(m=4, tau_max=3))
+        rows = list(errs)
+        assert len(rows) == len(errs)
+        assert all(type(r) is HindcastError for r in rows)
+        assert errs[0] == rows[0] and errs[-1] == rows[-1]
+        assert errs == rows
+        assert dataclasses.replace(errs[1], tau=99).tau == 99
+        assert rows[0].m == 4 and rows[0].origin_index == 4
+
+    def test_sub_tables(self):
+        errs = run_hindcast(surrogate(n_tech=2, T=9, seed=4), HindcastConfig(m=4, tau_max=3))
+        moore = errs[errs.model == "moore"]
+        assert isinstance(moore, HindcastTable)
+        assert list(moore) == [e for e in errs if e.model == "moore"]
+        assert errs[:3] == list(errs)[:3]
+        assert errs != errs[:3]
+
+    def test_from_records_round_trip(self):
+        errs = run_hindcast(surrogate(T=9, seed=4), HindcastConfig(m=4))
+        assert HindcastTable.from_records(list(errs)) == errs
+        bare = [dataclasses.replace(e, origin_index=None) for e in errs]
+        assert HindcastTable.from_records(bare).origin_index is None
+
+    def test_pooling_needs_window_size(self):
+        errs = run_hindcast(surrogate(T=9, seed=4), HindcastConfig(m=4))
+        bare = [dataclasses.replace(e, m=None) for e in errs]
+        with pytest.raises(ValueError, match="window size"):
+            pooled_errors(bare)
+
+
+def _closed_form_count(T, m, tau_max):
+    cap = T if tau_max is None else tau_max
+    return sum(min(cap, T - t) for t in range(m + 1, T))
+
+
+@st.composite
+def hindcast_cases(draw):
+    lengths = draw(st.lists(st.integers(4, 40), min_size=1, max_size=3))
+    m = draw(st.integers(2, 10))
+    tau_max = draw(st.one_of(st.none(), st.integers(1, 30)))
+    rho = draw(st.floats(-0.9, 0.9))
+    seed = draw(st.integers(0, 10_000))
+    spec = SurrogateSpec(n_tech=len(lengths), T=np.array(lengths), seed=seed, n_ensembles=1)
+    return make_dataset(spec, 0), HindcastConfig(m=m, tau_max=tau_max, rho=rho)
+
+
+def _hex(table):
+    return {tau: (v.hex(), n) for tau, (v, n) in table.items()}
+
+
+class TestTableProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(hindcast_cases())
+    def test_count_matches_closed_form(self, case):
+        dataset, cfg = case
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            errs = run_hindcast(dataset, cfg)
+        expect = sum(_closed_form_count(ts.T, cfg.m, cfg.tau_max) for ts in dataset)
+        assert len(errs) == 2 * expect
+
+    @settings(max_examples=60, deadline=None)
+    @given(hindcast_cases())
+    def test_columns_match_row_views(self, case):
+        dataset, cfg = case
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            errs = run_hindcast(dataset, cfg)
+        rows = list(errs)
+        for field in dataclasses.fields(HindcastError):
+            column = getattr(errs, field.name)
+            assert_array_equal(column, np.array([getattr(r, field.name) for r in rows], dtype=column.dtype))
+
+    @settings(max_examples=60, deadline=None)
+    @given(hindcast_cases())
+    def test_list_input_is_bitwise_equal(self, case):
+        dataset, cfg = case
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            errs = run_hindcast(dataset, cfg)
+            rows = list(errs)
+            for alt in (cfg, HindcastConfig(m=cfg.m, rho=0.0)):
+                assert pooled_errors(errs, alt).tobytes() == pooled_errors(rows, alt).tobytes()
+        if not rows:
+            return
+        for norm in ("moore", "pooled"):
+            assert _hex(mse_by_horizon(errs, norm)) == _hex(mse_by_horizon(rows, norm))
+
+    @settings(max_examples=40, deadline=None)
+    @given(hindcast_cases())
+    def test_csv_round_trip(self, tmp_path_factory, case):
+        dataset, cfg = case
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            errs = run_hindcast(dataset, cfg)
+        path = tmp_path_factory.mktemp("csv") / "errors.csv"
+        write_errors_csv(path, errs)
+        back = read_errors_csv(path)
+        for name in ("technology", "origin_year", "tau", "model", "raw_error", "K_hat",
+                     "sigma_eta_hat", "A", "normalized_error", "pooled_error", "m"):
+            assert getattr(back, name).tobytes() == getattr(errs, name).tobytes(), name
+        assert back.origin_index is None and back.wright_variance is None

@@ -132,6 +132,23 @@ class TestTechSeries:
         assert_allclose(a.diffs().y, b.diffs().y, atol=1e-14)
         assert_allclose(a.diffs().x, b.diffs().x, atol=1e-15)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize(
+        "field, message",
+        [
+            ("cost", "non-positive cost"),
+            ("production", "non-positive production"),
+            ("experience", "experience must be finite"),
+        ],
+    )
+    def test_non_finite_values_rejected(self, field, message, bad):
+        # the same invariants ingest_csv enforces; a last-place inf also
+        # slips past a plain strictly-increasing check on experience
+        values = {f: [1.0, 2.0, 3.0, 4.0] for f in ("cost", "production", "experience")}
+        values[field][3 if field == "experience" else 1] = bad
+        with pytest.raises(DataError, match=message):
+            TechSeries("x", [1, 2, 3, 4], **values)
+
 
 class TestDiscreteGrowth:
     def test_doubling(self):
