@@ -29,16 +29,13 @@ from .estimators import (
 )
 from .variance import (
     a_factor,
-    horizon_rescale,
     ma1_variance_approx,
     ma1_variance_constant_x,
-    moore_normalize,
     moore_variance,
-    normalize_error,
+    sigma_x_theory,
     window_error_weights,
     wright_ma1_variance,
     wright_variance,
-    wright_variance_rewritten,
 )
 from .hindcast import (
     HindcastConfig,
@@ -60,7 +57,6 @@ from .surrogate import (
     make_dataset,
     run_calibration_study,
     run_ensemble,
-    sigma_x_theory,
 )
 from .diagnostics import (
     DistCheck,
@@ -101,16 +97,13 @@ __all__ = [
     "ma1_loglik",
     "pool_rho",
     "a_factor",
-    "horizon_rescale",
     "ma1_variance_approx",
     "ma1_variance_constant_x",
-    "moore_normalize",
     "moore_variance",
-    "normalize_error",
+    "sigma_x_theory",
     "window_error_weights",
     "wright_ma1_variance",
     "wright_variance",
-    "wright_variance_rewritten",
     "HindcastConfig",
     "HindcastError",
     "HindcastTable",
@@ -128,7 +121,6 @@ __all__ = [
     "make_dataset",
     "run_calibration_study",
     "run_ensemble",
-    "sigma_x_theory",
     "DistCheck",
     "ecdf_vs_reference",
     "ks_critical_value",

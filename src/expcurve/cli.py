@@ -7,9 +7,9 @@ studies), ``forecast`` (distributional forecasts for one technology).
 
 Every run writes its outputs atomically (temp file, then rename) plus a
 ``<command>_manifest.txt`` recording the normalized options, the seed, the
-package version, and a SHA-256 of each input file. The manifest excludes the thread
-count because outputs never depend on it: identical manifests mean
-bit-identical outputs. All floats are serialized with 17 significant digits,
+package version, and a SHA-256 of each input file. The manifest excludes the
+``--threads`` flag, which is accepted and has no effect: identical manifests
+mean bit-identical outputs. All floats are serialized with 17 significant digits,
 so piping one command's CSV into the next loses no precision.
 """
 
@@ -43,7 +43,7 @@ from .hindcast import (
     write_errors_csv,
 )
 from .params_io import read_params_csv, reference_params_path, write_params_csv
-from .series import DataError, GrowthStats, _fmt, build_experience, ingest_csv, write_csv
+from .series import DataError, _fmt, build_experience, ingest_csv, write_csv
 from .surrogate import SurrogateSpec, make_dataset, run_calibration_study, run_ensemble
 
 
@@ -116,7 +116,7 @@ def cmd_hindcast(args) -> int:
     outdir = _outdir(args)
     cfg = HindcastConfig(m=args.m, tau_max=args.tau_max, rho=args.rho_star)
     dataset = [build_experience(ts) for ts in ingest_csv(args.input)]
-    errors = run_hindcast(dataset, cfg, threads=args.threads)
+    errors = run_hindcast(dataset, cfg)
     _atomic(outdir / "errors.csv", lambda p: write_errors_csv(p, errors))
     _write_manifest(
         outdir,
@@ -178,11 +178,7 @@ def cmd_diagnose(args) -> int:
         )
         growing = [r for r in rows if r["g"] > 0]
         skipped = len(rows) - len(growing)
-        stats_list = [
-            GrowthStats(g=r["g"], sigma_q=r["sigma_q"], r=r["r"], sigma_x=r["sigma_x"], g_d=r["g"])
-            for r in growing
-        ]
-        pairs = tanh_check(stats_list)
+        pairs = tanh_check([(r["g"], r["sigma_q"], r["sigma_x"], r["r"]) for r in growing])
         tanh_rows = [
             [
                 growing[i]["technology"],
@@ -213,13 +209,6 @@ def cmd_diagnose(args) -> int:
 
 
 # ----------------------------------------------------------------- simulate
-
-
-def _band_rows(grid, result):
-    return [
-        [_fmt(float(g)), _fmt(mu), _fmt(lo), _fmt(hi)]
-        for g, mu, lo, hi in zip(grid, result.mean, result.lower, result.upper)
-    ]
 
 
 def cmd_simulate(args) -> int:
@@ -317,7 +306,7 @@ def cmd_simulate(args) -> int:
                         out[k * len(taus) + i] = table[int(tau)][0]
             return out
 
-        result = run_ensemble(spec, stat, threads=args.threads)
+        result = run_ensemble(spec, stat)
         half = len(taus)
         for k, model in enumerate(("moore", "wright")):
             sub = slice(k * half, (k + 1) * half)
@@ -476,7 +465,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--threads",
         type=int,
         default=os.cpu_count(),
-        help="worker threads (outputs do not depend on this)",
+        help="accepted for compatibility; has no effect (all work runs in one thread)",
     )
     parser.add_argument("--output-dir", default=".", help="directory for output files")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -15,6 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import stats
 
+from .variance import sigma_x_theory
+
 
 def _reference_dist(reference: str, df=None):
     if reference == "normal":
@@ -112,19 +114,18 @@ def sahal_check(entries) -> np.ndarray:
     return np.asarray(rows, dtype=float)
 
 
-def tanh_check(stats_list) -> np.ndarray:
+def tanh_check(entries) -> np.ndarray:
     """Observed vs predicted experience volatility, with drift pairs.
 
-    For each :class:`~expcurve.series.GrowthStats` returns
+    For each ``(g, sigma_q, sigma_x, r)`` tuple (log production drift and
+    volatility, observed log experience volatility and drift) returns
     ``(sigma_x_observed, sigma_x_predicted, r, g)`` where the prediction is
     ``sigma_q * sqrt(tanh(g / 2))``. Requires ``g > 0`` per entry.
     """
-    from .surrogate import sigma_x_theory  # deferred: surrogate imports this module
-
     rows = []
-    for gs in stats_list:
-        _, var_pred = sigma_x_theory(gs.g, gs.sigma_q)
-        rows.append((gs.sigma_x, math.sqrt(var_pred), gs.r, gs.g))
+    for g, sigma_q, sigma_x, r in entries:
+        _, var_pred = sigma_x_theory(g, sigma_q)
+        rows.append((sigma_x, math.sqrt(var_pred), r, g))
     if not rows:
-        raise ValueError("empty statistics list")
+        raise ValueError("empty entry list")
     return np.asarray(rows, dtype=float)

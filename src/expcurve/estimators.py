@@ -54,13 +54,27 @@ class WrightParams:
 
 @dataclass(frozen=True)
 class MooreParams:
-    """Fitted drift/scale of log-cost changes; ``theta`` is the optional
-    moving-average coefficient."""
+    """Fitted drift/scale of log-cost changes."""
 
     mu: float
     K: float
     m: int
-    theta: float | None = None
+
+
+def _window_fits(x, y):
+    """Both window fits of every row of ``y`` (log-cost changes) on ``x``
+    (log-experience changes), along the last axis.
+
+    Returns ``(sx2, omega, sigma_eta**2, mu, K**2)``: the regressor's sum of
+    squares, the least-squares slope through the origin and its residual
+    variance with ``m - 1`` in the denominator, and the sample mean and
+    sample variance of ``y``. Callers take square roots of the variances.
+    """
+    m = y.shape[-1]
+    sx2 = np.vecdot(x, x)
+    omega = np.vecdot(x, y) / sx2
+    resid = y - omega[..., None] * x
+    return sx2, omega, np.vecdot(resid, resid) / (m - 1), y.mean(axis=-1), y.var(axis=-1, ddof=1)
 
 
 def fit_wright(diffs: DiffSeries) -> WrightParams:
@@ -71,22 +85,18 @@ def fit_wright(diffs: DiffSeries) -> WrightParams:
     """
     if diffs.m < 2:
         raise ValueError(f"need at least 2 differences, got {diffs.m}")
-    sx2 = float(diffs.x @ diffs.x)
+    sx2, omega, sig_eta2, _, _ = _window_fits(diffs.x, diffs.y)
     if sx2 <= 0.0:
         raise ValueError("degenerate regressor: all experience changes are zero")
-    omega = float(diffs.x @ diffs.y) / sx2
-    resid = diffs.y - omega * diffs.x
-    sigma_eta = math.sqrt(float(resid @ resid) / (diffs.m - 1))
-    return WrightParams(omega=omega, sigma_eta=sigma_eta, m=diffs.m)
+    return WrightParams(omega=float(omega), sigma_eta=math.sqrt(sig_eta2), m=diffs.m)
 
 
 def fit_moore(diffs: DiffSeries) -> MooreParams:
     """Sample mean and sample standard deviation of log-cost changes."""
     if diffs.m < 2:
         raise ValueError(f"need at least 2 differences, got {diffs.m}")
-    return MooreParams(
-        mu=float(diffs.y.mean()), K=float(diffs.y.std(ddof=1)), m=diffs.m
-    )
+    _, _, _, mu, k2 = _window_fits(diffs.x, diffs.y)
+    return MooreParams(mu=float(mu), K=math.sqrt(k2), m=diffs.m)
 
 
 def _innovation_profiles(y: np.ndarray, x: np.ndarray, rhos: np.ndarray):

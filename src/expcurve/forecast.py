@@ -21,7 +21,7 @@ import numpy as np
 
 from .estimators import MooreParams, WrightParams
 from .series import TechSeries
-from .variance import ma1_variance_approx, ma1_variance_constant_x, wright_ma1_variance
+from .variance import _ma1_unit_variance, ma1_variance_approx, ma1_variance_constant_x
 
 BAND_MULTIPLIERS = (1.0, 1.5, 2.0)
 
@@ -106,9 +106,9 @@ def forecast_wright(
     y_last = float(series.log_cost[-1])
     mean = y_last + params.omega * np.cumsum(fut)
     sigma_u = params.sigma_eta / math.sqrt(1.0 + rho_star * rho_star)
-    var_exact = np.array(
-        [wright_ma1_variance(sigma_u, rho_star, past_x, fut[:t]) for t in taus]
-    )
+    # summed per horizon, not by cumsum, so each value equals wright_ma1_variance's
+    fsum = np.array([fut[:t].sum() for t in taus])
+    var_exact = sigma_u * sigma_u * _ma1_unit_variance(rho_star, past_x, fsum, taus)
     var_simple = ma1_variance_approx(params.sigma_eta, rho_star, taus, m)
     return DistForecast(
         model="wright",

@@ -31,8 +31,9 @@ from operator import attrgetter
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from .estimators import _window_fits
 from .series import TechSeries, _fmt
-from .variance import ma1_variance_constant_x
+from .variance import _ma1_unit_variance, a_factor, ma1_variance_constant_x
 
 ERROR_COLUMNS = (
     "technology",
@@ -50,8 +51,8 @@ ERROR_COLUMNS = (
 
 @dataclass(frozen=True)
 class HindcastConfig:
-    """Window size ``m`` (differences), horizon cap, pooled MA(1) coefficient
-    used in normalization, and the reference distribution for diagnostics.
+    """Window size ``m`` (differences), horizon cap and pooled MA(1)
+    coefficient used in normalization.
 
     ``tau_max=None`` leaves horizons uncapped.
     """
@@ -59,15 +60,12 @@ class HindcastConfig:
     m: int = 5
     tau_max: int | None = 20
     rho: float = 0.19
-    reference: str = "student"
 
     def __post_init__(self):
         if self.m < 2:
             raise ValueError("m must be at least 2")
         if self.tau_max is not None and self.tau_max < 1:
             raise ValueError("tau_max must be at least 1")
-        if self.reference not in ("normal", "student"):
-            raise ValueError("reference must be 'normal' or 'student'")
 
 
 @dataclass(frozen=True, slots=True)
@@ -225,8 +223,8 @@ def _hindcast_rows(series: list[TechSeries], cfg: HindcastConfig) -> tuple[Hindc
     ``o - m .. o - 1``. For horizons, each series makes an ``(n, h)`` matrix
     of future paths whose row holds horizons ``1..h`` from one origin;
     entries past the end of the series are padding that the row mask drops.
-    Per element the arithmetic is that of forecasting one window at a time,
-    so no value depends on the batching.
+    The window fits and the realized-experience MA(1) variance are the
+    library's own kernels, applied to all windows at once.
     """
     m, rho = cfg.m, cfg.rho
     T = np.array([ts.T for ts in series])
@@ -240,16 +238,10 @@ def _hindcast_rows(series: list[TechSeries], cfg: HindcastConfig) -> tuple[Hindc
     xw = sliding_window_view(np.concatenate(dxs), m)[start]
     yw = sliding_window_view(np.concatenate([np.diff(y) for y in ys]), m)[start]
 
-    sx2 = np.vecdot(xw, xw)
-    omega = np.vecdot(xw, yw) / sx2
-    resid = yw - omega[:, None] * xw
-    sig_eta2 = np.vecdot(resid, resid) / (m - 1)
+    _, omega, sig_eta2, mu, k2 = _window_fits(xw, yw)
     sig_eta = np.sqrt(sig_eta2)
-    mu = yw.mean(axis=1)
-    k2 = yw.var(axis=1, ddof=1)
     k_hat = np.sqrt(k2)
     su2 = sig_eta2 * (1.0 / (1.0 + rho * rho))
-    s1 = np.sum((xw[:, :-1] + rho * xw[:, 1:]) ** 2, axis=1)
 
     reach = T[sid] - 1 - o
     n_tau = reach if cfg.tau_max is None else np.minimum(reach, cfg.tau_max)
@@ -272,19 +264,8 @@ def _hindcast_rows(series: list[TechSeries], cfg: HindcastConfig) -> tuple[Hindc
 
     e_w = actual - omega[win] * fsum
     e_m = actual - mu[win] * taus
-    a = taus + taus * taus / m
-
-    # Realized-experience MA(1) variance, expanded so one window shares
-    # the invariant pieces across horizons.
-    c = fsum / sx2[win]
-    x_first = xw[win, 0]
-    v_wright = su2[win] * (
-        rho * rho * c * c * x_first * x_first
-        + c * c * s1[win]
-        + (rho - c * xw[win, -1]) ** 2
-        + (taus - 1) * (1.0 + rho) ** 2
-        + 1.0
-    )
+    a = a_factor(taus, m)
+    v_wright = su2[win] * _ma1_unit_variance(rho, xw[win], fsum, taus)
     v_moore = k2[win] * a
 
     n = len(taus)
@@ -326,19 +307,15 @@ def _hindcast_rows(series: list[TechSeries], cfg: HindcastConfig) -> tuple[Hindc
     return table, int(np.count_nonzero(~(k_hat > 0.0)))
 
 
-def run_hindcast(
-    dataset: list[TechSeries],
-    config: HindcastConfig | None = None,
-    *,
-    threads: int | None = None,
-) -> HindcastTable:
+def run_hindcast(dataset: list[TechSeries], config: HindcastConfig | None = None) -> HindcastTable:
     """Run the rolling-origin procedure over a dataset.
 
     Series too short for one window plus one forecast are skipped with a
     warning, not an error. All windows of the dataset are computed in one
-    vectorized pass. Row order is (technology, origin, horizon, model), with
-    technologies in dataset order. ``threads`` is accepted for
-    compatibility and has no effect: a thread pool made the pass slower.
+    vectorized pass in the calling thread; the CLI's ``--threads`` flag is
+    accepted and has no effect, because a thread pool made the pass slower.
+    Row order is (technology, origin, horizon, model), with technologies in
+    dataset order.
     """
     cfg = config or HindcastConfig()
     usable = []

@@ -9,13 +9,12 @@ dependence of hindcast errors is handled.
 
 Randomness is counter-keyed: stream ``(seed, replicate, technology, role)``
 fully determines every draw, so a replicate is reproducible in isolation and
-parallel execution cannot reorder draws.
+does not depend on the order in which replicates run.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -133,19 +132,6 @@ def gen_cost(x_diffs, omega: float, sigma_eta: float, rho: float, seed) -> np.nd
     return np.concatenate([[0.0], np.cumsum(omega * x + e)])
 
 
-def sigma_x_theory(g: float, sigma_q: float) -> tuple[float, float]:
-    """Long-run drift and variance of experience growth implied by production.
-
-    Integration low-pass filters the production noise:
-    ``E[dlog Z] ~= g`` and ``Var[dlog Z] ~= sigma_q**2 * tanh(g / 2)``, so
-    experience is always smoother than production (``tanh(g/2) < 1``).
-    Requires ``g > 0``.
-    """
-    if g <= 0.0:
-        raise ValueError("g must be positive")
-    return g, sigma_q * sigma_q * math.tanh(g / 2.0)
-
-
 def _growing_production(T, g, sigma_q, seed, base_key) -> np.ndarray:
     """Draw a production path, conditioning on overall growth.
 
@@ -228,19 +214,16 @@ def make_dataset(spec: SurrogateSpec, replicate: int = 0) -> list[TechSeries]:
     return out
 
 
-def run_ensemble(
-    spec: SurrogateSpec,
-    pipeline,
-    *,
-    grid=None,
-    threads: int | None = None,
-) -> EnsembleResult:
+def run_ensemble(spec: SurrogateSpec, pipeline, *, grid=None) -> EnsembleResult:
     """Apply ``pipeline`` (dataset -> statistic vector) to every replicate.
 
     Returns the pointwise mean and the 2.5%/97.5% nearest-rank band; the
     band only means much with on the order of 100+ replicates. A pipeline
     failure aborts with the replicate index so the exact dataset can be
-    regenerated via ``make_dataset(spec, replicate)``.
+    regenerated via ``make_dataset(spec, replicate)``. Replicates run one
+    after another in the calling thread; the CLI's ``--threads`` flag is
+    accepted and has no effect, because a thread pool made the ensemble no
+    faster.
     """
 
     def one(r: int) -> np.ndarray:
@@ -252,13 +235,7 @@ def run_ensemble(
                 f"reproduce with make_dataset(spec, {r})"
             ) from exc
 
-    reps = range(spec.n_ensembles)
-    if threads is not None and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            stats = list(pool.map(one, reps))
-    else:
-        stats = [one(r) for r in reps]
-    matrix = np.vstack(stats)
+    matrix = np.vstack([one(r) for r in range(spec.n_ensembles)])
     n = matrix.shape[0]
     srt = np.sort(matrix, axis=0)
     lo_idx = max(int(math.ceil(0.025 * n)) - 1, 0)

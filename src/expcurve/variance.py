@@ -1,4 +1,4 @@
-"""Closed-form forecast-error variances and error normalizers.
+"""Closed-form forecast-error variances.
 
 All four model variants are covered:
 
@@ -13,10 +13,13 @@ All four model variants are covered:
 The factor ``A = tau + tau**2/m`` combines accumulated future noise (``tau``)
 with parameter-estimation error (``tau**2/m``); it recurs everywhere and is
 also the horizon rescaling used when errors of different horizons are pooled.
+The long-run experience volatility implied by production sits here too, with
+the other closed forms.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 
 import numpy as np
@@ -25,14 +28,11 @@ __all__ = [
     "a_factor",
     "moore_variance",
     "wright_variance",
-    "wright_variance_rewritten",
     "window_error_weights",
     "wright_ma1_variance",
     "ma1_variance_constant_x",
     "ma1_variance_approx",
-    "normalize_error",
-    "moore_normalize",
-    "horizon_rescale",
+    "sigma_x_theory",
 ]
 
 # Relative floor applied when the constant-growth MA(1) formula is evaluated
@@ -78,24 +78,6 @@ def wright_variance(sigma_eta, past_x, future_x) -> float:
     return sigma_eta * sigma_eta * (tau + sf * sf / sp2)
 
 
-def wright_variance_rewritten(sigma_eta, tau, m, r_future, r_past, sigma_x_past):
-    """Moment form of :func:`wright_variance`.
-
-    ``sigma_eta**2 * (tau + (tau**2/m) * r_future**2 /
-    (sigma_x_past**2 + r_past**2))``. With steady experience growth
-    (``sigma_x_past = 0``, ``r_future = r_past``) it collapses to
-    ``sigma_eta**2 * A``, the random-walk value.
-    """
-    denom = sigma_x_past * sigma_x_past + r_past * r_past
-    if denom <= 0.0:
-        raise ValueError("degenerate denominator: sigma_x_past and r_past both zero")
-    tau = np.asarray(tau, dtype=float)
-    out = sigma_eta * sigma_eta * (
-        tau + (tau * tau / m) * (r_future * r_future) / denom
-    )
-    return float(out) if out.ndim == 0 else out
-
-
 def window_error_weights(past_x, future_x) -> np.ndarray:
     """Weight of each window innovation in the forecast error.
 
@@ -109,6 +91,26 @@ def window_error_weights(past_x, future_x) -> np.ndarray:
     if sp2 <= 0.0:
         raise ValueError("degenerate past experience changes (sum of squares is zero)")
     return -(float(future_x.sum()) / sp2) * past_x
+
+
+def _ma1_unit_variance(rho, past_x, future_sum, tau):
+    """:func:`wright_ma1_variance` at ``sigma_u = 1``, batched.
+
+    ``past_x`` holds windows of past experience changes along its last axis;
+    ``future_sum`` (the summed future changes) and ``tau`` (``>= 1``) hold
+    one entry per window and broadcast against the other axes.
+    """
+    if not abs(rho) <= 1.0:
+        raise ValueError("rho must lie in [-1, 1]")
+    h = -(future_sum / np.vecdot(past_x, past_x))[..., None] * past_x
+    middle = np.sum((h[..., :-1] + rho * h[..., 1:]) ** 2, axis=-1)
+    return (
+        rho * rho * h[..., 0] * h[..., 0]
+        + middle
+        + (rho + h[..., -1]) ** 2
+        + (tau - 1) * (1.0 + rho) ** 2
+        + 1.0
+    )
 
 
 def wright_ma1_variance(sigma_u, rho, past_x, future_x) -> float:
@@ -125,19 +127,14 @@ def wright_ma1_variance(sigma_u, rho, past_x, future_x) -> float:
     """
     if not abs(rho) <= 1.0:
         raise ValueError("rho must lie in [-1, 1]")
-    h = window_error_weights(past_x, future_x)
-    tau = len(np.asarray(future_x, dtype=float))
+    past_x = np.asarray(past_x, dtype=float)
+    future_x = np.asarray(future_x, dtype=float)
+    if float(past_x @ past_x) <= 0.0:
+        raise ValueError("degenerate past experience changes (sum of squares is zero)")
+    tau = len(future_x)
     if tau == 0:
         return 0.0
-    middle = float(np.sum((h[:-1] + rho * h[1:]) ** 2))
-    total = (
-        rho * rho * h[0] * h[0]
-        + middle
-        + (rho + h[-1]) ** 2
-        + (tau - 1) * (1.0 + rho) ** 2
-        + 1.0
-    )
-    return sigma_u * sigma_u * total
+    return sigma_u * sigma_u * float(_ma1_unit_variance(rho, past_x, future_x.sum(), tau))
 
 
 def ma1_variance_constant_x(sigma_u, rho, tau, m):
@@ -185,32 +182,14 @@ def ma1_variance_approx(sigma_eta, rho, tau, m):
     return out
 
 
-def normalize_error(raw_error, variance):
-    """Scale a raw error by the square root of its variance.
+def sigma_x_theory(g: float, sigma_q: float) -> tuple[float, float]:
+    """Long-run drift and variance of experience growth implied by production.
 
-    Against the true variance the result is standard normal; with an
-    estimated scale the reference is Student with the estimation window's
-    degrees of freedom.
+    Integration low-pass filters the production noise:
+    ``E[dlog Z] ~= g`` and ``Var[dlog Z] ~= sigma_q**2 * tanh(g / 2)``, so
+    experience is always smoother than production (``tanh(g/2) < 1``).
+    Requires ``g > 0``.
     """
-    variance = np.asarray(variance, dtype=float)
-    if np.any(variance <= 0.0):
-        raise ValueError("variance must be positive")
-    out = np.asarray(raw_error, dtype=float) / np.sqrt(variance)
-    return float(out) if out.ndim == 0 else out
-
-
-def moore_normalize(raw_error, k_hat):
-    """Divide an error by the window's random-walk scale estimate."""
-    if k_hat <= 0.0:
-        raise ValueError("K_hat must be positive")
-    out = np.asarray(raw_error, dtype=float) / k_hat
-    return float(out) if out.ndim == 0 else out
-
-
-def horizon_rescale(eps, a):
-    """Divide a normalized error by ``sqrt(A)`` so horizons can be pooled."""
-    a = np.asarray(a, dtype=float)
-    if np.any(a <= 0.0):
-        raise ValueError("A must be positive")
-    out = np.asarray(eps, dtype=float) / np.sqrt(a)
-    return float(out) if out.ndim == 0 else out
+    if g <= 0.0:
+        raise ValueError("g must be positive")
+    return g, sigma_q * sigma_q * math.tanh(g / 2.0)

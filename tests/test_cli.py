@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import math
 import subprocess
 import sys
@@ -201,6 +202,42 @@ class TestDeterminism:
         assert files_a == files_b
         for name in files_a:
             assert (a / name).read_bytes() == (b / name).read_bytes(), name
+
+
+# SHA-256 of the estimate and forecast outputs for small_dataset(n_tech=3,
+# T=20, seed=2016), captured before the window fits and the realized MA(1)
+# variance moved into shared kernels.
+GOLDEN_OUTPUTS = {
+    "estimate": {
+        "params.csv": "b508710e9d50b061f73e619484f74a214fd9660a1aaccd97908db3b63e14ad47",
+        "series.csv": "91f00f5494a7b232e9220a72461288dac395ec92aba85261dd3d4f3babacdf1f",
+    },
+    "forecast-table": {
+        "forecast_wright.csv": "d0066a77243a08607a72a18669b6ad9a3e4c8a37903f338e7479038aea93a7a0",
+        "forecast_moore.csv": "e7b16c196ebed0748ff2775d127b017fcb2c039355260256cc4cc81daba3660b",
+        "comparison.csv": "d3fb5056c854dca9918607317cdcde737cdab0d07c067b2815f51b17676e624f",
+    },
+    "forecast-input": {
+        "forecast_wright.csv": "8ace5388d697f2e98aafc6288bcbbda4da0744569cabfed28c9821c5d23f0674",
+        "forecast_moore.csv": "dafdb8493bf4e07abb2bfec4c82578c7d7fe39a267d06c347386ad975e7f8ca9",
+        "comparison.csv": "7778524a9e246c93e7bb3c6b15f3dc4e31bcab1b5f17f90abdb372574955c3bb",
+    },
+}
+
+
+class TestGoldenBytes:
+    @pytest.mark.parametrize("run", sorted(GOLDEN_OUTPUTS))
+    def test_output_digests(self, tmp_path, run):
+        data = small_dataset(tmp_path, n_tech=3, T=20, seed=2016)
+        out = tmp_path / "out"
+        argv = {
+            "estimate": ["estimate", "--input", data, "--emit-series"],
+            "forecast-table": ["forecast", "--tech", "Photovoltaics", "--horizon", 12],
+            "forecast-input": ["forecast", "--input", data, "--tech", "tech001", "--horizon", 12],
+        }[run]
+        assert run_cli("--output-dir", out, *argv) == 0
+        for name, digest in GOLDEN_OUTPUTS[run].items():
+            assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
 
 
 class TestEntryPoint:

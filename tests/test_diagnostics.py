@@ -6,7 +6,6 @@ from numpy.testing import assert_allclose
 from scipy import stats
 
 from expcurve import (
-    GrowthStats,
     ecdf_vs_reference,
     ks_critical_value,
     ks_statistic,
@@ -110,20 +109,19 @@ class TestSahalCheck:
 
 
 class TestTanhCheck:
-    def _gs(self, g, sigma_q, r, sigma_x):
-        return GrowthStats(g=g, sigma_q=sigma_q, r=r, sigma_x=sigma_x, g_d=g)
-
+    # entries are (g, sigma_q, sigma_x, r)
     def test_pairs(self):
-        rows = tanh_check([self._gs(0.1, 0.1, 0.1, 0.0224)])
+        rows = tanh_check([(0.1, 0.1, 0.0224, 0.12)])
         assert rows.shape == (1, 4)
+        assert rows[0, 0] == 0.0224
         assert rows[0, 1] == pytest.approx(math.sqrt(0.01 * math.tanh(0.05)), rel=1e-12)
-        assert rows[0, 2:].tolist() == [0.1, 0.1]
+        assert rows[0, 2:].tolist() == [0.12, 0.1]
 
     def test_exact_geometric_both_zero(self):
-        rows = tanh_check([self._gs(0.1, 0.0, 0.1, 0.0)])
+        rows = tanh_check([(0.1, 0.0, 0.0, 0.1)])
         assert rows[0, 0] == 0.0
         assert rows[0, 1] == pytest.approx(0.0, abs=1e-15)
 
     def test_nonpositive_growth_rejected(self):
         with pytest.raises(ValueError):
-            tanh_check([self._gs(0.0, 0.1, 0.0, 0.01)])
+            tanh_check([(0.0, 0.1, 0.01, 0.0)])

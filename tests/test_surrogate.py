@@ -202,10 +202,13 @@ class TestRunEnsemble:
         spec = SurrogateSpec(n_tech=2, T=10, seed=9, n_ensembles=16)
         stat = lambda ds: [ds[0].cost.sum(), ds[1].cost.sum()]
         a = run_ensemble(spec, stat)
-        b = run_ensemble(spec, stat, threads=4)
+        b = run_ensemble(spec, stat)
         assert_allclose(a.mean, b.mean, rtol=0)
         assert_allclose(a.lower, b.lower, rtol=0)
         assert_allclose(a.upper, b.upper, rtol=0)
+        # a replicate depends only on its index, not on the order of the run
+        backwards = [stat(make_dataset(spec, r)) for r in reversed(range(16))]
+        assert_allclose(np.sort(backwards, axis=0)[0], a.lower, rtol=0)
 
     def test_failure_carries_replicate(self):
         spec = SurrogateSpec(n_tech=1, T=8, seed=0, n_ensembles=5)

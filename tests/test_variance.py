@@ -6,17 +6,31 @@ from numpy.testing import assert_allclose
 
 from expcurve import (
     a_factor,
-    horizon_rescale,
     ma1_variance_approx,
     ma1_variance_constant_x,
-    moore_normalize,
     moore_variance,
-    normalize_error,
     window_error_weights,
     wright_ma1_variance,
     wright_variance,
-    wright_variance_rewritten,
 )
+from expcurve.variance import _ma1_unit_variance
+
+
+def dense_ma1_variance(su, rho, past_x, future_x):
+    """Variance of the window regression's forecast error from dense weights.
+
+    The error is ``sum(future eta) - (omega_hat - omega) * sum(future_x)``
+    with ``omega_hat - omega = pinv(past_x) @ eta_past``. Written as weights
+    ``w`` on the innovations ``u_0..u_{m+tau}`` of ``eta_t = u_t + rho u_{t-1}``,
+    its variance is ``su**2 |w|**2``.
+    """
+    past_x, future_x = np.asarray(past_x, float), np.asarray(future_x, float)
+    slope_map = np.linalg.pinv(past_x[:, None])[0]
+    eta_weights = np.concatenate([-future_x.sum() * slope_map, np.ones(len(future_x))])
+    n = len(eta_weights)
+    eta_from_u = np.eye(n, n + 1, k=1) + rho * np.eye(n, n + 1)
+    w = eta_from_u.T @ eta_weights
+    return su * su * (w @ w)
 
 
 class TestAFactor:
@@ -69,32 +83,6 @@ class TestWrightVariance:
         small = wright_variance(1.0, [0.1] * 5, fut)
         large = wright_variance(1.0, [0.4] * 5, fut)
         assert large < small
-
-
-class TestRewrittenForm:
-    def test_zero_sigma_x_reduction(self):
-        v = wright_variance_rewritten(0.2, 6, 5, r_future=0.1, r_past=0.1, sigma_x_past=0.0)
-        assert v == pytest.approx(moore_variance(0.2, 6, 5), rel=1e-14)
-
-    def test_large_sigma_x_limit(self):
-        v = wright_variance_rewritten(0.2, 6, 5, 0.1, 0.1, sigma_x_past=1e9)
-        assert v == pytest.approx(0.2**2 * 6, rel=1e-6)
-
-    def test_hand_value(self):
-        v = wright_variance_rewritten(0.1, 4, 5, 0.1, 0.1, 0.1)
-        assert v == pytest.approx(0.056, rel=1e-12)
-
-    def test_moment_matched_agreement(self):
-        # against the realized-series formula with matching moments
-        rng = np.random.default_rng(2)
-        m, tau = 2000, 10
-        r, sx = 0.2, 0.04
-        past = rng.normal(r, sx, m)
-        v_exact = wright_variance(0.3, past, np.full(tau, r))
-        v_moment = wright_variance_rewritten(
-            0.3, tau, m, r, past.mean(), past.std(ddof=0)
-        )
-        assert v_moment == pytest.approx(v_exact, rel=2e-3)
 
 
 class TestWindowWeights:
@@ -184,18 +172,26 @@ class TestConstantXMa1:
         "tau, m", [(10, 20), (11, 20)] + [(tau, 39) for tau in range(1, 13)]
     )
     def test_dense_innovation_oracle(self, tau, m):
-        # Write the forecast error of the constant-growth window regression as
-        # weights w on the innovations u_0..u_{m+tau} of eta_t = u_t + rho u_{t-1};
-        # its variance is sigma_u**2 |w|**2.
         rho, su, r = 0.19, 0.7, 0.15
-        slope_map = np.linalg.pinv(np.full((m, 1), r))[0]
-        eta_weights = np.concatenate([-tau * r * slope_map, np.ones(tau)])
-        n = m + tau
-        eta_from_u = np.eye(n, n + 1, k=1) + rho * np.eye(n, n + 1)
-        w = eta_from_u.T @ eta_weights
         assert ma1_variance_constant_x(su, rho, tau, m) == pytest.approx(
-            su * su * (w @ w), rel=1e-12, abs=0
+            dense_ma1_variance(su, rho, np.full(m, r), np.full(tau, r)), rel=1e-12, abs=0
         )
+
+    @pytest.mark.parametrize("rho", [-0.8, 0.0, 0.19, 0.6, 1.0])
+    def test_dense_innovation_oracle_realized_experience(self, rho):
+        rng = np.random.default_rng(5)
+        su = 0.7
+        for m, tau in ((1, 1), (2, 7), (5, 1), (5, 20), (13, 9), (39, 12)):
+            past, fut = rng.lognormal(-2, 0.7, m), rng.lognormal(-2, 0.7, tau)
+            expect = dense_ma1_variance(su, rho, past, fut)
+            assert wright_ma1_variance(su, rho, past, fut) == pytest.approx(expect, rel=1e-12, abs=0)
+        # eight windows of m = 6, each with its own horizon, in one batch
+        pasts, fut = rng.lognormal(-2, 0.7, (8, 6)), rng.lognormal(-2, 0.7, 8)
+        taus = np.array([3, 1, 8, 2, 2, 5, 7, 4])
+        fsum = np.array([fut[:t].sum() for t in taus])
+        batch = su * su * _ma1_unit_variance(rho, pasts, fsum, taus)
+        expect = [dense_ma1_variance(su, rho, p, fut[:t]) for p, t in zip(pasts, taus)]
+        assert_allclose(batch, expect, rtol=1e-12, atol=0)
 
 
 class TestApproxVariance:
@@ -251,28 +247,3 @@ class TestReductionChainAndMonotonicity:
             vals = [f(t, 0.4) for t in range(1, 10)]
             assert all(b > a for a, b in zip(vals, vals[1:]))
             assert f(5, 0.8) > f(5, 0.4)
-
-
-class TestNormalizers:
-    def test_normalize(self):
-        assert normalize_error(0.0, 3.0) == 0.0
-        assert normalize_error(1.2, 1.44) == pytest.approx(1.0)
-        with pytest.raises(ValueError):
-            normalize_error(1.0, 0.0)
-
-    def test_normalized_errors_have_unit_std(self):
-        rng = np.random.default_rng(77)
-        var = 2.4
-        draws = rng.normal(0, math.sqrt(var), 100_000)
-        z = normalize_error(draws, var)
-        assert np.std(z) == pytest.approx(1.0, abs=0.02)
-
-    def test_moore_normalize(self):
-        assert moore_normalize(0.3, 0.15) == pytest.approx(2.0)
-        with pytest.raises(ValueError):
-            moore_normalize(0.3, 0.0)
-
-    def test_horizon_rescale(self):
-        assert horizon_rescale(2.0, 4.0) == pytest.approx(1.0)
-        with pytest.raises(ValueError):
-            horizon_rescale(1.0, -1.0)
