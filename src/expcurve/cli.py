@@ -37,6 +37,7 @@ from .forecast import (
 )
 from .hindcast import (
     HindcastConfig,
+    _model_rows,
     mse_by_horizon,
     read_errors_csv,
     run_hindcast,
@@ -94,7 +95,7 @@ def _csv_text(header, rows) -> str:
 def cmd_estimate(args) -> int:
     outdir = _outdir(args)
     dataset = [build_experience(ts) for ts in ingest_csv(args.input)]
-    rows = [full_sample_estimates(ts) for ts in dataset]
+    rows = full_sample_estimates(dataset)
     _atomic(outdir / "params.csv", lambda p: write_params_csv(p, rows))
     if args.emit_series:
         _atomic(outdir / "series.csv", lambda p: write_csv(p, dataset))
@@ -145,7 +146,7 @@ def cmd_diagnose(args) -> int:
     summary = [f"reference={args.reference}", f"df={df}", f"window_m={m}"]
     ecdf_rows, pit_rows = [], []
     for model in ("moore", "wright"):
-        vals = errors.pooled_error[errors.model == model]
+        vals = _model_rows(errors, model).pooled_error
         finite = vals[np.isfinite(vals)]
         dropped = len(vals) - len(finite)
         if len(finite) < 2:
@@ -300,7 +301,7 @@ def cmd_simulate(args) -> int:
             errs = run_hindcast(dataset, cfg)
             out = np.full(2 * len(taus), np.nan)
             for k, model in enumerate(("moore", "wright")):
-                table = mse_by_horizon(errs[errs.model == model])
+                table = mse_by_horizon(_model_rows(errs, model))
                 for i, tau in enumerate(taus):
                     if int(tau) in table:
                         out[k * len(taus) + i] = table[int(tau)][0]
@@ -401,7 +402,7 @@ def cmd_forecast(args) -> int:
         if args.tech not in dataset:
             raise DataError(f"technology '{args.tech}' not found in {args.input}")
         series = build_experience(dataset[args.tech])
-        est = full_sample_estimates(series)
+        est = full_sample_estimates([series])[0]
     else:
         params_path = args.params if args.params else reference_params_path()
         if args.params:

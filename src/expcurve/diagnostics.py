@@ -13,18 +13,20 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
+from scipy.special import ndtr, stdtr
 
 from .variance import sigma_x_theory
 
 
-def _reference_dist(reference: str, df=None):
+def _reference_cdf(reference: str, df=None):
+    # scipy.special holds the CDFs that scipy.stats' norm and t evaluate,
+    # without the slow import of scipy.stats
     if reference == "normal":
-        return stats.norm
+        return ndtr
     if reference == "student":
         if df is None or df < 1:
             raise ValueError("student reference needs df >= 1")
-        return stats.t(df)
+        return lambda q: stdtr(df, q)
     raise ValueError(f"unknown reference '{reference}'")
 
 
@@ -73,8 +75,7 @@ def ecdf_vs_reference(sample, reference: str = "normal", df=None) -> DistCheck:
         raise ValueError("need at least 2 observations")
     if not np.all(np.isfinite(s)):
         raise ValueError("sample contains non-finite values")
-    dist = _reference_dist(reference, df)
-    cdf = dist.cdf(s)
+    cdf = _reference_cdf(reference, df)(s)
     return DistCheck(
         sample=s,
         reference=reference,
@@ -93,7 +94,7 @@ def pit(sample, reference: str = "normal", df=None) -> np.ndarray:
     s = np.asarray(sample, dtype=float)
     if s.size < 2:
         raise ValueError("need at least 2 observations")
-    return _reference_dist(reference, df).cdf(s)
+    return _reference_cdf(reference, df)(s)
 
 
 def sahal_check(entries) -> np.ndarray:

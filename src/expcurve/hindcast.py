@@ -68,7 +68,7 @@ class HindcastConfig:
             raise ValueError("tau_max must be at least 1")
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class HindcastError:
     """One pseudo-forecast error (a row of a :class:`HindcastTable`).
 
@@ -81,6 +81,10 @@ class HindcastError:
     realized-experience MA(1) variance of this window/horizon. Records
     loaded from CSV carry ``None`` for ``origin_index`` and the variances,
     which the CSV format omits.
+
+    A row is a fresh view built from the table's columns on every access:
+    changing its fields changes nothing in the table, and rows compare by
+    value but are unhashable.
     """
 
     technology: str
@@ -212,6 +216,19 @@ def _as_table(errors) -> HindcastTable:
     if isinstance(errors, HindcastTable):
         return errors
     return HindcastTable.from_records(errors)
+
+
+def _model_rows(table: HindcastTable, model: str) -> HindcastTable:
+    """The rows of one model, as a zero-copy view of ``table``.
+
+    A hindcast writes its moore and wright rows alternately, and its error
+    CSV keeps that order, so each model's rows are every second row. Raises
+    ``ValueError`` for a table that is not in that order.
+    """
+    k = ("moore", "wright").index(model)
+    if not np.all(table.model[k::2] == model):
+        raise ValueError(f"{model} rows are not every second row, as a hindcast writes them")
+    return table[k::2]
 
 
 def _hindcast_rows(series: list[TechSeries], cfg: HindcastConfig) -> tuple[HindcastTable, int]:

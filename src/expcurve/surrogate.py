@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .diagnostics import DistCheck, ecdf_vs_reference, pit
-from .hindcast import HindcastConfig, run_hindcast
+from .hindcast import HindcastConfig, _model_rows, run_hindcast
 from .series import DataError, TechSeries, _experience_from_production, estimate_discrete_growth
 from .variance import wright_ma1_variance
 
@@ -60,6 +60,10 @@ class SurrogateSpec:
     corrected_experience: bool = True
 
     def __post_init__(self):
+        # NaN fails every comparison below, so test finiteness first
+        for field in ("n_tech", "T", "g", "sigma_q", "omega", "sigma_eta", "rho", "n_ensembles"):
+            if not np.all(np.isfinite(getattr(self, field))):
+                raise ValueError(f"{field} must be finite")
         if self.n_tech < 1:
             raise ValueError("n_tech must be positive")
         if self.n_ensembles < 1:
@@ -344,7 +348,7 @@ def run_calibration_study(
         )
         dataset = make_dataset(spec, 0)
         errors = run_hindcast(dataset, HindcastConfig(m=m, tau_max=None, rho=rn))
-        wright = errors[errors.model == "wright"]
+        wright = _model_rows(errors, "wright")
         raw = wright.raw_error
         v_est = wright.wright_variance
         if variance == "estimated":

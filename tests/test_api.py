@@ -30,3 +30,16 @@ assert "expcurve.surrogate" not in sys.modules, "diagnostics loaded surrogate"
 """
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_cli_does_not_load_scipy_stats():
+    # The reference CDFs come from scipy.special; importing scipy.stats
+    # would cost most of the CLI's start-up time.
+    code = f"""
+import sys
+sys.path.insert(0, {str(Path(expcurve.__file__).parent.parent)!r})
+import expcurve.cli
+assert "scipy.stats" not in sys.modules, "importing expcurve.cli loaded scipy.stats"
+"""
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

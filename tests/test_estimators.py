@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from expcurve import (
@@ -10,6 +12,7 @@ from expcurve import (
     fit_moore,
     fit_wright,
     fit_wright_ma1,
+    full_sample_estimates,
     load_reference_params,
     ma1_loglik,
     pool_rho,
@@ -212,6 +215,95 @@ class TestMa1Loglik:
         sign, logdet = np.linalg.slogdet(cov)
         dense = -0.5 * (m * math.log(2 * math.pi) + logdet + e @ np.linalg.solve(cov, e))
         assert ma1_loglik(d, omega, rho, su) == pytest.approx(dense, rel=1e-12)
+
+
+@st.composite
+def ma1_batches(draw):
+    """Series of mixed window length and MA(1) coefficient, and a row order."""
+    specs = draw(
+        st.lists(
+            st.tuples(st.integers(4, 80), st.floats(-0.95, 0.999), st.integers(0, 10_000)),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    batch = [
+        ma1_diffs(np.random.default_rng(seed), m, omega=-0.3, sigma_eta=0.1, rho=rho)
+        for m, rho, seed in specs
+    ]
+    return batch, draw(st.permutations(range(len(batch))))
+
+
+class TestFitWrightMa1Batch:
+    @settings(max_examples=25, deadline=None)
+    @given(ma1_batches())
+    def test_batch_equals_single_fits_in_any_order(self, case):
+        # WrightParams compares every field with ==, so equal means
+        # bit-identical floats
+        batch, order = case
+        alone = [fit_wright_ma1(d) for d in batch]
+        assert all(isinstance(f, WrightParams) for f in alone)
+        assert fit_wright_ma1(batch) == alone
+        assert fit_wright_ma1([batch[i] for i in order]) == [alone[i] for i in order]
+
+    def test_batched_profiles_equal_one_dimensional_calls(self):
+        from expcurve.estimators import _innovation_profiles
+
+        rng = np.random.default_rng(9)
+        lengths = np.array([31, 31, 17, 6, 4])
+        rows = [ma1_diffs(rng, m, omega=-0.3, sigma_eta=0.1, rho=0.5) for m in lengths]
+        y = np.zeros((len(rows), lengths[0]))
+        x = np.zeros_like(y)
+        for i, d in enumerate(rows):
+            y[i, : d.m], x[i, : d.m] = d.y, d.x
+        rhos = rng.uniform(-1, 1, (len(rows), 7))
+        batched = _innovation_profiles(y, x, rhos, lengths)
+        for i, d in enumerate(rows):
+            single = _innovation_profiles(np.asarray(d.y), np.asarray(d.x), rhos[i])
+            for got, want in zip(batched, single):
+                assert np.array_equal(got[i], want)
+        with pytest.raises(ValueError, match="non-increasing"):
+            _innovation_profiles(y[::-1], x[::-1], rhos, lengths[::-1])
+
+    def test_degenerate_series_in_batch_raises(self):
+        rng = np.random.default_rng(2)
+        good = [ma1_diffs(rng, m, omega=-0.3, sigma_eta=0.1, rho=0.2) for m in (12, 30)]
+        # positive experience changes whose squares underflow to zero: the
+        # regressor is numerically all zero
+        flat = DiffSeries(y=rng.normal(0, 0.1, 20), x=np.full(20, 1e-170))
+        with pytest.raises(ValueError, match="degenerate regressor"):
+            fit_wright_ma1([good[0], flat, good[1]])
+
+    def test_short_series_in_batch_raises(self):
+        rng = np.random.default_rng(2)
+        batch = [ma1_diffs(rng, m, omega=-0.3, sigma_eta=0.1, rho=0.2) for m in (12, 3)]
+        with pytest.raises(ValueError, match="at least 4 differences.*got 3"):
+            fit_wright_ma1(batch)
+
+    def test_tiny_max_iter_raises(self):
+        rng = np.random.default_rng(2)
+        batch = [ma1_diffs(rng, m, omega=-0.3, sigma_eta=0.1, rho=0.2) for m in (12, 30)]
+        for arg in (batch, batch[0]):
+            with pytest.raises(RuntimeError, match="did not converge; best rho so far"):
+                fit_wright_ma1(arg, max_iter=3)
+        with pytest.raises(RuntimeError, match="did not converge"):
+            fit_wright_ma1(batch, max_iter=0)
+
+    def test_empty_sequence(self):
+        assert fit_wright_ma1([]) == []
+
+    def test_full_sample_estimates_one_row_per_series(self):
+        from expcurve import SurrogateSpec, make_dataset
+
+        ds = make_dataset(SurrogateSpec(n_tech=4, T=np.array([30, 4, 12, 5]), seed=3, n_ensembles=1), 0)
+        rows = full_sample_estimates(ds)
+        assert [r["technology"] for r in rows] == [ts.name for ts in ds]
+        # T=4 leaves 3 differences, too few for the MA(1) fit
+        assert math.isnan(rows[1]["rho"])
+        for ts, row in zip(ds, rows):
+            if ts.T > 4:
+                assert row["rho"] == fit_wright_ma1(ts.diffs()).rho
+            assert row["omega"] == fit_wright(ts.diffs()).omega
 
 
 class TestPoolRho:

@@ -319,6 +319,19 @@ class TestTable:
         assert dataclasses.replace(errs[1], tau=99).tau == 99
         assert rows[0].m == 4 and rows[0].origin_index == 4
 
+    def test_model_rows_are_strided_views(self):
+        from expcurve.hindcast import _model_rows
+
+        errs = run_hindcast(surrogate(n_tech=2, T=9, seed=4), HindcastConfig(m=4, tau_max=3))
+        for model in ("moore", "wright"):
+            rows = _model_rows(errs, model)
+            assert rows == errs[errs.model == model]
+            assert np.shares_memory(rows.raw_error, errs.raw_error)
+        swapped = errs[np.r_[1, 0, 2:len(errs)]]
+        for model in ("moore", "wright"):
+            with pytest.raises(ValueError, match="every second row"):
+                _model_rows(swapped, model)
+
     def test_sub_tables(self):
         errs = run_hindcast(surrogate(n_tech=2, T=9, seed=4), HindcastConfig(m=4, tau_max=3))
         moore = errs[errs.model == "moore"]

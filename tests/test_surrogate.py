@@ -148,6 +148,20 @@ class TestMakeDataset:
         with pytest.raises(ValueError, match="length n_tech"):
             SurrogateSpec(n_tech=3, g=np.array([0.1, 0.2]))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize(
+        "field", ["n_tech", "T", "g", "sigma_q", "omega", "sigma_eta", "rho", "n_ensembles"]
+    )
+    def test_non_finite_parameters_rejected(self, field, bad):
+        # NaN passes every range check, so finiteness is tested on its own;
+        # per-technology fields are also checked entry by entry
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            SurrogateSpec(**{"n_tech": 2, field: bad})
+        if field not in ("n_tech", "n_ensembles"):
+            good = getattr(SurrogateSpec(n_tech=2), field)
+            with pytest.raises(ValueError, match=f"{field} must be finite"):
+                SurrogateSpec(n_tech=2, **{field: np.array([good, bad])})
+
     def test_integration_smoothing(self):
         ds = make_dataset(SurrogateSpec(n_tech=6, T=60, seed=11, n_ensembles=1), 0)
         for ts in ds:
