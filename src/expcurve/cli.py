@@ -16,20 +16,17 @@ so piping one command's CSV into the next loses no precision.
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
-import io
 import os
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import __version__, _csvio
 from .diagnostics import ecdf_vs_reference, ks_critical_value, sahal_check, tanh_check
-from .estimators import MooreParams, WrightParams, full_sample_estimates
+from .estimators import MooreParams, WrightParams, fit_moore, fit_wright, full_sample_estimates
 from .forecast import (
-    BAND_MULTIPLIERS,
     compare_forecasts,
     constant_growth_series,
     forecast_moore,
@@ -44,7 +41,7 @@ from .hindcast import (
     write_errors_csv,
 )
 from .params_io import read_params_csv, reference_params_path, write_params_csv
-from .series import DataError, _fmt, build_experience, ingest_csv, write_csv
+from .series import DataError, build_experience, ingest_csv, write_csv
 from .surrogate import SurrogateSpec, make_dataset, run_calibration_study, run_ensemble
 
 
@@ -56,6 +53,10 @@ def _atomic(path: Path, writer) -> None:
 
 def _write_text(path: Path, text: str) -> None:
     _atomic(path, lambda p: Path(p).write_text(text, encoding="utf-8"))
+
+
+def _write_csv(path: Path, header, *blocks) -> None:
+    _atomic(path, lambda p: _csvio.write_csv(p, header, *blocks))
 
 
 def _sha256(path) -> str:
@@ -79,14 +80,6 @@ def _outdir(args) -> Path:
     out = Path(args.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     return out
-
-
-def _csv_text(header, rows) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue()
 
 
 # ----------------------------------------------------------------- estimate
@@ -144,7 +137,7 @@ def cmd_diagnose(args) -> int:
     df = m - 1 if args.reference == "student" else None
 
     summary = [f"reference={args.reference}", f"df={df}", f"window_m={m}"]
-    ecdf_rows, pit_rows = [], []
+    ecdf_blocks, pit_blocks = [], []
     for model in ("moore", "wright"):
         vals = _model_rows(errors, model).pooled_error
         finite = vals[np.isfinite(vals)]
@@ -153,50 +146,34 @@ def cmd_diagnose(args) -> int:
             summary.append(f"{model}: too few errors (n={len(finite)})")
             continue
         check = ecdf_vs_reference(finite, args.reference, df=df)
-        for v, e, rc in zip(check.sample, check.ecdf, check.ref_cdf):
-            ecdf_rows.append([model, _fmt(v), _fmt(e), _fmt(rc)])
-        for p in check.pit_values:
-            pit_rows.append([model, _fmt(p)])
+        models = np.full(len(finite), model)
+        ecdf_blocks.append([models, check.sample, check.ecdf, check.ref_cdf])
+        pit_blocks.append([models, check.pit_values])
         summary.append(
             f"{model}: n={len(finite)} dropped_nan={dropped} "
             f"ks={check.ks_stat:.6f} ks_critical_1pct={ks_critical_value(len(finite)):.6f}"
         )
-    _write_text(outdir / "ecdf.csv", _csv_text(["model", "value", "ecdf", "ref_cdf"], ecdf_rows))
-    _write_text(outdir / "pit.csv", _csv_text(["model", "pit"], pit_rows))
+    _write_csv(outdir / "ecdf.csv", ["model", "value", "ecdf", "ref_cdf"], *ecdf_blocks)
+    _write_csv(outdir / "pit.csv", ["model", "pit"], *pit_blocks)
 
     inputs = {"errors": args.errors}
     if args.params:
         inputs["params"] = args.params
         rows = read_params_csv(args.params)
         sahal = sahal_check([(r["mu"], r["r"], r["omega"]) for r in rows])
-        sahal_rows = [
-            [rows[i]["technology"], _fmt(sahal[i, 0]), _fmt(sahal[i, 1]), _fmt(sahal[i, 2])]
-            for i in range(len(rows))
-        ]
-        _write_text(
+        _write_csv(
             outdir / "sahal.csv",
-            _csv_text(["technology", "omega", "mu_over_r", "residual"], sahal_rows),
+            ["technology", "omega", "mu_over_r", "residual"],
+            [[r["technology"] for r in rows], *sahal.T],
         )
         growing = [r for r in rows if r["g"] > 0]
         skipped = len(rows) - len(growing)
         pairs = tanh_check([(r["g"], r["sigma_q"], r["sigma_x"], r["r"]) for r in growing])
-        tanh_rows = [
-            [
-                growing[i]["technology"],
-                _fmt(growing[i]["g"]),
-                _fmt(growing[i]["sigma_q"]),
-                _fmt(pairs[i, 2]),
-                _fmt(pairs[i, 0]),
-                _fmt(pairs[i, 1]),
-            ]
-            for i in range(len(growing))
-        ]
-        _write_text(
+        _write_csv(
             outdir / "tanh.csv",
-            _csv_text(
-                ["technology", "g", "sigma_q", "r", "sigma_x_observed", "sigma_x_theory"],
-                tanh_rows,
-            ),
+            ["technology", "g", "sigma_q", "r", "sigma_x_observed", "sigma_x_theory"],
+            # tanh_check rows are (sigma_x_observed, sigma_x_theory, r, g)
+            [[r[k] for r in growing] for k in ("technology", "g", "sigma_q")] + list(pairs[:, [2, 0, 1]].T),
         )
         summary.append(f"sahal: n={len(rows)}")
         summary.append(f"tanh: n={len(growing)} skipped_nonpositive_growth={skipped}")
@@ -225,18 +202,12 @@ def cmd_simulate(args) -> int:
             seed=args.seed,
         )
         check = result.check
-        ecdf_rows = [
-            [_fmt(v), _fmt(e), _fmt(rc)]
-            for v, e, rc in zip(check.sample, check.ecdf, check.ref_cdf)
-        ]
-        _write_text(
+        _write_csv(
             outdir / "calibration_ecdf.csv",
-            _csv_text(["value", "ecdf", "ref_cdf"], ecdf_rows),
+            ["value", "ecdf", "ref_cdf"],
+            [check.sample, check.ecdf, check.ref_cdf],
         )
-        _write_text(
-            outdir / "calibration_pit.csv",
-            _csv_text(["pit"], [[_fmt(p)] for p in result.pit_values]),
-        )
+        _write_csv(outdir / "calibration_pit.csv", ["pit"], [result.pit_values])
         _write_text(
             outdir / "summary.txt",
             f"n={len(result.normalized)}\nreference={result.reference}\n"
@@ -311,13 +282,10 @@ def cmd_simulate(args) -> int:
         half = len(taus)
         for k, model in enumerate(("moore", "wright")):
             sub = slice(k * half, (k + 1) * half)
-            rows = [
-                [_fmt(float(t)), _fmt(result.mean[sub][i]), _fmt(result.lower[sub][i]), _fmt(result.upper[sub][i])]
-                for i, t in enumerate(taus)
-            ]
-            _write_text(
+            _write_csv(
                 outdir / f"bands_{model}.csv",
-                _csv_text(["grid", "stat_mean", "lo", "hi"], rows),
+                ["grid", "stat_mean", "lo", "hi"],
+                [taus.astype(float), result.mean[sub], result.lower[sub], result.upper[sub]],
             )
 
     _write_manifest(
@@ -350,47 +318,16 @@ def cmd_simulate(args) -> int:
 # ----------------------------------------------------------------- forecast
 
 
-def _forecast_rows(fc) -> list[list[str]]:
-    rows = []
-    bands = {k: fc.band(k) for k in BAND_MULTIPLIERS}
-    lo2, hi2 = fc.level_band(2.0)
-    for i, tau in enumerate(fc.horizons):
-        row = [
-            int(fc.years[i]),
-            _fmt(fc.mean_log_cost[i]),
-            _fmt(fc.var_exact[i]),
-            _fmt(fc.var_simple[i]),
-            _fmt(bands[2.0][0][i]),
-            _fmt(bands[1.0][0][i]),
-            _fmt(bands[1.0][1][i]),
-            _fmt(bands[2.0][1][i]),
-            _fmt(fc.mean_cost_level[i]),
-            int(tau),
-            _fmt(bands[1.5][0][i]),
-            _fmt(bands[1.5][1][i]),
-            _fmt(lo2[i]),
-            _fmt(hi2[i]),
-        ]
-        rows.append(row)
-    return rows
-
-
-_FORECAST_HEADER = [
-    "year",
-    "mean_log_cost",
-    "var_exact",
-    "var_simple",
-    "lo_2sd",
-    "lo_1sd",
-    "hi_1sd",
-    "hi_2sd",
-    "mean_cost_level",
-    "tau",
-    "lo_1_5sd",
-    "hi_1_5sd",
-    "lo_2sd_level",
-    "hi_2sd_level",
-]
+def _forecast_columns(fc) -> dict:
+    """The columns of a forecast CSV, by header name in file order."""
+    (lo1, hi1), (lo15, hi15), (lo2, hi2) = (fc.band(k) for k in (1.0, 1.5, 2.0))
+    lo2_level, hi2_level = fc.level_band(2.0)
+    return {
+        "year": fc.years, "mean_log_cost": fc.mean_log_cost, "var_exact": fc.var_exact,
+        "var_simple": fc.var_simple, "lo_2sd": lo2, "lo_1sd": lo1, "hi_1sd": hi1, "hi_2sd": hi2,
+        "mean_cost_level": fc.mean_cost_level, "tau": fc.horizons, "lo_1_5sd": lo15,
+        "hi_1_5sd": hi15, "lo_2sd_level": lo2_level, "hi_2sd_level": hi2_level,
+    }
 
 
 def cmd_forecast(args) -> int:
@@ -402,7 +339,8 @@ def cmd_forecast(args) -> int:
         if args.tech not in dataset:
             raise DataError(f"technology '{args.tech}' not found in {args.input}")
         series = build_experience(dataset[args.tech])
-        est = full_sample_estimates([series])[0]
+        diffs = series.diffs()
+        wparams, mparams = fit_wright(diffs), fit_moore(diffs)
     else:
         params_path = args.params if args.params else reference_params_path()
         if args.params:
@@ -414,9 +352,9 @@ def cmd_forecast(args) -> int:
         series = constant_growth_series(
             args.tech, T=est["T"], r=est["r"], mu=est["mu"]
         )
-    m = est["T"] - 1
-    wparams = WrightParams(omega=est["omega"], sigma_eta=est["sigma_eta"], m=m)
-    mparams = MooreParams(mu=est["mu"], K=est["K"], m=m)
+        m = est["T"] - 1
+        wparams = WrightParams(omega=est["omega"], sigma_eta=est["sigma_eta"], m=m)
+        mparams = MooreParams(mu=est["mu"], K=est["K"], m=m)
     fw = forecast_wright(
         series,
         wparams,
@@ -425,15 +363,14 @@ def cmd_forecast(args) -> int:
         rho_star=args.rho_star,
     )
     fm = forecast_moore(series, mparams, horizons=args.horizon, theta_star=args.theta_star)
-    _write_text(outdir / "forecast_wright.csv", _csv_text(_FORECAST_HEADER, _forecast_rows(fw)))
-    _write_text(outdir / "forecast_moore.csv", _csv_text(_FORECAST_HEADER, _forecast_rows(fm)))
+    for name, fc in (("forecast_wright.csv", fw), ("forecast_moore.csv", fm)):
+        columns = _forecast_columns(fc)
+        _write_csv(outdir / name, list(columns), columns.values())
     comp = compare_forecasts(fw, fm)
-    comp_rows = [
-        [int(t), _fmt(d), _fmt(w)] for t, d, w in comp
-    ]
-    _write_text(
+    _write_csv(
         outdir / "comparison.csv",
-        _csv_text(["tau", "mean_diff_wright_minus_moore", "band_width_ratio"], comp_rows),
+        ["tau", "mean_diff_wright_minus_moore", "band_width_ratio"],
+        [comp[:, 0].astype(np.int64), comp[:, 1], comp[:, 2]],
     )
     _write_manifest(
         outdir,

@@ -23,8 +23,6 @@ from .estimators import MooreParams, WrightParams
 from .series import TechSeries
 from .variance import _ma1_unit_variance, ma1_variance_approx, ma1_variance_constant_x
 
-BAND_MULTIPLIERS = (1.0, 1.5, 2.0)
-
 
 @dataclass(frozen=True)
 class DistForecast:

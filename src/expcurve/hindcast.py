@@ -21,18 +21,19 @@ row views for code that works record by record.
 
 from __future__ import annotations
 
-import csv
 import math
 import warnings
 from dataclasses import dataclass, fields
-from itertools import islice, repeat
+from itertools import repeat
 from operator import attrgetter
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from . import _csvio
+from ._csvio import _CHUNK
 from .estimators import _window_fits
-from .series import TechSeries, _fmt
+from .series import TechSeries
 from .variance import _ma1_unit_variance, a_factor, ma1_variance_constant_x
 
 ERROR_COLUMNS = (
@@ -104,8 +105,6 @@ class HindcastError:
 
 
 _FIELDS = tuple(f.name for f in fields(HindcastError))
-# Rows turned into Python objects at a time when iterating or doing CSV I/O.
-_CHUNK = 4096
 _OPTIONAL = ("m", "origin_index", "moore_variance", "wright_variance")
 _DTYPES = {
     "technology": str,
@@ -409,49 +408,27 @@ def pooled_errors(errors, config: HindcastConfig | None = None) -> np.ndarray:
 
 
 def write_errors_csv(path, errors) -> None:
-    """Write hindcast errors with 17 significant digits per value."""
+    """Write hindcast errors, one row per record, in ``ERROR_COLUMNS`` order.
+
+    Floats have 17 significant digits, so :func:`read_errors_csv` gives them
+    back exactly. Text gets ``csv``'s minimal quoting, lines end in
+    ``\\r\\n``, and rows are formatted and written 4,096 at a time.
+    """
     table = _as_table(errors)
-    columns = [getattr(table, name) for name in ERROR_COLUMNS]
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(ERROR_COLUMNS)
-        for lo in range(0, len(table), _CHUNK):
-            text = [col[lo:lo + _CHUNK].tolist() for col in columns]
-            for i in range(4, len(text)):
-                text[i] = list(map(_fmt, text[i]))
-            writer.writerows(zip(*text))
+    _csvio.write_csv(path, ERROR_COLUMNS, [getattr(table, name) for name in ERROR_COLUMNS])
 
 
 def read_errors_csv(path) -> HindcastTable:
-    """Read a hindcast error CSV back into a table.
+    """Read a hindcast error CSV back into a table, 4,096 rows at a time.
 
-    The window size ``m`` is recovered from ``A = tau + tau**2 / m``;
-    ``origin_index`` and the variances are not stored, so those columns are
-    ``None``.
+    Columns are found by header name. Raises ``ValueError`` for a missing
+    column, a row with missing fields, or a window size ``m`` that cannot be
+    recovered from ``A = tau + tau**2 / m``. ``origin_index`` and the
+    variances are not stored, so those columns are ``None``.
     """
-    parsers = (str, int, int, str) + (float,) * (len(ERROR_COLUMNS) - 4)
-    chunks = {name: [] for name in ERROR_COLUMNS}
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, [])
-        missing = [c for c in ERROR_COLUMNS if c not in header]
-        if missing:
-            raise ValueError(f"error CSV missing column(s): {', '.join(missing)}")
-        positions = [header.index(name) for name in ERROR_COLUMNS]
-        while chunk := list(islice(reader, _CHUNK)):
-            # zip stops at the shortest row, so a short row shows as a
-            # missing column
-            text = list(zip(*(row for row in chunk if row)))
-            if not text:
-                continue
-            if len(text) < len(header):
-                raise ValueError("error CSV has a row with missing fields")
-            for name, i, parse in zip(ERROR_COLUMNS, positions, parsers):
-                chunks[name].append(np.array(list(map(parse, text[i]))))
-    columns = {
-        name: np.concatenate(parts) if parts else np.array([], dtype=_DTYPES.get(name, float))
-        for name, parts in chunks.items()
-    }
+    columns = _csvio.read_csv(
+        path, {name: _DTYPES.get(name, float) for name in ERROR_COLUMNS}, "error CSV"
+    )
     tau, A = columns["tau"], columns["A"]
     with np.errstate(divide="ignore", invalid="ignore"):
         m = np.rint(tau * tau / (A - tau))

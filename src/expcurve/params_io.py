@@ -13,7 +13,7 @@ import csv
 from importlib import resources
 from pathlib import Path
 
-from .series import _fmt
+from . import _csvio
 
 PARAM_COLUMNS = (
     "technology",
@@ -49,14 +49,7 @@ def read_params_csv(path) -> list[dict]:
 
 
 def write_params_csv(path, rows: list[dict]) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(PARAM_COLUMNS)
-        for row in rows:
-            writer.writerow(
-                [row["technology"], int(row["T"])]
-                + [_fmt(float(row[c])) for c in PARAM_COLUMNS[2:]]
-            )
+    _csvio.write_csv(path, PARAM_COLUMNS, [[row[c] for row in rows] for c in PARAM_COLUMNS])
 
 
 def reference_params_path() -> Path:

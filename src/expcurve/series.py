@@ -13,9 +13,12 @@ import csv
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property
+from itertools import groupby
 from pathlib import Path
 
 import numpy as np
+
+from . import _csvio
 
 # Discrete production growth at or below this is treated as "no growth":
 # the initial-stock correction divides by g_d and becomes meaningless.
@@ -27,11 +30,6 @@ DERIVED_COLUMNS = ("experience", "log_cost", "log_experience")
 
 class DataError(ValueError):
     """An input file or series violates the data contract."""
-
-
-def _fmt(x: float) -> str:
-    """Serialize a float with 17 significant digits (lossless round trip)."""
-    return f"{x:.17g}"
 
 
 def _frozen(values, dtype=float) -> np.ndarray:
@@ -224,23 +222,18 @@ def write_csv(path, dataset: list[TechSeries]) -> None:
     not been built. Values are written with 17 significant digits so a
     write/ingest round trip is exact.
     """
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(list(REQUIRED_COLUMNS) + list(DERIVED_COLUMNS))
-        for ts in dataset:
-            has_z = ts.experience is not None
-            for i in range(ts.T):
-                writer.writerow(
-                    [
-                        ts.name,
-                        int(ts.years[i]),
-                        _fmt(ts.cost[i]),
-                        _fmt(ts.production[i]),
-                        _fmt(ts.experience[i]) if has_z else "",
-                        _fmt(ts.log_cost[i]),
-                        _fmt(ts.log_experience[i]) if has_z else "",
-                    ]
-                )
+    blocks = []
+    for built, group in groupby(dataset, key=lambda ts: ts.experience is not None):
+        group = list(group)
+        names = np.repeat([ts.name for ts in group], [ts.T for ts in group])
+        block = [names]
+        for attr in ("years", "cost", "production") + DERIVED_COLUMNS:
+            if built or attr not in ("experience", "log_experience"):
+                block.append(np.concatenate([getattr(ts, attr) for ts in group]))
+            else:
+                block.append(np.full(len(names), ""))
+        blocks.append(block)
+    _csvio.write_csv(path, REQUIRED_COLUMNS + DERIVED_COLUMNS, *blocks)
 
 
 def estimate_discrete_growth(production) -> float:

@@ -20,6 +20,7 @@ from expcurve import (
     run_hindcast,
     write_csv,
 )
+from expcurve import estimators
 from expcurve.cli import main
 
 
@@ -180,6 +181,20 @@ class TestForecastCommand:
         assert code == 1
         assert "not found" in capsys.readouterr().err
 
+    def test_from_data_makes_no_ma1_fit(self, tmp_path, monkeypatch):
+        # the forecast takes --rho-star, so it needs no MA(1) estimate
+        def no_fit(*args, **kwargs):
+            raise RuntimeError("fit_wright_ma1 called")
+
+        monkeypatch.setattr(estimators, "fit_wright_ma1", no_fit)
+        data = small_dataset(tmp_path, n_tech=2, T=20, seed=8)
+        out = tmp_path / "out"
+        code = run_cli(
+            "--output-dir", out, "forecast", "--input", data, "--tech", "tech001", "--horizon", 5
+        )
+        assert code == 0
+        assert (out / "comparison.csv").exists()
+
 
 class TestDeterminism:
     def _pipeline(self, root, threads):
@@ -206,7 +221,8 @@ class TestDeterminism:
 
 # SHA-256 of the estimate and forecast outputs for small_dataset(n_tech=3,
 # T=20, seed=2016), captured before the window fits and the realized MA(1)
-# variance moved into shared kernels.
+# variance moved into shared kernels. The diagnose and simulate digests were
+# captured before every CSV writer moved onto the column-wise codec.
 GOLDEN_OUTPUTS = {
     "estimate": {
         "params.csv": "b508710e9d50b061f73e619484f74a214fd9660a1aaccd97908db3b63e14ad47",
@@ -222,7 +238,60 @@ GOLDEN_OUTPUTS = {
         "forecast_moore.csv": "dafdb8493bf4e07abb2bfec4c82578c7d7fe39a267d06c347386ad975e7f8ca9",
         "comparison.csv": "7778524a9e246c93e7bb3c6b15f3dc4e31bcab1b5f17f90abdb372574955c3bb",
     },
+    "diagnose-student": {
+        "ecdf.csv": "afd542a48f49bb1023c9479b8641dd1ef531a71c5429da4759e95c6a8bb0a16a",
+        "pit.csv": "2416f160da7b2d09c73d0ee123e07ee40539da08fff170d0dbd8e43c8bd2d387",
+        "sahal.csv": "f2a84106794e376917798dfeb52c22ca304656b522e74a880952e38f48ba2930",
+        "tanh.csv": "8db833766bcef5a1cc39f4f1e593accbf3479b84c143bcaca15bd003fd35e71b",
+        "summary.txt": "b0dc17368b0bf4ba0f083821a4a4fb3b1395d8b6407db1538251ba3a446c1143",
+    },
+    "diagnose-normal": {
+        "ecdf.csv": "e1e1fc6e2130699163ddc3a6cc3bbb772a67c7f8ff9a8689316249490d95a7f5",
+        "pit.csv": "84c05c73d77c5834da2cb859e888afb3297394446f5c9a8b9309f870c80b17bf",
+    },
+    "simulate-dataset": {
+        "dataset.csv": "91f00f5494a7b232e9220a72461288dac395ec92aba85261dd3d4f3babacdf1f",
+    },
+    "simulate-calibration": {
+        "calibration_ecdf.csv": "a108c9206011f173535917c678ee831095f83e8de65380373c142b84de25dc95",
+        "calibration_pit.csv": "5e1d9527627cb68436a7b2646ea382cf639210e16c4ad7526093c91bcfaed96f",
+    },
+    "simulate-bands": {
+        "bands_moore.csv": "7af1b46a02b2eab54f2b31ea1dd563234d4d8b18a09ce4263378c956ee831277",
+        "bands_wright.csv": "daa07c9631c1ab9cc11fa28e26491f0a049e8d3f1983e16d87c0a43bf4e7a09b",
+    },
 }
+
+
+def _golden_argvs(run, data, out):
+    """The commands of one golden run; all but the last prepare its inputs."""
+    estimate = ["estimate", "--input", data, "--emit-series"]
+    hindcast = ["hindcast", "--input", data]
+    return {
+        "estimate": [estimate],
+        "forecast-table": [["forecast", "--tech", "Photovoltaics", "--horizon", 12]],
+        "forecast-input": [["forecast", "--input", data, "--tech", "tech001", "--horizon", 12]],
+        "diagnose-student": [
+            estimate,
+            hindcast,
+            ["diagnose", "--errors", out / "errors.csv", "--params", out / "params.csv"],
+        ],
+        "diagnose-normal": [
+            hindcast,
+            ["diagnose", "--errors", out / "errors.csv", "--reference", "normal"],
+        ],
+        "simulate-dataset": [
+            ["--seed", 2016, "simulate", "--n-tech", 3, "--periods", 20, "--ensembles", 0]
+        ],
+        "simulate-calibration": [
+            ["--seed", 2016, "simulate", "--calibration", "--iid-windows",
+             "--n-tech", 10, "--periods", 20]
+        ],
+        "simulate-bands": [
+            ["--seed", 2016, "simulate", "--n-tech", 3, "--periods", 20,
+             "--ensembles", 2, "--tau-max", 6]
+        ],
+    }[run]
 
 
 class TestGoldenBytes:
@@ -230,14 +299,36 @@ class TestGoldenBytes:
     def test_output_digests(self, tmp_path, run):
         data = small_dataset(tmp_path, n_tech=3, T=20, seed=2016)
         out = tmp_path / "out"
-        argv = {
-            "estimate": ["estimate", "--input", data, "--emit-series"],
-            "forecast-table": ["forecast", "--tech", "Photovoltaics", "--horizon", 12],
-            "forecast-input": ["forecast", "--input", data, "--tech", "tech001", "--horizon", 12],
-        }[run]
-        assert run_cli("--output-dir", out, *argv) == 0
+        for argv in _golden_argvs(run, data, out):
+            assert run_cli("--output-dir", out, *argv) == 0
         for name, digest in GOLDEN_OUTPUTS[run].items():
             assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
+
+
+class TestOneWritePath:
+    def test_commands_write_without_csv_writer(self, tmp_path, monkeypatch):
+        # The codec bound csv.writer when it was imported; any other CSV
+        # write path would call the patched one and fail.
+        def no_writer(*args, **kwargs):
+            raise AssertionError("csv.writer called outside the codec")
+
+        monkeypatch.setattr(csv, "writer", no_writer)
+        out = tmp_path / "out"
+        data = out / "dataset.csv"
+        for argv in (
+            ["simulate", "--n-tech", 3, "--periods", 16, "--ensembles", 0],
+            ["estimate", "--input", data, "--emit-series"],
+            ["hindcast", "--input", data, "--tau-max", 4],
+            ["diagnose", "--errors", out / "errors.csv", "--params", out / "params.csv"],
+            ["forecast", "--input", data, "--tech", "tech001", "--horizon", 4],
+            ["simulate", "--n-tech", 3, "--periods", 16, "--ensembles", 2, "--tau-max", 4],
+            ["simulate", "--calibration", "--iid-windows", "--n-tech", 5, "--periods", 12],
+        ):
+            assert run_cli("--output-dir", out, *argv) == 0, argv
+        for name in ("series.csv", "errors.csv", "ecdf.csv", "pit.csv", "sahal.csv", "tanh.csv",
+                     "forecast_wright.csv", "comparison.csv", "bands_moore.csv",
+                     "calibration_ecdf.csv", "calibration_pit.csv"):
+            assert (out / name).stat().st_size > 0, name
 
 
 class TestEntryPoint:
