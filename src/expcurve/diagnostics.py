@@ -5,6 +5,8 @@ transforms against the uniform, Kolmogorov-Smirnov distances, and the two
 cross-sectional consistency checks: the identity between the experience
 exponent and the ratio of cost drift to experience growth, and the
 smoothing law linking experience volatility to production drift/volatility.
+SciPy supplies the reference CDFs and is imported on the first CDF
+evaluation, so importing this module does not load it.
 """
 
 from __future__ import annotations
@@ -13,21 +15,24 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr, stdtr
 
 from .variance import sigma_x_theory
 
 
 def _reference_cdf(reference: str, df=None):
+    if reference not in ("normal", "student"):
+        raise ValueError(f"unknown reference '{reference}'")
+    if reference == "student" and (df is None or not df >= 1):
+        raise ValueError("student reference needs df >= 1")
     # scipy.special holds the CDFs that scipy.stats' norm and t evaluate,
-    # without the slow import of scipy.stats
+    # without the slow import of scipy.stats. It is imported here, not at
+    # module level, because it takes about 0.27 s, more than half of
+    # `import expcurve`, and only a CDF evaluation needs it.
+    from scipy.special import ndtr, stdtr
+
     if reference == "normal":
         return ndtr
-    if reference == "student":
-        if df is None or df < 1:
-            raise ValueError("student reference needs df >= 1")
-        return lambda q: stdtr(df, q)
-    raise ValueError(f"unknown reference '{reference}'")
+    return lambda q: stdtr(df, q)
 
 
 @dataclass(frozen=True)

@@ -60,9 +60,17 @@ class TestEcdfVsReference:
             ecdf_vs_reference([1.0, 2.0], "student")  # df missing
         with pytest.raises(ValueError):
             ecdf_vs_reference([1.0, 2.0], "cauchy")
+        for df in (0.5, float("nan")):
+            with pytest.raises(ValueError, match="df >= 1"):
+                ecdf_vs_reference([1.0, 2.0], "student", df=df)
 
 
 class TestPit:
+    @pytest.mark.parametrize("df", [None, 0.5, float("nan")])
+    def test_bad_student_df_rejected(self, df):
+        with pytest.raises(ValueError, match="df >= 1"):
+            pit([1.0, 2.0], "student", df=df)
+
     def test_median_maps_to_half(self):
         vals = pit([0.0, 0.0], "normal")
         assert_allclose(vals, [0.5, 0.5])

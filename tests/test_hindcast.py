@@ -369,6 +369,27 @@ def hindcast_cases(draw):
     return make_dataset(spec, 0), HindcastConfig(m=m, tau_max=tau_max, rho=rho)
 
 
+@st.composite
+def purity_cases(draw):
+    """A hindcast case, one of its technologies, a cut-off index and a
+    factor for each cost before that index."""
+    dataset, cfg = draw(hindcast_cases())
+    j = draw(st.integers(0, len(dataset) - 1))
+    cut = draw(st.integers(1, dataset[j].T - 1))
+    factors = draw(st.lists(st.floats(0.01, 100.0), min_size=cut, max_size=cut))
+    return dataset, cfg, j, cut, np.array(factors)
+
+
+def _with_costs(ts, cost):
+    return TechSeries(ts.name, ts.years, cost, ts.production, ts.experience)
+
+
+def _hindcast_quietly(dataset, cfg):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        return run_hindcast(dataset, cfg)
+
+
 def _hex(table):
     return {tau: (v.hex(), n) for tau, (v, n) in table.items()}
 
@@ -410,6 +431,58 @@ class TestTableProperties:
             return
         for norm in ("moore", "pooled"):
             assert _hex(mse_by_horizon(errs, norm)) == _hex(mse_by_horizon(rows, norm))
+
+    @settings(max_examples=60, deadline=None)
+    @given(purity_cases())
+    def test_window_purity(self, case):
+        # An error depends on its window and the years after it only: costs
+        # changed before a window's first observation leave every column of
+        # its rows, and every row of the other technologies, bit-identical.
+        dataset, cfg, j, cut, factors = case
+        ts = dataset[j]
+        cost = np.array(ts.cost)
+        cost[:cut] *= factors
+        changed = [*dataset[:j], _with_costs(ts, cost), *dataset[j + 1:]]
+        before = _hindcast_quietly(dataset, cfg)
+        after = _hindcast_quietly(changed, cfg)
+        assert len(after) == len(before)
+        if not len(before):
+            return
+        keep = (before.technology != ts.name) | (before.origin_index - before.m >= cut)
+        for field in dataclasses.fields(HindcastError):
+            a, b = getattr(before, field.name)[keep], getattr(after, field.name)[keep]
+            assert a.tobytes() == b.tobytes(), field.name
+
+    @settings(max_examples=60, deadline=None)
+    @given(hindcast_cases(), st.floats(1e-3, 1e3))
+    def test_cost_scale_invariance(self, case, c):
+        # Normalized and pooled errors are free of the cost unit. The only
+        # change allowed is the rounding of log(c * cost) = log(c) + log(cost):
+        # rtol=1e-9 and atol=1e-12, plus a few ulps of the log costs carried
+        # through each error and its window's scale estimate. That allowance
+        # is below 1e-12 relative unless the scale estimate is tiny, as for
+        # m = 2 and two nearly equal cost changes.
+        dataset, cfg = case
+        scaled = [_with_costs(ts, ts.cost * c) for ts in dataset]
+        before = _hindcast_quietly(dataset, cfg)
+        after = _hindcast_quietly(scaled, cfg)
+        if not len(before):
+            return
+        log_cost = max(np.abs(ts.log_cost).max() for ts in dataset + scaled)
+        scale = np.minimum(before.K_hat, before.sigma_eta_hat)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            pairs = [(after.normalized_error, before.normalized_error)] + [
+                (pooled_errors(after, alt), pooled_errors(before, alt))
+                for alt in (cfg, HindcastConfig(m=cfg.m, rho=0.0))
+            ]
+        for new, old in pairs:
+            assert_array_equal(np.isnan(new), np.isnan(old))
+            ok = ~np.isnan(old)
+            with np.errstate(divide="ignore"):
+                slack = 16 * np.finfo(float).eps * log_cost * (1 + before.tau + np.abs(old)) / scale
+            bound = 1e-12 + 1e-9 * np.abs(old) + slack
+            assert np.all(np.abs(new - old)[ok] <= bound[ok])
 
     @settings(max_examples=40, deadline=None)
     @given(hindcast_cases())
