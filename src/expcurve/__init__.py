@@ -33,7 +33,6 @@ from .variance import (
     ma1_variance_constant_x,
     moore_variance,
     sigma_x_theory,
-    window_error_weights,
     wright_ma1_variance,
     wright_variance,
 )
@@ -101,7 +100,6 @@ __all__ = [
     "ma1_variance_constant_x",
     "moore_variance",
     "sigma_x_theory",
-    "window_error_weights",
     "wright_ma1_variance",
     "wright_variance",
     "HindcastConfig",

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import csv
 import io
+import re
 import warnings
 
 import numpy as np
@@ -64,7 +65,8 @@ def read_csv(path, columns: dict, what: str) -> dict[str, np.ndarray]:
     or ``float``); the header may hold other columns, in any order. Text
     columns come back as ``str`` arrays as wide as their longest value.
     Blank lines are skipped. Raises ``ValueError`` naming ``what`` for a
-    missing column or a row that ends before one of them.
+    missing column, a row that ends before one of them, or a value that does
+    not parse; the last names its data row, counted from 1 below the header.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         header = next(csv.reader(fh), [])
@@ -75,6 +77,7 @@ def read_csv(path, columns: dict, what: str) -> dict[str, np.ndarray]:
         dtype = [(name, object if kind is str else kind) for name, kind in columns.items()]
         usecols = [header.index(name) for name in columns]
         parts = {name: [] for name in columns}
+        done = 0
         while True:
             try:
                 with warnings.catch_warnings():
@@ -85,12 +88,19 @@ def read_csv(path, columns: dict, what: str) -> dict[str, np.ndarray]:
                         usecols=usecols, max_rows=_CHUNK, ndmin=1,
                     )
             except ValueError as exc:
-                if str(exc).startswith("invalid column index"):
+                msg = str(exc)
+                if msg.startswith("invalid column index"):
                     raise ValueError(f"{what} has a row with missing fields") from None
-                raise
+                # NumPy counts rows from 0 at the start of each block
+                row = re.search(r"at row (\d+)", msg)
+                if row is None:
+                    raise
+                at = f"at data row {done + int(row.group(1)) + 1}"
+                raise ValueError(f"{what}: {msg[:row.start()]}{at}{msg[row.end():]}") from None
             # copies, so that no block outlives its loop
             for name, kind in columns.items():
                 parts[name].append(block[name].astype(str) if kind is str else block[name].copy())
+            done += len(block)
             if len(block) < _CHUNK:
                 break
     return {name: np.concatenate(cols) for name, cols in parts.items()}

@@ -234,21 +234,11 @@ def cmd_simulate(args) -> int:
     if args.mimic:
         rows = read_params_csv(args.mimic)
         inputs["mimic"] = args.mimic
-        spec = SurrogateSpec(
-            n_tech=len(rows),
-            T=np.array([r["T"] for r in rows]),
-            g=np.array([r["g"] for r in rows]),
-            sigma_q=np.array([r["sigma_q"] for r in rows]),
-            omega=np.array([r["omega"] for r in rows]),
-            sigma_eta=np.array([r["sigma_eta"] for r in rows]),
-            rho=args.rho_star,
-            seed=args.seed,
-            n_ensembles=max(args.ensembles, 1),
-            shared_production=args.shared_production,
-            corrected_experience=not args.no_correction,
-        )
+        fields = ("T", "g", "sigma_q", "omega", "sigma_eta")
+        generator = {f: np.array([r[f] for r in rows]) for f in fields}
+        generator.update(n_tech=len(rows), rho=args.rho_star)
     else:
-        spec = SurrogateSpec(
+        generator = dict(
             n_tech=args.n_tech,
             T=args.periods,
             g=args.g,
@@ -256,11 +246,14 @@ def cmd_simulate(args) -> int:
             omega=args.omega,
             sigma_eta=args.sigma_eta,
             rho=args.rho,
-            seed=args.seed,
-            n_ensembles=max(args.ensembles, 1),
-            shared_production=args.shared_production,
-            corrected_experience=not args.no_correction,
         )
+    spec = SurrogateSpec(
+        **generator,
+        seed=args.seed,
+        n_ensembles=max(args.ensembles, 1),
+        shared_production=args.shared_production,
+        corrected_experience=not args.no_correction,
+    )
 
     _atomic(outdir / "dataset.csv", lambda p: write_csv(p, make_dataset(spec, 0)))
 
@@ -455,8 +448,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("forecast", help="distributional forecast for one technology")
-    p.add_argument("--input", default=None, help="data CSV (fits parameters on the full sample)")
-    p.add_argument("--params", default=None, help="parameter table (uses a constant-growth anchor)")
+    source = p.add_mutually_exclusive_group()
+    source.add_argument("--input", default=None, help="data CSV (fits parameters on the full sample)")
+    source.add_argument(
+        "--params", default=None, help="parameter table (uses a constant-growth anchor)"
+    )
     p.add_argument("--tech", required=True)
     p.add_argument("--horizon", type=int, default=10)
     p.add_argument("--future-growth", type=float, default=None)

@@ -28,7 +28,6 @@ from itertools import repeat
 from operator import attrgetter
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from . import _csvio
 from ._csvio import _CHUNK
@@ -234,49 +233,48 @@ def _hindcast_rows(series: list[TechSeries], cfg: HindcastConfig) -> tuple[Hindc
     """Every error of series long enough for one window, and the number of
     windows with zero random-walk scale.
 
-    Windows of all series are rows of one ``(n_windows, m)`` matrix: window
-    ``w`` of a series ends at origin ``o[w]`` and holds the differences
-    ``o - m .. o - 1``. For horizons, each series makes an ``(n, h)`` matrix
-    of future paths whose row holds horizons ``1..h`` from one origin;
-    entries past the end of the series are padding that the row mask drops.
-    The window fits and the realized-experience MA(1) variance are the
-    library's own kernels, applied to all windows at once.
+    The series' log costs and log experience are concatenated, and every
+    window and future path is gathered from them by index. Window ``w`` ends
+    at origin ``o[w]`` of its series and holds the differences ``o - m ..
+    o - 1``: row ``w`` of an ``(n_windows, m)`` matrix. Its future paths are
+    row ``w`` of an ``(n_windows, h_max)`` matrix, horizon ``h`` in column
+    ``h - 1``. One mask keeps the horizons each window reaches (and
+    ``tau_max`` allows); the entries it drops are read from other series or
+    clipped at the end and never reach a result. Future sums are a row-wise
+    cumulative sum, so every sum adds the same terms in the same order as a
+    per-window loop would. The window fits and the realized-experience MA(1)
+    variance are the library's own kernels, applied to all windows at once.
     """
     m, rho = cfg.m, cfg.rho
     T = np.array([ts.T for ts in series])
-    ys = [ts.log_cost for ts in series]
-    dxs = [np.diff(ts.log_experience) for ts in series]
+    y = np.concatenate([ts.log_cost for ts in series])
+    dy = np.diff(y)
+    dx = np.diff(np.concatenate([ts.log_experience for ts in series]))
     n_win = T - 1 - m
-    first = np.cumsum(n_win) - n_win
     sid = np.repeat(np.arange(len(series)), n_win)
-    o = np.arange(len(sid)) - first[sid] + m
-    start = (np.cumsum(T - 1) - (T - 1))[sid] + o - m
-    xw = sliding_window_view(np.concatenate(dxs), m)[start]
-    yw = sliding_window_view(np.concatenate([np.diff(y) for y in ys]), m)[start]
+    o = np.arange(len(sid)) - (np.cumsum(n_win) - n_win)[sid] + m
+    # origins' positions in the concatenated levels; dx[p] and dy[p] step
+    # from level p to p + 1, so a window is dx[at - m:at] and horizon h
+    # adds dx[at + h - 1]
+    at = (np.cumsum(T) - T)[sid] + o
+    past = at[:, None] + np.arange(-m, 0)
+    xw, yw = dx[past], dy[past]
 
     _, omega, sig_eta2, mu, k2 = _window_fits(xw, yw)
     sig_eta = np.sqrt(sig_eta2)
     k_hat = np.sqrt(k2)
     su2 = sig_eta2 * (1.0 / (1.0 + rho * rho))
 
-    reach = T[sid] - 1 - o
-    n_tau = reach if cfg.tau_max is None else np.minimum(reach, cfg.tau_max)
-    fsum, actual = [], []
-    for j, ts in enumerate(series):
-        t_end = ts.T - 1
-        rows = slice(first[j], first[j] + n_win[j])
-        h = int(n_tau[rows][0])
-        buf = np.zeros((2, t_end + h))
-        buf[0, :t_end] = dxs[j]
-        buf[1, :t_end] = ys[j][1:]
-        future = sliding_window_view(buf, h, axis=1)[:, m:t_end]
-        keep = np.arange(1, h + 1) <= n_tau[rows, None]
-        fsum.append(np.cumsum(future[0], axis=1)[keep])
-        actual.append((future[1] - ys[j][m:t_end, None])[keep])
-    fsum = np.concatenate(fsum)
-    actual = np.concatenate(actual)
-    win = np.repeat(np.arange(len(o)), n_tau)
-    taus = np.arange(len(win)) - np.repeat(np.cumsum(n_tau) - n_tau, n_tau) + 1
+    n_tau = T[sid] - 1 - o
+    if cfg.tau_max is not None:
+        n_tau = np.minimum(n_tau, cfg.tau_max)
+    h = np.arange(1, n_tau.max() + 1)
+    keep = h <= n_tau[:, None]
+    ahead = at[:, None] + h
+    fsum = np.cumsum(dx.take(ahead - 1, mode="clip"), axis=1)[keep]
+    actual = (y.take(ahead, mode="clip") - y[at, None])[keep]
+    win, col = np.nonzero(keep)
+    taus = col + 1
 
     e_w = actual - omega[win] * fsum
     e_m = actual - mu[win] * taus
@@ -301,12 +299,9 @@ def _hindcast_rows(series: list[TechSeries], cfg: HindcastConfig) -> tuple[Hindc
     def per_row(values):
         return np.repeat(values, 2)
 
-    row_sid = sid[win]
-    # years are consecutive, so an origin's year is the first year plus o
-    first_year = np.array([ts.years[0] for ts in series])
     table = HindcastTable(
-        technology=per_row(np.array([ts.name for ts in series])[row_sid]),
-        origin_year=per_row(first_year[row_sid] + o[win]),
+        technology=per_row(np.array([ts.name for ts in series])[sid[win]]),
+        origin_year=per_row(np.concatenate([ts.years for ts in series])[at[win]]),
         tau=per_row(taus),
         model=np.tile(np.array(["moore", "wright"]), n),
         raw_error=per_model(e_m, e_w),

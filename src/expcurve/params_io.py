@@ -9,7 +9,6 @@ bundled for surrogate mimicry and forecasting examples.
 
 from __future__ import annotations
 
-import csv
 from importlib import resources
 from pathlib import Path
 
@@ -31,18 +30,15 @@ PARAM_COLUMNS = (
 
 
 def read_params_csv(path) -> list[dict]:
-    """Read a parameter table; numeric columns become floats (``T`` an int)."""
-    rows = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        missing = [c for c in PARAM_COLUMNS if c not in (reader.fieldnames or [])]
-        if missing:
-            raise ValueError(f"parameter CSV missing column(s): {', '.join(missing)}")
-        for row in reader:
-            parsed = {"technology": row["technology"], "T": int(row["T"])}
-            for col in PARAM_COLUMNS[2:]:
-                parsed[col] = float(row[col])
-            rows.append(parsed)
+    """Read a parameter table; numeric columns become floats (``T`` an int).
+
+    Raises ``ValueError`` for a missing column, a row with missing fields,
+    an unparsable number or a table without rows.
+    """
+    kinds = dict.fromkeys(PARAM_COLUMNS, float) | {"technology": str, "T": int}
+    columns = _csvio.read_csv(path, kinds, "parameter CSV")
+    values = zip(*(columns[c].tolist() for c in PARAM_COLUMNS))
+    rows = [dict(zip(PARAM_COLUMNS, row)) for row in values]
     if not rows:
         raise ValueError("parameter CSV has no rows")
     return rows

@@ -251,10 +251,17 @@ def estimate_discrete_growth(production) -> float:
     return float(np.exp(np.log(q[-1] / q[0]) / (len(q) - 1)) - 1.0)
 
 
-def _experience_from_production(production: np.ndarray, g_d: float) -> np.ndarray:
+def _corrected_experience(name: str, production) -> np.ndarray:
+    """Experience from production under the initial-stock correction.
+
+    Raises ``DataError`` unless the discrete growth rate ``g_d`` exceeds
+    :data:`GROWTH_FLOOR`; the correction divides by it.
+    """
     q = np.asarray(production, dtype=float)
-    z0 = q[0] / g_d
-    return z0 + np.concatenate([[0.0], np.cumsum(q[:-1])])
+    g_d = estimate_discrete_growth(q)
+    if not g_d > GROWTH_FLOOR:
+        raise DataError(f"{name}: zero production growth rate (g_d={g_d:.3g})")
+    return q[0] / g_d + np.concatenate([[0.0], np.cumsum(q[:-1])])
 
 
 def build_experience(series: TechSeries) -> TechSeries:
@@ -268,14 +275,10 @@ def build_experience(series: TechSeries) -> TechSeries:
     Raises
     ------
     DataError
-        When the estimated growth rate is not positive ("zero production
-        growth rate"); such series cannot be corrected.
+        When the estimated growth rate is at or below :data:`GROWTH_FLOOR`
+        ("zero production growth rate"); such series cannot be corrected.
     """
-    g_d = estimate_discrete_growth(series.production)
-    if g_d <= GROWTH_FLOOR:
-        raise DataError(f"{series.name}: zero production growth rate (g_d={g_d:.3g})")
-    z = _experience_from_production(series.production, g_d)
-    return replace(series, experience=z)
+    return replace(series, experience=_corrected_experience(series.name, series.production))
 
 
 def growth_stats(series: TechSeries) -> GrowthStats:

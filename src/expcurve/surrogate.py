@@ -15,13 +15,13 @@ does not depend on the order in which replicates run.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .diagnostics import DistCheck, ecdf_vs_reference, pit
 from .hindcast import HindcastConfig, _model_rows, run_hindcast
-from .series import DataError, TechSeries, _experience_from_production, estimate_discrete_growth
+from .series import DataError, TechSeries, _corrected_experience
 from .variance import wright_ma1_variance
 
 # Role ids for the RNG stream key.
@@ -139,7 +139,8 @@ def gen_cost(x_diffs, omega: float, sigma_eta: float, rho: float, seed) -> np.nd
 def _growing_production(T, g, sigma_q, seed, base_key) -> np.ndarray:
     """Draw a production path, conditioning on overall growth.
 
-    The initial-stock correction needs a positive end-to-end growth rate;
+    The initial-stock correction needs an end-to-end growth rate above
+    ``GROWTH_FLOOR``, the test ``build_experience`` applies to real data;
     real datasets are implicitly selected the same way, since technologies
     whose production never grew cannot be corrected and are dropped. Redraws
     use attempt-extended stream keys, so the result is deterministic and the
@@ -148,8 +149,11 @@ def _growing_production(T, g, sigma_q, seed, base_key) -> np.ndarray:
     for attempt in range(1000):
         key = base_key if attempt == 0 else (*base_key, attempt)
         q = gen_production(T, g, sigma_q, _rng(seed, *key))
-        if estimate_discrete_growth(q) > 0.0:
-            return q
+        try:
+            _corrected_experience("", q)
+        except DataError:
+            continue
+        return q
     raise DataError(
         f"no growing production path found for stream {base_key} "
         f"(g={g}, sigma_q={sigma_q}, T={T})"
@@ -160,7 +164,9 @@ def make_dataset(spec: SurrogateSpec, replicate: int = 0) -> list[TechSeries]:
     """Generate one synthetic dataset (one replicate of the spec).
 
     With the corrected experience construction, production paths are
-    conditioned on positive overall growth (see ``_growing_production``).
+    conditioned on overall growth (see ``_growing_production``). A shared
+    path is conditioned over its full length only, so a technology whose
+    shorter stretch of it did not grow raises ``DataError``.
     """
     shared_q = None
     if spec.shared_production:
@@ -174,6 +180,7 @@ def make_dataset(spec: SurrogateSpec, replicate: int = 0) -> list[TechSeries]:
             shared_q = gen_production(T_shared, g0, sq0, _rng(spec.seed, *key))
     out = []
     for j in range(spec.n_tech):
+        name = f"tech{j:03d}"
         T = int(spec._per_tech("T", j))
         if T < 4:
             raise ValueError("T must be at least 4 per technology")
@@ -187,18 +194,7 @@ def make_dataset(spec: SurrogateSpec, replicate: int = 0) -> list[TechSeries]:
                 q = _growing_production(T, g_j, sq_j, spec.seed, key)
             else:
                 q = gen_production(T, g_j, sq_j, _rng(spec.seed, *key))
-        if spec.corrected_experience:
-            g_d = estimate_discrete_growth(q)
-            if g_d <= 0.0:
-                # shared paths are only conditioned on full-length growth
-                raise DataError(
-                    f"replicate {replicate}, technology {j}: production did not "
-                    f"grow over the first {T} periods; cannot apply the "
-                    "experience correction"
-                )
-            z = _experience_from_production(q, g_d)
-        else:
-            z = np.cumsum(q)
+        z = _corrected_experience(name, q) if spec.corrected_experience else np.cumsum(q)
         y = gen_cost(
             np.diff(np.log(z)),
             float(spec._per_tech("omega", j)),
@@ -208,7 +204,7 @@ def make_dataset(spec: SurrogateSpec, replicate: int = 0) -> list[TechSeries]:
         )
         out.append(
             TechSeries(
-                name=f"tech{j:03d}",
+                name=name,
                 years=np.arange(1, T + 1),
                 cost=np.exp(y),
                 production=q,
@@ -276,6 +272,21 @@ def _count_errors(T: int, m: int) -> int:
     return k * (k + 1) // 2
 
 
+# The calibration study's generator; run_calibration_study sets n_tech, T
+# and seed.
+_CALIBRATION_SPEC = SurrogateSpec(
+    n_tech=1,
+    g=0.1,
+    sigma_q=0.1,
+    omega=-0.3,
+    sigma_eta=0.1,
+    rho=0.6,
+    n_ensembles=1,
+    shared_production=True,
+    corrected_experience=False,
+)
+
+
 def run_calibration_study(
     m: int = 5,
     variance: str = "estimated",
@@ -283,23 +294,18 @@ def run_calibration_study(
     *,
     n_tech: int = 200,
     periods: int = 50,
-    g: float = 0.1,
-    sigma_q: float = 0.1,
-    omega: float = -0.3,
-    sigma_eta: float = 0.1,
-    rho: float = 0.6,
-    rho_norm: float | None = None,
     seed: int = 0,
 ) -> CalibrationResult:
     """Check the error theory on data where the model is true by construction.
 
     Many technologies share a single production path (no initial-stock
     correction), each gets its own MA(1) cost series, and the full hindcast
-    runs at window size ``m`` with horizons uncapped. Errors are normalized
-    by the realized-experience MA(1) standard deviation using ``rho_norm``
-    (defaults to the generating ``rho``) and either the per-window estimated
-    scale (reference: Student with ``m - 1`` degrees of freedom) or the true
-    scale (reference: standard normal).
+    runs at window size ``m`` with horizons uncapped. The generator is fixed:
+    ``g = sigma_q = sigma_eta = 0.1``, ``omega = -0.3`` and ``rho = 0.6``.
+    Errors are normalized by the realized-experience MA(1) standard deviation
+    at the generating ``rho`` and either the per-window estimated scale
+    (reference: Student with ``m - 1`` degrees of freedom) or the true scale
+    (reference: standard normal).
 
     ``iid_windows=True`` instead spreads the same total number of errors over
     independent minimal series of ``m + 2`` periods, one single-step error
@@ -307,47 +313,36 @@ def run_calibration_study(
     """
     if variance not in ("estimated", "true"):
         raise ValueError("variance must be 'estimated' or 'true'")
-    rn = rho if rho_norm is None else rho_norm
-    su_true = sigma_eta / math.sqrt(1.0 + rn * rn)
+    spec = replace(_CALIBRATION_SPEC, n_tech=n_tech, T=periods, seed=seed)
+    rho = spec.rho
+    su_true = spec.sigma_eta / math.sqrt(1.0 + rho * rho)
 
     if iid_windows:
         n_series = n_tech * _count_errors(periods, m)
         T_short = m + 2
-        q = gen_production(T_short, g, sigma_q, _rng(seed, 0, 0, _ROLE_SHARED_PRODUCTION))
+        q = gen_production(
+            T_short, spec.g, spec.sigma_q, _rng(seed, 0, 0, _ROLE_SHARED_PRODUCTION)
+        )
         x = np.diff(np.log(np.cumsum(q)))  # m + 1 diffs
         xw, x_fut = x[:m], x[m:]
-        su_gen = sigma_eta / math.sqrt(1.0 + rho * rho)
         rng = _rng(seed, 0, 0, _ROLE_COST)
-        u = rng.normal(0.0, su_gen, (n_series, T_short))
+        u = rng.normal(0.0, su_true, (n_series, T_short))
         e = u[:, 1:] + rho * u[:, :-1]
-        yd = omega * x + e
+        yd = spec.omega * x + e
         sx2 = float(xw @ xw)
         omega_hat = (yd[:, :m] @ xw) / sx2
-        raw = (omega - omega_hat) * x_fut[0] + e[:, m]
-        kernel = wright_ma1_variance(1.0, rn, xw, x_fut)
+        raw = (spec.omega - omega_hat) * x_fut[0] + e[:, m]
+        kernel = wright_ma1_variance(1.0, rho, xw, x_fut)
         if variance == "true":
             norm = raw / math.sqrt(kernel * su_true * su_true)
         else:
             resid = yd[:, :m] - omega_hat[:, None] * xw
             sig_eta_hat2 = (resid * resid).sum(axis=1) / (m - 1)
-            su_hat2 = sig_eta_hat2 / (1.0 + rn * rn)
+            su_hat2 = sig_eta_hat2 / (1.0 + rho * rho)
             norm = raw / np.sqrt(kernel * su_hat2)
     else:
-        spec = SurrogateSpec(
-            n_tech=n_tech,
-            T=periods,
-            g=g,
-            sigma_q=sigma_q,
-            omega=omega,
-            sigma_eta=sigma_eta,
-            rho=rho,
-            seed=seed,
-            n_ensembles=1,
-            shared_production=True,
-            corrected_experience=False,
-        )
         dataset = make_dataset(spec, 0)
-        errors = run_hindcast(dataset, HindcastConfig(m=m, tau_max=None, rho=rn))
+        errors = run_hindcast(dataset, HindcastConfig(m=m, tau_max=None, rho=rho))
         wright = _model_rows(errors, "wright")
         raw = wright.raw_error
         v_est = wright.wright_variance
@@ -357,7 +352,7 @@ def run_calibration_study(
             # The variance is linear in sigma_u^2; rescale the per-window
             # value to the true innovation scale.
             sig_eta_hat2 = wright.sigma_eta_hat ** 2
-            su_hat2 = sig_eta_hat2 / (1.0 + rn * rn)
+            su_hat2 = sig_eta_hat2 / (1.0 + rho * rho)
             norm = raw / np.sqrt(v_est / su_hat2 * su_true * su_true)
 
     if variance == "estimated":

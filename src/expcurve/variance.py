@@ -28,7 +28,6 @@ __all__ = [
     "a_factor",
     "moore_variance",
     "wright_variance",
-    "window_error_weights",
     "wright_ma1_variance",
     "ma1_variance_constant_x",
     "ma1_variance_approx",
@@ -78,21 +77,6 @@ def wright_variance(sigma_eta, past_x, future_x) -> float:
     return sigma_eta * sigma_eta * (tau + sf * sf / sp2)
 
 
-def window_error_weights(past_x, future_x) -> np.ndarray:
-    """Weight of each window innovation in the forecast error.
-
-    The slope error feeds back into the forecast as
-    ``-(sum future_x / sum past_x**2) * past_x_j`` per window difference
-    ``j``; with constant growth every weight equals ``-tau / m``.
-    """
-    past_x = np.asarray(past_x, dtype=float)
-    future_x = np.asarray(future_x, dtype=float)
-    sp2 = float(past_x @ past_x)
-    if sp2 <= 0.0:
-        raise ValueError("degenerate past experience changes (sum of squares is zero)")
-    return -(float(future_x.sum()) / sp2) * past_x
-
-
 def _ma1_unit_variance(rho, past_x, future_sum, tau):
     """:func:`wright_ma1_variance` at ``sigma_u = 1``, batched.
 
@@ -116,8 +100,10 @@ def _ma1_unit_variance(rho, past_x, future_sum, tau):
 def wright_ma1_variance(sigma_u, rho, past_x, future_x) -> float:
     """Experience-curve forecast-error variance under MA(1) noise.
 
-    Decomposing the error over independent innovations ``u`` with weights
-    ``h`` from :func:`window_error_weights` gives
+    The slope error feeds each window innovation back into the forecast
+    error with weight ``h_j = -(sum future_x / sum past_x**2) * past_x_j``
+    (``-tau / m`` for every ``j`` under constant growth). Decomposing the
+    error over the independent innovations ``u`` gives
 
     ``sigma_u**2 * (rho**2 h_1**2 + sum_j (h_j + rho h_{j+1})**2
     + (rho + h_m)**2 + (tau - 1)(1 + rho)**2 + 1)``.

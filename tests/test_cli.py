@@ -141,11 +141,19 @@ class TestSimulateCommand:
         out = tmp_path / "out"
         code = run_cli(
             "--output-dir", out, "--seed", 2, "simulate",
-            "--mimic", params, "--ensembles", 0,
+            "--mimic", params, "--ensembles", 0, "--rho", 0.0, "--rho-star", 0.3,
         )
         assert code == 0
         ds = ingest_csv(out / "dataset.csv")
         assert sorted(ts.T for ts in ds) == [10, 12]
+        # per-technology rows from the table, the generator's rho from --rho-star
+        spec = SurrogateSpec(
+            n_tech=2, T=np.array([12, 10]), g=np.array([0.1, 0.2]),
+            sigma_q=np.array([0.08, 0.10]), omega=np.array([-0.5, -0.4]),
+            sigma_eta=np.array([0.05, 0.06]), rho=0.3, seed=2, n_ensembles=1,
+        )
+        for got, want in zip(ds, make_dataset(spec, 0)):
+            assert np.array_equal(got.cost, want.cost)
 
 
 class TestForecastCommand:
@@ -180,6 +188,25 @@ class TestForecastCommand:
         code = run_cli("--output-dir", tmp_path / "o", "forecast", "--tech", "warp-drive")
         assert code == 1
         assert "not found" in capsys.readouterr().err
+
+    def test_params_row_with_missing_fields(self, tmp_path, capsys):
+        params = tmp_path / "p.csv"
+        params.write_text(
+            "technology,T,mu,K,g,sigma_q,r,sigma_x,omega,sigma_eta,rho\n"
+            "X,12,-0.05,0.05,0.1,0.08,0.1,0.01,-0.5,0.05\n"
+        )
+        code = run_cli("--output-dir", tmp_path / "o", "forecast", "--params", params, "--tech", "X")
+        assert code == 1
+        assert capsys.readouterr().err == "error: parameter CSV has a row with missing fields\n"
+
+    def test_input_and_params_are_exclusive(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(
+                "--output-dir", tmp_path / "o", "forecast",
+                "--input", tmp_path / "d.csv", "--params", tmp_path / "p.csv", "--tech", "X",
+            )
+        assert exc.value.code == 2
+        assert "not allowed with argument" in capsys.readouterr().err
 
     def test_from_data_makes_no_ma1_fit(self, tmp_path, monkeypatch):
         # the forecast takes --rho-star, so it needs no MA(1) estimate
@@ -329,6 +356,25 @@ class TestOneWritePath:
                      "forecast_wright.csv", "comparison.csv", "bands_moore.csv",
                      "calibration_ecdf.csv", "calibration_pit.csv"):
             assert (out / name).stat().st_size > 0, name
+
+
+class TestOneParamsReadPath:
+    def test_commands_read_params_without_dict_reader(self, tmp_path, monkeypatch):
+        # parameter tables go through the codec, which needs no DictReader
+        def no_reader(*args, **kwargs):
+            raise AssertionError("csv.DictReader called for a parameter table")
+
+        data = small_dataset(tmp_path)
+        out = tmp_path / "out"
+        assert run_cli("--output-dir", out, "estimate", "--input", data) == 0
+        assert run_cli("--output-dir", out, "hindcast", "--input", data, "--tau-max", 4) == 0
+        monkeypatch.setattr(csv, "DictReader", no_reader)
+        for argv in (
+            ["forecast", "--tech", "Photovoltaics", "--horizon", 4],
+            ["simulate", "--mimic", out / "params.csv", "--ensembles", 0],
+            ["diagnose", "--errors", out / "errors.csv", "--params", out / "params.csv"],
+        ):
+            assert run_cli("--output-dir", out, *argv) == 0, argv
 
 
 class TestEntryPoint:

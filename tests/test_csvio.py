@@ -87,6 +87,13 @@ class TestReadErrorsCsv:
         with pytest.raises(ValueError, match="^error CSV has a row with missing fields$"):
             read_errors_csv(self.write(tmp_path, self.HEADER + self.ROW * 5000 + short))
 
+    def test_unparsable_value_names_its_row_in_the_file(self, tmp_path):
+        bad = self.ROW.replace(",0.25,", ",oops,")
+        for before in (2, 4499):  # in the first block, then in the second
+            text = self.HEADER + self.ROW * before + bad + self.ROW * 3
+            with pytest.raises(ValueError, match=rf"^error CSV: .*'oops'.* at data row {before + 1},"):
+                read_errors_csv(self.write(tmp_path, text))
+
     def test_unrecoverable_window_size(self, tmp_path):
         zero_gap = self.ROW.replace(",2.8,", ",2,")  # A - tau = 0
         with pytest.raises(ValueError, match="window size m cannot be recovered from tau and A"):
@@ -142,7 +149,8 @@ class TestRoundTrips:
         back = read_params_csv(path)
         assert [r["technology"] for r in back] == list(ODD_NAMES)
         for r, b in zip(rows, back):
-            assert b["T"] == r["T"]
+            assert b["T"] == r["T"] and type(b["T"]) is int
+            assert all(type(b[c]) is float for c in PARAM_COLUMNS[2:])
             assert_array_equal(bits([b[c] for c in PARAM_COLUMNS[2:]]), bits([r[c] for c in PARAM_COLUMNS[2:]]))
 
     def test_series_csv_built_and_unbuilt(self, tmp_path):

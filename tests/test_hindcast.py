@@ -300,12 +300,30 @@ GOLDEN_ERRORS_CSV = {
 }
 
 
+# The same at T = 8, 13 and 21, captured from the per-series gather that the
+# one-matrix gather replaced: windows and horizons near series boundaries.
+GOLDEN_MIXED_ERRORS_CSV = {
+    None: "433a6087f324ccadb587f7f095d4937730e8d9f0f20cfb01bb439e04967921f5",
+    4: "9dce9c54d3c2751181a096571ff5c64658032893f434797adb947904c36c33b4",
+}
+
+
+def errors_csv_digest(path, dataset, tau_max):
+    write_errors_csv(path, run_hindcast(dataset, HindcastConfig(m=5, tau_max=tau_max)))
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
 @pytest.mark.parametrize("tau_max", [None, 4])
 def test_errors_csv_golden_bytes(tmp_path, tau_max):
-    errs = run_hindcast(surrogate(n_tech=3, T=20, seed=2016), HindcastConfig(m=5, tau_max=tau_max))
-    path = tmp_path / "errors.csv"
-    write_errors_csv(path, errs)
-    assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_ERRORS_CSV[tau_max]
+    ds = surrogate(n_tech=3, T=20, seed=2016)
+    assert errors_csv_digest(tmp_path / "errors.csv", ds, tau_max) == GOLDEN_ERRORS_CSV[tau_max]
+
+
+@pytest.mark.parametrize("tau_max", [None, 4])
+def test_errors_csv_golden_bytes_mixed_lengths(tmp_path, tau_max):
+    ds = surrogate(n_tech=3, T=np.array([8, 13, 21]), seed=2016)
+    digest = errors_csv_digest(tmp_path / "errors.csv", ds, tau_max)
+    assert digest == GOLDEN_MIXED_ERRORS_CSV[tau_max]
 
 
 class TestTable:

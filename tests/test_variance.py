@@ -9,7 +9,6 @@ from expcurve import (
     ma1_variance_approx,
     ma1_variance_constant_x,
     moore_variance,
-    window_error_weights,
     wright_ma1_variance,
     wright_variance,
 )
@@ -83,19 +82,6 @@ class TestWrightVariance:
         small = wright_variance(1.0, [0.1] * 5, fut)
         large = wright_variance(1.0, [0.4] * 5, fut)
         assert large < small
-
-
-class TestWindowWeights:
-    def test_hand_value(self):
-        assert_allclose(window_error_weights([1, 2], [3]), [-0.6, -1.2], atol=1e-15)
-
-    def test_constant_x(self):
-        m, tau = 6, 4
-        h = window_error_weights(np.full(m, 0.2), np.full(tau, 0.2))
-        assert_allclose(h, np.full(m, -tau / m), rtol=1e-13)
-
-    def test_zero_future(self):
-        assert_allclose(window_error_weights([1.0, 2.0], [0.0]), [0.0, 0.0])
 
 
 class TestMa1Variance:
