@@ -1,6 +1,7 @@
-"""The package's one CSV writer and its error-CSV reader, both column-wise
+"""The package's one CSV writer and its one CSV reader, both column-wise
 and both working ``_CHUNK`` rows at a time, so that neither holds more than a
-block of Python objects or text."""
+block of Python objects or text. Series, parameter and error tables are all
+written and read here."""
 
 from __future__ import annotations
 

@@ -16,7 +16,8 @@ Errors come back as a :class:`HindcastTable`: one row per (technology,
 origin, horizon, model), stored column by column. ``table.pooled_error`` is
 a NumPy array over all rows and ``table[table.model == "moore"]`` is a
 sub-table; ``len``, ``table[i]`` and iteration give :class:`HindcastError`
-row views for code that works record by record.
+row views for code that works record by record. The table is the one error
+container: every function here that takes errors takes a table.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ import math
 import warnings
 from dataclasses import dataclass, fields
 from itertools import repeat
-from operator import attrgetter
 
 import numpy as np
 
@@ -97,14 +97,14 @@ class HindcastError:
     A: float
     normalized_error: float
     pooled_error: float
-    m: int | None = None
+    m: int
     origin_index: int | None = None
     moore_variance: float | None = None
     wright_variance: float | None = None
 
 
 _FIELDS = tuple(f.name for f in fields(HindcastError))
-_OPTIONAL = ("m", "origin_index", "moore_variance", "wright_variance")
+_OPTIONAL = ("origin_index", "moore_variance", "wright_variance")
 _DTYPES = {
     "technology": str,
     "model": str,
@@ -126,15 +126,14 @@ class HindcastTable:
     origin, horizon, model).
 
     Each :class:`HindcastError` field is a NumPy array attribute of the same
-    name. An optional column (``m``, ``origin_index``, ``moore_variance``,
+    name. An optional column (``origin_index``, ``moore_variance``,
     ``wright_variance``) is ``None`` when the source lacks it; a table read
-    from CSV has no origin index or variances.
+    from CSV has none of them. A table without ``m`` cannot be made.
 
     ``len(table)``, ``table[i]`` and iteration give :class:`HindcastError`
     row views, so record-wise code and ``dataclasses.replace`` keep working;
     a slice or a boolean/integer index array gives a sub-table. A table
-    equals another table with the same columns (NaN matching NaN) and a
-    list of equal records.
+    equals another table with the same columns (NaN matching NaN).
     """
 
     __slots__ = _FIELDS
@@ -153,21 +152,6 @@ class HindcastTable:
             setattr(self, name, col)
         if columns:
             raise TypeError(f"unknown column(s): {', '.join(columns)}")
-
-    @classmethod
-    def from_records(cls, records) -> HindcastTable:
-        """Columns of a sequence of :class:`HindcastError` records.
-
-        An optional column with a ``None`` anywhere is dropped as a whole.
-        """
-        rows = list(map(attrgetter(*_FIELDS), records))
-        cols = zip(*rows) if rows else repeat((), len(_FIELDS))
-        return cls(
-            **{
-                name: None if name in _OPTIONAL and None in col else col
-                for name, col in zip(_FIELDS, cols)
-            }
-        )
 
     def __len__(self) -> int:
         return len(self.tau)
@@ -197,8 +181,6 @@ class HindcastTable:
     def __eq__(self, other):
         if isinstance(other, HindcastTable):
             return all(map(_same_column, self._columns(), other._columns()))
-        if isinstance(other, list):
-            return list(self) == other
         return NotImplemented
 
     __hash__ = None
@@ -208,12 +190,6 @@ class HindcastTable:
 
     def _columns(self) -> list:
         return [getattr(self, name) for name in _FIELDS]
-
-
-def _as_table(errors) -> HindcastTable:
-    if isinstance(errors, HindcastTable):
-        return errors
-    return HindcastTable.from_records(errors)
 
 
 def _model_rows(table: HindcastTable, model: str) -> HindcastTable:
@@ -338,7 +314,7 @@ def run_hindcast(dataset: list[TechSeries], config: HindcastConfig | None = None
         else:
             usable.append(ts)
     if not usable:
-        return HindcastTable.from_records([])
+        return HindcastTable(**{name: () for name in _FIELDS})
     table, zero_scale = _hindcast_rows(usable, cfg)
     if zero_scale:
         warnings.warn(
@@ -349,23 +325,22 @@ def run_hindcast(dataset: list[TechSeries], config: HindcastConfig | None = None
     return table
 
 
-def mse_by_horizon(errors, normalization: str = "moore") -> dict[int, tuple[float, int]]:
-    """Mean squared normalized error and sample count per horizon.
+def mse_by_horizon(errors: HindcastTable, normalization: str = "moore") -> dict[int, tuple[float, int]]:
+    """Mean squared normalized error and sample count per horizon of a
+    :class:`HindcastTable`.
 
-    ``errors`` is a :class:`HindcastTable` or a list of records.
     ``normalization`` selects the error field: ``"moore"`` for the
     scale-normalized error, ``"pooled"`` for the horizon-rescaled one.
     Non-finite entries (zero-scale windows) are dropped. Technologies with
     more windows weigh in more often; that is accepted.
     """
-    table = _as_table(errors)
-    if not len(table):
+    if not len(errors):
         raise ValueError("empty error list")
     if normalization not in ("moore", "pooled"):
         raise ValueError("normalization must be 'moore' or 'pooled'")
-    vals = table.normalized_error if normalization == "moore" else table.pooled_error
+    vals = errors.normalized_error if normalization == "moore" else errors.pooled_error
     finite = np.isfinite(vals)
-    taus = table.tau[finite]
+    taus = errors.tau[finite]
     vals = vals[finite]
     # bincount adds in row order, as a running sum per horizon would
     sums = np.bincount(taus, weights=vals * vals)
@@ -376,41 +351,38 @@ def mse_by_horizon(errors, normalization: str = "moore") -> dict[int, tuple[floa
     }
 
 
-def pooled_errors(errors, config: HindcastConfig | None = None) -> np.ndarray:
-    """Pooled errors, recomputed from the raw fields, one per row.
+def pooled_errors(errors: HindcastTable, config: HindcastConfig | None = None) -> np.ndarray:
+    """Pooled errors of a :class:`HindcastTable`, recomputed from the raw
+    fields, one per row.
 
     Random-walk errors are divided by ``K_hat * sqrt(A)``; experience-curve
     errors by the square root of the constant-growth MA(1) variance at
     ``config.rho`` and each row's window size ``m`` (which reduces to
     ``sigma_eta_hat * sqrt(A)`` when ``rho = 0``). Passing a config with a
     different ``rho`` re-pools an existing run without re-running it.
-    ``errors`` is a :class:`HindcastTable` or a list of records.
     """
     cfg = config or HindcastConfig()
-    table = _as_table(errors)
-    out = np.full(len(table), np.nan)
-    moore = table.model == "moore"
-    rw = moore & (table.K_hat > 0.0)
-    out[rw] = table.raw_error[rw] / (table.K_hat[rw] * np.sqrt(table.A[rw]))
-    ec = ~moore & (table.sigma_eta_hat > 0.0)
+    out = np.full(len(errors), np.nan)
+    moore = errors.model == "moore"
+    rw = moore & (errors.K_hat > 0.0)
+    out[rw] = errors.raw_error[rw] / (errors.K_hat[rw] * np.sqrt(errors.A[rw]))
+    ec = ~moore & (errors.sigma_eta_hat > 0.0)
     if ec.any():
-        if table.m is None:
-            raise ValueError("pooling experience-curve errors needs the window size m")
-        su = table.sigma_eta_hat[ec] / math.sqrt(1.0 + cfg.rho * cfg.rho)
-        v = ma1_variance_constant_x(su, cfg.rho, table.tau[ec], table.m[ec])
-        out[ec] = table.raw_error[ec] / np.sqrt(v)
+        su = errors.sigma_eta_hat[ec] / math.sqrt(1.0 + cfg.rho * cfg.rho)
+        v = ma1_variance_constant_x(su, cfg.rho, errors.tau[ec], errors.m[ec])
+        out[ec] = errors.raw_error[ec] / np.sqrt(v)
     return out
 
 
-def write_errors_csv(path, errors) -> None:
-    """Write hindcast errors, one row per record, in ``ERROR_COLUMNS`` order.
+def write_errors_csv(path, errors: HindcastTable) -> None:
+    """Write a :class:`HindcastTable`, one row per record, in
+    ``ERROR_COLUMNS`` order.
 
     Floats have 17 significant digits, so :func:`read_errors_csv` gives them
     back exactly. Text gets ``csv``'s minimal quoting, lines end in
     ``\\r\\n``, and rows are formatted and written 4,096 at a time.
     """
-    table = _as_table(errors)
-    _csvio.write_csv(path, ERROR_COLUMNS, [getattr(table, name) for name in ERROR_COLUMNS])
+    _csvio.write_csv(path, ERROR_COLUMNS, [getattr(errors, name) for name in ERROR_COLUMNS])
 
 
 def read_errors_csv(path) -> HindcastTable:

@@ -9,8 +9,7 @@ accumulated before the first observed year equals ``Q_first / g_d``.
 
 from __future__ import annotations
 
-import csv
-import math
+import re
 from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import groupby
@@ -147,71 +146,76 @@ class GrowthStats:
     sigma_x: float
     g_d: float
 
-    @property
-    def usable_growth(self) -> bool:
-        """Whether ``g_d`` is large enough for the initial-stock correction."""
-        return self.g_d > GROWTH_FLOOR
-
 
 def ingest_csv(path) -> list[TechSeries]:
     """Read a ``technology,year,cost,production`` CSV into series.
 
-    Rows may appear in any order; they are grouped by technology (output
-    order follows first appearance) and sorted by year within each group.
-    Extra columns (e.g. derived columns written by :func:`write_csv`) are
-    ignored.
+    The file is parsed column-wise by the package's CSV codec. Rows may
+    appear in any order; they are grouped by technology (output order
+    follows first appearance, names are stripped of surrounding whitespace)
+    and stably sorted by year within each group. Extra columns (e.g. derived
+    columns written by :func:`write_csv`) are ignored.
 
     Raises
     ------
     DataError
-        Missing column, unparsable or non-positive cost/production, duplicate
-        or non-consecutive years, or fewer than 3 rows for a technology. The
-        message carries the technology name and file line number.
+        Missing column, a row with missing fields, an empty technology name,
+        unparsable or non-positive cost/production, duplicate or
+        non-consecutive years, or fewer than 3 rows for a technology. A
+        single fault's message carries the technology name (the file name
+        for an empty one) and the file line, counted as ``csv`` counts rows
+        (blank lines skipped). Of several faults, the first unparsable value
+        is reported, else the first bad row, else the first short
+        technology, else the first bad step between years.
     """
     path = Path(path)
-    groups: dict[str, list[tuple[int, int, float, float]]] = {}
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        header = reader.fieldnames or []
-        missing = [c for c in REQUIRED_COLUMNS if c not in header]
-        if missing:
-            raise DataError(f"{path.name}: missing column(s) {', '.join(missing)}")
-        for lineno, row in enumerate(reader, start=2):
-            tech = (row["technology"] or "").strip()
-            if not tech:
-                raise DataError(f"{path.name} line {lineno}: empty technology name")
-            try:
-                year = int(row["year"])
-                cost = float(row["cost"])
-                production = float(row["production"])
-            except (TypeError, ValueError) as exc:
-                raise DataError(f"{tech} line {lineno}: unparsable value ({exc})") from None
-            if not math.isfinite(cost) or cost <= 0:
-                raise DataError(f"{tech} line {lineno}: non-positive cost")
-            if not math.isfinite(production) or production <= 0:
-                raise DataError(f"{tech} line {lineno}: non-positive production")
-            groups.setdefault(tech, []).append((year, lineno, cost, production))
+    kinds = dict(zip(REQUIRED_COLUMNS, (str, np.int64, float, float)))
+    try:
+        columns = _csvio.read_csv(path, kinds, path.name)
+    except ValueError as exc:
+        row = re.search(r"at data row (\d+)", str(exc))
+        if row is None:
+            raise DataError(str(exc)) from None
+        i = int(row.group(1)) - 1
+        name = _csvio.read_csv(path, {"technology": str}, path.name)["technology"][i].strip()
+        raise DataError(f"{name or path.name} line {i + 2}: unparsable value ({exc})") from None
+    names = np.strings.strip(columns["technology"])
+    years, cost, production = columns["year"], columns["cost"], columns["production"]
 
-    out = []
-    for tech, rows in groups.items():
-        rows.sort(key=lambda r: r[0])
-        years = [r[0] for r in rows]
-        if len(rows) < 3:
-            raise DataError(f"{tech}: fewer than 3 rows")
-        for (y0, _, _, _), (y1, ln1, _, _) in zip(rows, rows[1:]):
-            if y1 == y0:
-                raise DataError(f"{tech} line {ln1}: duplicate year {y1}")
-            if y1 != y0 + 1:
-                raise DataError(f"{tech} line {ln1}: gap in years ({y0} -> {y1})")
-        out.append(
-            TechSeries(
-                name=tech,
-                years=years,
-                cost=[r[2] for r in rows],
-                production=[r[3] for r in rows],
-            )
-        )
-    return out
+    # NaN fails every comparison, so test finiteness as well as sign
+    good_cost = np.isfinite(cost) & (cost > 0)
+    good_production = np.isfinite(production) & (production > 0)
+    bad = np.flatnonzero((names == "") | ~good_cost | ~good_production)
+    if len(bad):
+        i = bad[0]
+        if not names[i]:
+            raise DataError(f"{path.name} line {i + 2}: empty technology name")
+        what = "cost" if not good_cost[i] else "production"
+        raise DataError(f"{names[i]} line {i + 2}: non-positive {what}")
+
+    # groups numbered by first appearance; rows sorted by group, then year
+    uniq, first, inverse = np.unique(names, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    group = np.argsort(order)[inverse]
+    counts = np.bincount(group, minlength=len(uniq))
+    tech = uniq[order].tolist()
+    short = np.flatnonzero(counts < 3)
+    if len(short):
+        raise DataError(f"{tech[short[0]]}: fewer than 3 rows")
+    rows = np.lexsort((years, group))
+    y = years[rows]
+    bad = np.flatnonzero((np.diff(y) != 1) & (group[rows[1:]] == group[rows[:-1]]))
+    if len(bad):
+        k = bad[0]
+        y0, y1 = y[k], y[k + 1]
+        at = f"{tech[group[rows[k]]]} line {rows[k + 1] + 2}"
+        if y1 == y0:
+            raise DataError(f"{at}: duplicate year {y1}")
+        raise DataError(f"{at}: gap in years ({y0} -> {y1})")
+    return [
+        TechSeries(name=name, years=years[r], cost=cost[r], production=production[r])
+        for name, r in zip(tech, np.split(rows, np.cumsum(counts)[:-1]))
+    ]
 
 
 def write_csv(path, dataset: list[TechSeries]) -> None:
@@ -240,8 +244,7 @@ def estimate_discrete_growth(production) -> float:
     """Discrete annual production growth from first and last observation.
 
     ``g_d = exp(log(Q_last / Q_first) / (T - 1)) - 1``. A value at or below
-    :data:`GROWTH_FLOOR` is unusable for the initial-stock correction (see
-    :attr:`GrowthStats.usable_growth`).
+    :data:`GROWTH_FLOOR` is unusable for the initial-stock correction.
     """
     q = np.asarray(production, dtype=float)
     if len(q) < 2:

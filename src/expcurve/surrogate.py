@@ -87,7 +87,6 @@ class EnsembleResult:
     """Pointwise mean and 2.5/97.5 nearest-rank percentile bands of a
     statistic over an ensemble of synthetic datasets."""
 
-    grid: np.ndarray
     mean: np.ndarray
     lower: np.ndarray
     upper: np.ndarray
@@ -214,7 +213,7 @@ def make_dataset(spec: SurrogateSpec, replicate: int = 0) -> list[TechSeries]:
     return out
 
 
-def run_ensemble(spec: SurrogateSpec, pipeline, *, grid=None) -> EnsembleResult:
+def run_ensemble(spec: SurrogateSpec, pipeline) -> EnsembleResult:
     """Apply ``pipeline`` (dataset -> statistic vector) to every replicate.
 
     Returns the pointwise mean and the 2.5%/97.5% nearest-rank band; the
@@ -240,10 +239,7 @@ def run_ensemble(spec: SurrogateSpec, pipeline, *, grid=None) -> EnsembleResult:
     srt = np.sort(matrix, axis=0)
     lo_idx = max(int(math.ceil(0.025 * n)) - 1, 0)
     hi_idx = max(int(math.ceil(0.975 * n)) - 1, 0)
-    if grid is None:
-        grid = np.arange(matrix.shape[1])
     return EnsembleResult(
-        grid=np.asarray(grid),
         mean=matrix.mean(axis=0),
         lower=srt[lo_idx],
         upper=srt[hi_idx],

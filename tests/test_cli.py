@@ -360,16 +360,18 @@ class TestOneWritePath:
 
 class TestOneParamsReadPath:
     def test_commands_read_params_without_dict_reader(self, tmp_path, monkeypatch):
-        # parameter tables go through the codec, which needs no DictReader
+        # every CSV a command reads, series and parameter tables alike, goes
+        # through the codec, which needs no DictReader
         def no_reader(*args, **kwargs):
-            raise AssertionError("csv.DictReader called for a parameter table")
+            raise AssertionError("csv.DictReader called outside the codec")
 
         data = small_dataset(tmp_path)
         out = tmp_path / "out"
-        assert run_cli("--output-dir", out, "estimate", "--input", data) == 0
-        assert run_cli("--output-dir", out, "hindcast", "--input", data, "--tau-max", 4) == 0
         monkeypatch.setattr(csv, "DictReader", no_reader)
         for argv in (
+            ["estimate", "--input", data],
+            ["hindcast", "--input", data, "--tau-max", 4],
+            ["forecast", "--input", data, "--tech", "tech001", "--horizon", 4],
             ["forecast", "--tech", "Photovoltaics", "--horizon", 4],
             ["simulate", "--mimic", out / "params.csv", "--ensembles", 0],
             ["diagnose", "--errors", out / "errors.csv", "--params", out / "params.csv"],

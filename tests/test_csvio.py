@@ -219,13 +219,24 @@ def datasets(draw):
 
 class TestSeriesRoundTripProperty:
     @settings(max_examples=80, deadline=None)
-    @given(datasets())
-    def test_write_then_ingest_is_exact(self, tmp_path_factory, dataset):
+    @given(datasets(), st.randoms(use_true_random=False))
+    def test_write_then_ingest_is_exact(self, tmp_path_factory, dataset, rnd):
+        # as written, and with the data rows in a random order: ingest then
+        # orders the technologies by first appearance
         path = tmp_path_factory.mktemp("rt") / "series.csv"
         write_csv(path, dataset)
-        back = ingest_csv(path)
-        assert [ts.name for ts in back] == [ts.name for ts in dataset]
-        for ts, b in zip(dataset, back):
-            assert_array_equal(b.years, ts.years)
-            assert_array_equal(bits(b.cost), bits(ts.cost))
-            assert_array_equal(bits(b.production), bits(ts.production))
+        with open(path, newline="", encoding="utf-8") as fh:
+            header, *rows = csv.reader(fh)
+        rnd.shuffle(rows)
+        shuffled = path.with_name("shuffled.csv")
+        with open(shuffled, "w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh).writerows([header] + rows)
+        by_name = {ts.name: ts for ts in dataset}
+        for p, order in ((path, list(by_name)), (shuffled, list(dict.fromkeys(r[0] for r in rows)))):
+            back = ingest_csv(p)
+            assert [b.name for b in back] == order
+            for b in back:
+                ts = by_name[b.name]
+                assert_array_equal(b.years, ts.years)
+                assert_array_equal(bits(b.cost), bits(ts.cost))
+                assert_array_equal(bits(b.production), bits(ts.production))

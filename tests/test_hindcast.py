@@ -76,7 +76,7 @@ class TestBookkeeping:
         ds = surrogate(T=6)
         with pytest.warns(UserWarning, match="too short"):
             errs = run_hindcast(ds, HindcastConfig(m=5))
-        assert errs == []
+        assert len(errs) == 0
 
     def test_deterministic_order_and_threads(self):
         ds = surrogate(n_tech=4, T=15, seed=3)
@@ -246,31 +246,24 @@ class TestMseByHorizon:
     def test_horizon_coverage(self):
         ds = surrogate(T=10, seed=0)
         errs = run_hindcast(ds, HindcastConfig(m=5))
-        table = mse_by_horizon(
-            [e for e in errs if e.model == "moore"], normalization="moore"
-        )
+        table = mse_by_horizon(errs[errs.model == "moore"], normalization="moore")
         assert set(table) == {1, 2, 3, 4}
 
     def test_hand_average(self):
         ds = surrogate(T=10, seed=0)
-        errs = [e for e in run_hindcast(ds, HindcastConfig(m=5)) if e.model == "moore"]
-        import dataclasses
-
-        doctored = [
-            dataclasses.replace(e, normalized_error=(1.0 if i % 2 else 3.0))
-            for i, e in enumerate(errs)
-            if e.tau == 1
-        ]
+        errs = run_hindcast(ds, HindcastConfig(m=5))
+        doctored = errs[(errs.model == "moore") & (errs.tau == 1)]
+        doctored.normalized_error = np.where(np.arange(len(doctored)) % 2, 1.0, 3.0)
         table = mse_by_horizon(doctored)
         mean, count = table[1]
         assert count == len(doctored)
         assert mean == pytest.approx((9.0 + 1.0) * (count // 2) / count, rel=1e-12)
 
     def test_rejects_bad_args(self):
-        with pytest.raises(ValueError):
-            mse_by_horizon([])
         ds = surrogate(T=8, seed=0)
         errs = run_hindcast(ds, HindcastConfig(m=5))
+        with pytest.raises(ValueError):
+            mse_by_horizon(errs[:0])
         with pytest.raises(ValueError):
             mse_by_horizon(errs, normalization="raw")
 
@@ -333,7 +326,7 @@ class TestTable:
         assert len(rows) == len(errs)
         assert all(type(r) is HindcastError for r in rows)
         assert errs[0] == rows[0] and errs[-1] == rows[-1]
-        assert errs == rows
+        assert [errs[i] for i in range(len(errs))] == rows
         assert dataclasses.replace(errs[1], tau=99).tau == 99
         assert rows[0].m == 4 and rows[0].origin_index == 4
 
@@ -355,20 +348,16 @@ class TestTable:
         moore = errs[errs.model == "moore"]
         assert isinstance(moore, HindcastTable)
         assert list(moore) == [e for e in errs if e.model == "moore"]
-        assert errs[:3] == list(errs)[:3]
+        assert list(errs[:3]) == list(errs)[:3]
         assert errs != errs[:3]
 
-    def test_from_records_round_trip(self):
-        errs = run_hindcast(surrogate(T=9, seed=4), HindcastConfig(m=4))
-        assert HindcastTable.from_records(list(errs)) == errs
-        bare = [dataclasses.replace(e, origin_index=None) for e in errs]
-        assert HindcastTable.from_records(bare).origin_index is None
-
     def test_pooling_needs_window_size(self):
+        # pooling reads every row's m, so a table cannot be made without it
         errs = run_hindcast(surrogate(T=9, seed=4), HindcastConfig(m=4))
-        bare = [dataclasses.replace(e, m=None) for e in errs]
-        with pytest.raises(ValueError, match="window size"):
-            pooled_errors(bare)
+        columns = {f.name: getattr(errs, f.name) for f in dataclasses.fields(HindcastError)}
+        del columns["m"]
+        with pytest.raises(TypeError, match="missing column 'm'"):
+            HindcastTable(**columns)
 
 
 def _closed_form_count(T, m, tau_max):
@@ -408,10 +397,6 @@ def _hindcast_quietly(dataset, cfg):
         return run_hindcast(dataset, cfg)
 
 
-def _hex(table):
-    return {tau: (v.hex(), n) for tau, (v, n) in table.items()}
-
-
 class TestTableProperties:
     @settings(max_examples=60, deadline=None)
     @given(hindcast_cases())
@@ -434,21 +419,6 @@ class TestTableProperties:
         for field in dataclasses.fields(HindcastError):
             column = getattr(errs, field.name)
             assert_array_equal(column, np.array([getattr(r, field.name) for r in rows], dtype=column.dtype))
-
-    @settings(max_examples=60, deadline=None)
-    @given(hindcast_cases())
-    def test_list_input_is_bitwise_equal(self, case):
-        dataset, cfg = case
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            errs = run_hindcast(dataset, cfg)
-            rows = list(errs)
-            for alt in (cfg, HindcastConfig(m=cfg.m, rho=0.0)):
-                assert pooled_errors(errs, alt).tobytes() == pooled_errors(rows, alt).tobytes()
-        if not rows:
-            return
-        for norm in ("moore", "pooled"):
-            assert _hex(mse_by_horizon(errs, norm)) == _hex(mse_by_horizon(rows, norm))
 
     @settings(max_examples=60, deadline=None)
     @given(purity_cases())

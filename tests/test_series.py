@@ -81,9 +81,25 @@ class TestIngest:
         with pytest.raises(DataError, match="fewer than 3"):
             ingest_csv(make_csv(tmp_path, text))
 
-    def test_error_carries_name_and_line(self, tmp_path):
-        text = VALID.replace("A,2002,0.8,1", "A,2002,bad,1")
-        with pytest.raises(DataError, match=r"A line 4"):
+    @pytest.mark.parametrize(
+        "row, column, value, message",
+        [
+            (5000, 2, "bad", r"tech 2 line 5002: unparsable value \(.*'bad'"),
+            (5001, 2, "0", r"tech 3 line 5003: non-positive cost$"),
+            (5002, 3, "-2", r"tech 4 line 5004: non-positive production$"),
+            (5003, 0, "", r"data\.csv line 5005: empty technology name$"),
+            (5004, 1, "1713", r"tech 6 line 5006: duplicate year 1713$"),
+            (5599, 1, "1800", r"tech 6 line 5601: gap in years \(1798 -> 1800\)$"),
+        ],
+        ids=["unparsable", "cost", "production", "empty-name", "duplicate-year", "gap"],
+    )
+    def test_error_carries_name_and_line(self, tmp_path, row, column, value, message):
+        # 7 technologies of 800 years, one year of each after another: more
+        # rows than one parser block, with the fault in the second block
+        rows = [[f"tech {r % 7}", str(1000 + r // 7), "1.5", "2.5"] for r in range(7 * 800)]
+        rows[row][column] = value
+        text = "technology,year,cost,production\n" + "".join(",".join(r) + "\n" for r in rows)
+        with pytest.raises(DataError, match="^" + message):
             ingest_csv(make_csv(tmp_path, text))
 
     def test_round_trip_identical(self, tmp_path):
@@ -218,7 +234,6 @@ class TestGrowthStats:
     def test_geometric_production_zero_sigma_x(self):
         gs = growth_stats(self._series_from_dlq([0.1, 0.1, 0.1, 0.1]))
         assert gs.sigma_x == pytest.approx(0.0, abs=1e-10)
-        assert gs.usable_growth
 
     def test_requires_experience(self):
         ts = TechSeries("s", [0, 1, 2], [1, 1, 1], [1, 2, 4])

@@ -244,18 +244,16 @@ class TestRunEnsemble:
 
         def ecdf_stat(ds):
             errs = run_hindcast(ds, HindcastConfig(m=5, tau_max=None, rho=rho))
-            wright = [e for e in errs if e.model == "wright"]
-            raw = np.array([e.raw_error for e in wright])
-            v = np.array([e.wright_variance for e in wright])
-            su_hat2 = np.array([e.sigma_eta_hat for e in wright]) ** 2 / (1 + rho**2)
-            norm = raw / np.sqrt(v / su_hat2 * su_true**2)
+            wright = errs[errs.model == "wright"]
+            su_hat2 = wright.sigma_eta_hat**2 / (1 + rho**2)
+            norm = wright.raw_error / np.sqrt(wright.wright_variance / su_hat2 * su_true**2)
             return [(norm <= q).mean() for q in grid]
 
         spec = SurrogateSpec(
             n_tech=12, T=18, omega=-0.3, sigma_eta=sigma_eta, rho=rho,
             seed=4, n_ensembles=80, shared_production=True, corrected_experience=False,
         )
-        res = run_ensemble(spec, ecdf_stat, grid=grid)
+        res = run_ensemble(spec, ecdf_stat)
         target = stats.norm.cdf(grid)
         covered = np.mean((res.lower <= target) & (target <= res.upper))
         assert covered >= 0.9
@@ -268,13 +266,13 @@ class TestRunEnsemble:
 
         def msq_stat(ds):
             errs = run_hindcast(ds, HindcastConfig(m=5, tau_max=5, rho=0.0))
-            table = mse_by_horizon([e for e in errs if e.model == "moore"])
+            table = mse_by_horizon(errs[errs.model == "moore"])
             return [table[int(t)][0] for t in taus]
 
         spec = SurrogateSpec(
             n_tech=25, T=16, omega=0.0, sigma_eta=0.1, rho=0.0, seed=2, n_ensembles=120
         )
-        res = run_ensemble(spec, msq_stat, grid=taus)
+        res = run_ensemble(spec, msq_stat)
         target = 2.0 * a_factor(taus, 5)
         assert np.all(res.lower <= target) and np.all(target <= res.upper)
 
