@@ -6,10 +6,13 @@ variances, rolling-origin hindcast validation, surrogate-data confidence
 bands, and distribution diagnostics.
 """
 
+from types import ModuleType as _ModuleType
+
 from .series import (
     DataError,
     DiffSeries,
     GrowthStats,
+    SeriesTable,
     TechSeries,
     build_experience,
     estimate_discrete_growth,
@@ -77,62 +80,8 @@ from .params_io import load_reference_params, read_params_csv, write_params_csv
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "DataError",
-    "DiffSeries",
-    "GrowthStats",
-    "TechSeries",
-    "build_experience",
-    "estimate_discrete_growth",
-    "growth_stats",
-    "ingest_csv",
-    "write_csv",
-    "MooreParams",
-    "WrightParams",
-    "fit_moore",
-    "fit_wright",
-    "fit_wright_ma1",
-    "full_sample_estimates",
-    "ma1_loglik",
-    "pool_rho",
-    "a_factor",
-    "ma1_variance_approx",
-    "ma1_variance_constant_x",
-    "moore_variance",
-    "sigma_x_theory",
-    "wright_ma1_variance",
-    "wright_variance",
-    "HindcastConfig",
-    "HindcastError",
-    "HindcastTable",
-    "mse_by_horizon",
-    "pooled_errors",
-    "read_errors_csv",
-    "run_hindcast",
-    "write_errors_csv",
-    "CalibrationResult",
-    "EnsembleResult",
-    "SurrogateSpec",
-    "gen_cost",
-    "gen_log_production",
-    "gen_production",
-    "make_dataset",
-    "run_calibration_study",
-    "run_ensemble",
-    "DistCheck",
-    "ecdf_vs_reference",
-    "ks_critical_value",
-    "ks_statistic",
-    "pit",
-    "sahal_check",
-    "tanh_check",
-    "DistForecast",
-    "compare_forecasts",
-    "constant_growth_series",
-    "forecast_moore",
-    "forecast_wright",
-    "load_reference_params",
-    "read_params_csv",
-    "write_params_csv",
-    "__version__",
-]
+# every name imported above is public
+__all__ = ["__version__"] + sorted(
+    name for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+)

@@ -87,7 +87,7 @@ def _outdir(args) -> Path:
 
 def cmd_estimate(args) -> int:
     outdir = _outdir(args)
-    dataset = [build_experience(ts) for ts in ingest_csv(args.input)]
+    dataset = build_experience(ingest_csv(args.input))
     rows = full_sample_estimates(dataset)
     _atomic(outdir / "params.csv", lambda p: write_params_csv(p, rows))
     if args.emit_series:
@@ -109,7 +109,7 @@ def cmd_estimate(args) -> int:
 def cmd_hindcast(args) -> int:
     outdir = _outdir(args)
     cfg = HindcastConfig(m=args.m, tau_max=args.tau_max, rho=args.rho_star)
-    dataset = [build_experience(ts) for ts in ingest_csv(args.input)]
+    dataset = build_experience(ingest_csv(args.input))
     errors = run_hindcast(dataset, cfg)
     _atomic(outdir / "errors.csv", lambda p: write_errors_csv(p, errors))
     _write_manifest(
@@ -328,10 +328,10 @@ def cmd_forecast(args) -> int:
     inputs = {}
     if args.input:
         inputs["data"] = args.input
-        dataset = {ts.name: ts for ts in ingest_csv(args.input)}
-        if args.tech not in dataset:
+        dataset = ingest_csv(args.input)
+        if args.tech not in dataset.names:
             raise DataError(f"technology '{args.tech}' not found in {args.input}")
-        series = build_experience(dataset[args.tech])
+        series = build_experience(dataset[dataset.names == args.tech])[0]
         diffs = series.diffs()
         wparams, mparams = fit_wright(diffs), fit_moore(diffs)
     else:

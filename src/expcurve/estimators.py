@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .series import DiffSeries, growth_stats
+from .series import DiffSeries, SeriesTable, growth_stats
 
 # MA(1) coefficients at or beyond this magnitude are flagged as boundary
 # estimates; pooling excludes them as likely misspecified.
@@ -283,35 +283,35 @@ def fit_wright_ma1(
             m=int(lengths[row]),
             rho=rho,
             sigma_u=sigma_u,
-            boundary=abs(rho) >= RHO_BOUNDARY,
+            boundary=not abs(rho) < RHO_BOUNDARY,
             loglik=float(ll_c[row, k]),
         )
     return out[0] if single else out
 
 
 def pool_rho(params) -> tuple[float, int]:
-    """Pooled MA(1) coefficient: mean over entries with ``|rho| <= 0.99``.
+    """Pooled MA(1) coefficient: mean over the entries that are not
+    boundary estimates.
 
-    Accepts :class:`WrightParams` objects or raw floats. Returns
+    Accepts :class:`WrightParams` objects or raw floats. An entry is kept
+    when ``|rho| < 0.99``, the test that sets the ``boundary`` flag of
+    :func:`fit_wright_ma1`; NaN is excluded. Returns
     ``(rho_star, n_excluded)``.
     """
-    values = []
-    for p in params:
-        rho = p.rho if isinstance(p, WrightParams) else float(p)
-        if rho is None:
-            raise ValueError("entry has no rho estimate")
-        values.append(float(rho))
+    values = [p.rho if isinstance(p, WrightParams) else float(p) for p in params]
+    if None in values:
+        raise ValueError("entry has no rho estimate")
     if not values:
         raise ValueError("empty parameter list")
-    kept = [r for r in values if abs(r) <= RHO_BOUNDARY]
-    excluded = len(values) - len(kept)
+    kept = [r for r in values if abs(r) < RHO_BOUNDARY]
     if not kept:
         raise ValueError("all rho estimates excluded as boundary values")
-    return float(np.mean(kept)), excluded
+    return float(np.mean(kept)), len(values) - len(kept)
 
 
-def full_sample_estimates(dataset) -> list[dict]:
-    """Whole-sample estimate rows, one per technology of ``dataset``.
+def full_sample_estimates(dataset: SeriesTable) -> list[dict]:
+    """Whole-sample estimate rows, one per technology of a
+    :class:`SeriesTable` with experience built.
 
     Each row holds the columns of the ``estimate`` output table: growth
     statistics, Moore drift/scale, the least-squares experience exponent and

@@ -175,12 +175,9 @@ def constant_growth_series(
     production column is the exact forward difference of experience, so the
     accumulation identity holds. Useful for forecasting from published
     parameter estimates when the underlying series is not available: slopes
-    and band widths are meaningful, absolute levels are not.
+    and band widths are meaningful, absolute levels are not. ``T < 3`` or
+    ``r <= 0`` breaks the series' data contract (``DataError``).
     """
-    if T < 3:
-        raise ValueError("need T >= 3")
-    if r <= 0.0:
-        raise ValueError("experience growth must be positive")
     base_year = T if base_year is None else base_year
     t = np.arange(T)
     z = np.exp(r * t)

@@ -32,7 +32,7 @@ import numpy as np
 from . import _csvio
 from ._csvio import _CHUNK
 from .estimators import _window_fits
-from .series import TechSeries
+from .series import SeriesTable
 from .variance import _ma1_unit_variance, a_factor, ma1_variance_constant_x
 
 ERROR_COLUMNS = (
@@ -205,29 +205,29 @@ def _model_rows(table: HindcastTable, model: str) -> HindcastTable:
     return table[k::2]
 
 
-def _hindcast_rows(series: list[TechSeries], cfg: HindcastConfig) -> tuple[HindcastTable, int]:
-    """Every error of series long enough for one window, and the number of
-    windows with zero random-walk scale.
+def _hindcast_rows(dataset: SeriesTable, cfg: HindcastConfig) -> tuple[HindcastTable, int]:
+    """Every error of the dataset, and the number of windows with zero
+    random-walk scale.
 
-    The series' log costs and log experience are concatenated, and every
-    window and future path is gathered from them by index. Window ``w`` ends
-    at origin ``o[w]`` of its series and holds the differences ``o - m ..
-    o - 1``: row ``w`` of an ``(n_windows, m)`` matrix. Its future paths are
-    row ``w`` of an ``(n_windows, h_max)`` matrix, horizon ``h`` in column
-    ``h - 1``. One mask keeps the horizons each window reaches (and
-    ``tau_max`` allows); the entries it drops are read from other series or
-    clipped at the end and never reach a result. Future sums are a row-wise
-    cumulative sum, so every sum adds the same terms in the same order as a
-    per-window loop would. The window fits and the realized-experience MA(1)
-    variance are the library's own kernels, applied to all windows at once.
+    Every window and future path is gathered by index from the table's log
+    cost and log experience columns. Window ``w`` ends at origin ``o[w]`` of
+    its series and holds the differences ``o - m .. o - 1``: row ``w`` of an
+    ``(n_windows, m)`` matrix (a series too short for one window plus one
+    forecast has none). Its future paths are row ``w`` of an ``(n_windows,
+    h_max)`` matrix, horizon ``h`` in column ``h - 1``. One mask keeps the
+    horizons each window reaches (and ``tau_max`` allows); the entries it
+    drops are read from other series or clipped at the end and never reach a
+    result. Future sums are a row-wise cumulative sum, so every sum adds the
+    same terms in the same order as a per-window loop would. The window fits
+    and the realized-experience MA(1) variance are the library's own
+    kernels, applied to all windows at once.
     """
     m, rho = cfg.m, cfg.rho
-    T = np.array([ts.T for ts in series])
-    y = np.concatenate([ts.log_cost for ts in series])
+    T, y = dataset.T, dataset.log_cost
     dy = np.diff(y)
-    dx = np.diff(np.concatenate([ts.log_experience for ts in series]))
-    n_win = T - 1 - m
-    sid = np.repeat(np.arange(len(series)), n_win)
+    dx = np.diff(dataset.log_experience)
+    n_win = np.maximum(T - 1 - m, 0)
+    sid = np.repeat(np.arange(len(T)), n_win)
     o = np.arange(len(sid)) - (np.cumsum(n_win) - n_win)[sid] + m
     # origins' positions in the concatenated levels; dx[p] and dy[p] step
     # from level p to p + 1, so a window is dx[at - m:at] and horizon h
@@ -276,8 +276,8 @@ def _hindcast_rows(series: list[TechSeries], cfg: HindcastConfig) -> tuple[Hindc
         return np.repeat(values, 2)
 
     table = HindcastTable(
-        technology=per_row(np.array([ts.name for ts in series])[sid[win]]),
-        origin_year=per_row(np.concatenate([ts.years for ts in series])[at[win]]),
+        technology=per_row(dataset.names[sid[win]]),
+        origin_year=per_row(dataset.years[at[win]]),
         tau=per_row(taus),
         model=np.tile(np.array(["moore", "wright"]), n),
         raw_error=per_model(e_m, e_w),
@@ -294,8 +294,9 @@ def _hindcast_rows(series: list[TechSeries], cfg: HindcastConfig) -> tuple[Hindc
     return table, int(np.count_nonzero(~(k_hat > 0.0)))
 
 
-def run_hindcast(dataset: list[TechSeries], config: HindcastConfig | None = None) -> HindcastTable:
-    """Run the rolling-origin procedure over a dataset.
+def run_hindcast(dataset: SeriesTable, config: HindcastConfig | None = None) -> HindcastTable:
+    """Run the rolling-origin procedure over a :class:`SeriesTable` with
+    experience built.
 
     Series too short for one window plus one forecast are skipped with a
     warning, not an error. All windows of the dataset are computed in one
@@ -305,17 +306,12 @@ def run_hindcast(dataset: list[TechSeries], config: HindcastConfig | None = None
     dataset order.
     """
     cfg = config or HindcastConfig()
-    usable = []
-    for ts in dataset:
-        if ts.T < cfg.m + 2:
-            warnings.warn(
-                f"{ts.name}: too short for m={cfg.m} (T={ts.T}); skipped", stacklevel=2
-            )
-        else:
-            usable.append(ts)
-    if not usable:
+    short = dataset.T < cfg.m + 2
+    for name, T in zip(dataset.names[short].tolist(), dataset.T[short].tolist()):
+        warnings.warn(f"{name}: too short for m={cfg.m} (T={T}); skipped", stacklevel=2)
+    if short.all():
         return HindcastTable(**{name: () for name in _FIELDS})
-    table, zero_scale = _hindcast_rows(usable, cfg)
+    table, zero_scale = _hindcast_rows(dataset, cfg)
     if zero_scale:
         warnings.warn(
             f"{zero_scale} window(s) had zero residual scale; their normalized "

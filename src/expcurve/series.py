@@ -10,9 +10,8 @@ accumulated before the first observed year equals ``Q_first / g_d``.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields
 from functools import cached_property
-from itertools import groupby
 from pathlib import Path
 
 import numpy as np
@@ -39,14 +38,13 @@ def _frozen(values, dtype=float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class TechSeries:
-    """Annual cost/production history of one technology.
+    """Annual cost/production history of one technology: a row view of a
+    :class:`SeriesTable`, holding read-only slices of its columns. A series
+    constructed directly is checked as a table of one.
 
     ``experience`` is cumulative production *excluding* the current year's
     output (production affects costs with a lag) and including the estimated
     pre-sample stock. It is ``None`` until :func:`build_experience` has run.
-
-    Instances are immutable (arrays are read-only) and safe to share across
-    threads.
     """
 
     name: str
@@ -56,33 +54,9 @@ class TechSeries:
     experience: np.ndarray | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "years", _frozen(self.years, dtype=int))
-        object.__setattr__(self, "cost", _frozen(self.cost))
-        object.__setattr__(self, "production", _frozen(self.production))
-        n = len(self.years)
-        if not (len(self.cost) == len(self.production) == n):
-            raise DataError(f"{self.name}: years/cost/production lengths differ")
-        if n < 3:
-            raise DataError(f"{self.name}: fewer than 3 rows (T={n})")
-        steps = np.diff(self.years)
-        if np.any(steps == 0):
-            raise DataError(f"{self.name}: duplicate year")
-        if np.any(steps != 1):
-            raise DataError(f"{self.name}: gap in years")
-        # NaN fails every comparison, so test finiteness as well as sign
-        if not np.all(np.isfinite(self.cost) & (self.cost > 0)):
-            raise DataError(f"{self.name}: non-positive cost")
-        if not np.all(np.isfinite(self.production) & (self.production > 0)):
-            raise DataError(f"{self.name}: non-positive production")
-        if self.experience is not None:
-            z = _frozen(self.experience)
-            object.__setattr__(self, "experience", z)
-            if len(z) != n:
-                raise DataError(f"{self.name}: experience length differs")
-            if not (np.all(np.isfinite(z) & (z > 0)) and np.all(np.diff(z) > 0)):
-                raise DataError(
-                    f"{self.name}: experience must be finite, positive and strictly increasing"
-                )
+        one = SeriesTable([self.name], [len(self.years)], *(getattr(self, c) for c in _COLUMNS))
+        for c in _COLUMNS:
+            object.__setattr__(self, c, getattr(one, c))
 
     @property
     def T(self) -> int:
@@ -102,6 +76,129 @@ class TechSeries:
     def diffs(self) -> "DiffSeries":
         """First differences of log cost and log experience."""
         return DiffSeries(y=np.diff(self.log_cost), x=np.diff(self.log_experience))
+
+
+_COLUMNS = ("years", "cost", "production", "experience")
+
+
+class _Fault(DataError):
+    """What is wrong with technology ``name``, at ``row`` of its table."""
+
+    def __init__(self, name: str, row: int | None, what: str):
+        super().__init__(f"{name}: {what}" if name else what)
+        self.name, self.row, self.what = name, row, what
+
+
+class SeriesTable:
+    """A dataset of technology series, stored column-wise.
+
+    ``names`` holds each series' technology name and ``T`` its number of
+    years; ``years``, ``cost``, ``production`` and ``experience`` (``None``
+    until :func:`build_experience` has run) are the series' columns, one
+    after another. ``log_cost`` and ``log_experience`` are taken on whole
+    columns. All arrays are read-only copies.
+
+    The constructor enforces the data contract: it raises :class:`DataError`
+    for the first empty name or non-finite or non-positive cost or
+    production, else the first series of fewer than 3 years, name given
+    twice, duplicate or missing year, or experience that is not finite,
+    positive and strictly increasing.
+
+    ``len(table)``, ``table[i]`` and iteration give :class:`TechSeries` row
+    views; a slice or a boolean/integer index array over series gives a
+    sub-table.
+    """
+
+    def __init__(self, names, T, years, cost, production, experience=None):
+        self.names, self.T, self.years = _frozen(names, str), _frozen(T, int), _frozen(years, int)
+        self.cost, self.production = _frozen(cost), _frozen(production)
+        self.experience = None if experience is None else _frozen(experience)
+        self._start = np.cumsum(self.T) - self.T
+        _check(self)
+
+    @classmethod
+    def from_series(cls, series) -> SeriesTable:
+        """One table of :class:`TechSeries`, in order; all or none built."""
+        series = list(series)
+        built = [ts.experience is not None for ts in series]
+        if any(built) and not all(built):
+            raise DataError("a table has experience for all of its series or for none")
+        columns = _COLUMNS if any(built) else _COLUMNS[:3]
+        return cls(
+            [ts.name for ts in series], [ts.T for ts in series],
+            *(_concat(getattr(ts, c) for ts in series) for c in columns),
+        )
+
+    def __len__(self) -> int:
+        return len(self.names)
+
+    def __iter__(self):
+        return map(self.__getitem__, range(len(self)))
+
+    def __getitem__(self, index):
+        columns = [getattr(self, c) for c in _COLUMNS]
+        if isinstance(index, (int, np.integer)):
+            i = range(len(self))[index]
+            rows = slice(self._start[i], self._start[i] + self.T[i])
+            view = object.__new__(TechSeries)
+            view.__dict__.update(zip(_COLUMNS, (None if c is None else c[rows] for c in columns)))
+            view.__dict__["name"] = str(self.names[i])
+            return view
+        pick = np.arange(len(self))[index]
+        T = self.T[pick]
+        rows = np.repeat(self._start[pick] - np.cumsum(T) + T, T) + np.arange(T.sum())
+        return SeriesTable(self.names[pick], T, *(None if c is None else c[rows] for c in columns))
+
+    @cached_property
+    def log_cost(self) -> np.ndarray:
+        return _frozen(np.log(self.cost))
+
+    @cached_property
+    def log_experience(self) -> np.ndarray:
+        if self.experience is None:
+            raise DataError("experience not built yet")
+        return _frozen(np.log(self.experience))
+
+
+def _concat(arrays) -> np.ndarray:
+    return np.concatenate([np.empty(0), *arrays])
+
+
+def _check(table: SeriesTable) -> None:
+    """Raise the first broken rule of the data contract (see
+    :class:`SeriesTable`); each ``for ... [:1]`` raises at the first fault."""
+    names, T, years, z = table.names.tolist(), table.T, table.years, table.experience
+    columns = (years, table.cost, table.production) + (() if z is None else (z,))
+    if table.names.ndim != 1 or T.shape != table.names.shape or np.any(T < 0) or any(
+        col.ndim != 1 or len(col) != T.sum() for col in columns
+    ):
+        raise DataError("series lengths and years/cost/production/experience lengths differ")
+    series = np.repeat(np.arange(len(names)), T)
+    unnamed = (table.names == "")[series]
+    # NaN fails every comparison, so test finiteness as well as sign
+    good_cost = np.isfinite(table.cost) & (table.cost > 0)
+    good_production = np.isfinite(table.production) & (table.production > 0)
+    for i in np.flatnonzero(unnamed | ~good_cost | ~good_production)[:1]:
+        what = "non-positive cost" if not good_cost[i] else "non-positive production"
+        raise _Fault(names[series[i]], i, "empty technology name" if unnamed[i] else what)
+    for j in np.flatnonzero(T < 3)[:1]:
+        raise _Fault(names[j], None, "fewer than 3 rows")
+    first = np.zeros(len(names), dtype=bool)
+    first[np.unique(table.names, return_index=True)[1]] = True
+    for j in np.flatnonzero(~first)[:1]:
+        raise _Fault(names[j], None, "duplicate technology name")
+    within = series[1:] == series[:-1]
+    for k in np.flatnonzero(within & (np.diff(years) != 1))[:1]:
+        y0, y1 = years[k], years[k + 1]
+        what = f"duplicate year {y1}" if y1 == y0 else f"gap in years ({y0} -> {y1})"
+        raise _Fault(names[series[k]], k + 1, what)
+    if z is not None:
+        good = np.isfinite(z) & (z > 0)
+        with np.errstate(invalid="ignore"):
+            good[1:] &= ~within | (np.diff(z) > 0)
+        for i in np.flatnonzero(~good)[:1]:
+            what = "experience must be finite, positive and strictly increasing"
+            raise _Fault(names[series[i]], i, what)
 
 
 @dataclass(frozen=True)
@@ -147,26 +244,21 @@ class GrowthStats:
     g_d: float
 
 
-def ingest_csv(path) -> list[TechSeries]:
-    """Read a ``technology,year,cost,production`` CSV into series.
+def ingest_csv(path) -> SeriesTable:
+    """Read a ``technology,year,cost,production`` CSV into a :class:`SeriesTable`.
 
     The file is parsed column-wise by the package's CSV codec. Rows may
-    appear in any order; they are grouped by technology (output order
+    appear in any order; they are grouped by technology (series order
     follows first appearance, names are stripped of surrounding whitespace)
     and stably sorted by year within each group. Extra columns (e.g. derived
     columns written by :func:`write_csv`) are ignored.
 
-    Raises
-    ------
-    DataError
-        Missing column, a row with missing fields, an empty technology name,
-        unparsable or non-positive cost/production, duplicate or
-        non-consecutive years, or fewer than 3 rows for a technology. A
-        single fault's message carries the technology name (the file name
-        for an empty one) and the file line, counted as ``csv`` counts rows
-        (blank lines skipped). Of several faults, the first unparsable value
-        is reported, else the first bad row, else the first short
-        technology, else the first bad step between years.
+    Raises ``DataError`` for a missing column, a row with missing fields, an
+    unparsable value or a broken rule of the :class:`SeriesTable` contract.
+    The message names the technology (the file for an empty name) and the
+    file line of a faulty row, counted as ``csv`` counts rows (blank lines
+    skipped). The first unparsable value is reported, else the table's first
+    fault, in technology and year order.
     """
     path = Path(path)
     kinds = dict(zip(REQUIRED_COLUMNS, (str, np.int64, float, float)))
@@ -180,64 +272,37 @@ def ingest_csv(path) -> list[TechSeries]:
         name = _csvio.read_csv(path, {"technology": str}, path.name)["technology"][i].strip()
         raise DataError(f"{name or path.name} line {i + 2}: unparsable value ({exc})") from None
     names = np.strings.strip(columns["technology"])
-    years, cost, production = columns["year"], columns["cost"], columns["production"]
 
-    # NaN fails every comparison, so test finiteness as well as sign
-    good_cost = np.isfinite(cost) & (cost > 0)
-    good_production = np.isfinite(production) & (production > 0)
-    bad = np.flatnonzero((names == "") | ~good_cost | ~good_production)
-    if len(bad):
-        i = bad[0]
-        if not names[i]:
-            raise DataError(f"{path.name} line {i + 2}: empty technology name")
-        what = "cost" if not good_cost[i] else "production"
-        raise DataError(f"{names[i]} line {i + 2}: non-positive {what}")
-
-    # groups numbered by first appearance; rows sorted by group, then year
-    uniq, first, inverse = np.unique(names, return_index=True, return_inverse=True)
+    # technologies in order of first appearance, each one's rows by year
+    uniq, first, inverse, counts = np.unique(
+        names, return_index=True, return_inverse=True, return_counts=True
+    )
     order = np.argsort(first)
-    group = np.argsort(order)[inverse]
-    counts = np.bincount(group, minlength=len(uniq))
-    tech = uniq[order].tolist()
-    short = np.flatnonzero(counts < 3)
-    if len(short):
-        raise DataError(f"{tech[short[0]]}: fewer than 3 rows")
-    rows = np.lexsort((years, group))
-    y = years[rows]
-    bad = np.flatnonzero((np.diff(y) != 1) & (group[rows[1:]] == group[rows[:-1]]))
-    if len(bad):
-        k = bad[0]
-        y0, y1 = y[k], y[k + 1]
-        at = f"{tech[group[rows[k]]]} line {rows[k + 1] + 2}"
-        if y1 == y0:
-            raise DataError(f"{at}: duplicate year {y1}")
-        raise DataError(f"{at}: gap in years ({y0} -> {y1})")
-    return [
-        TechSeries(name=name, years=years[r], cost=cost[r], production=production[r])
-        for name, r in zip(tech, np.split(rows, np.cumsum(counts)[:-1]))
-    ]
+    rows = np.lexsort((columns["year"], first[inverse]))
+    try:
+        return SeriesTable(
+            uniq[order], counts[order], *(columns[c][rows] for c in REQUIRED_COLUMNS[1:])
+        )
+    except _Fault as fault:
+        at = "" if fault.row is None else f" line {rows[fault.row] + 2}"
+        raise DataError(f"{fault.name or path.name}{at}: {fault.what}") from None
 
 
-def write_csv(path, dataset: list[TechSeries]) -> None:
-    """Write series (plus derived columns, when built) as CSV.
+def write_csv(path, dataset: SeriesTable) -> None:
+    """Write a :class:`SeriesTable` (plus derived columns) as CSV.
 
     Columns: ``technology,year,cost,production,experience,log_cost,
-    log_experience``; the derived columns are left empty when experience has
-    not been built. Values are written with 17 significant digits so a
-    write/ingest round trip is exact.
+    log_experience``; ``experience`` and ``log_experience`` are left empty
+    when experience has not been built. Values are written with 17
+    significant digits so a write/ingest round trip is exact.
     """
-    blocks = []
-    for built, group in groupby(dataset, key=lambda ts: ts.experience is not None):
-        group = list(group)
-        names = np.repeat([ts.name for ts in group], [ts.T for ts in group])
-        block = [names]
-        for attr in ("years", "cost", "production") + DERIVED_COLUMNS:
-            if built or attr not in ("experience", "log_experience"):
-                block.append(np.concatenate([getattr(ts, attr) for ts in group]))
-            else:
-                block.append(np.full(len(names), ""))
-        blocks.append(block)
-    _csvio.write_csv(path, REQUIRED_COLUMNS + DERIVED_COLUMNS, *blocks)
+    built = dataset.experience is not None
+    empty = np.full(len(dataset.years), "")
+    _csvio.write_csv(path, REQUIRED_COLUMNS + DERIVED_COLUMNS, [
+        np.repeat(dataset.names, dataset.T), dataset.years, dataset.cost, dataset.production,
+        dataset.experience if built else empty, dataset.log_cost,
+        dataset.log_experience if built else empty,
+    ])
 
 
 def estimate_discrete_growth(production) -> float:
@@ -267,29 +332,25 @@ def _corrected_experience(name: str, production) -> np.ndarray:
     return q[0] / g_d + np.concatenate([[0.0], np.cumsum(q[:-1])])
 
 
-def build_experience(series: TechSeries) -> TechSeries:
-    """Fill the experience series using the initial-stock correction.
+def build_experience(dataset: SeriesTable) -> SeriesTable:
+    """The table with experience filled in by the initial-stock correction.
 
-    The first value is ``Q_first / g_d`` and each later value adds the
-    *previous* year's production, so experience at a given year excludes that
-    year's output. Exactly geometric production with rate ``g_d`` makes
-    experience equal ``Q_t / g_d`` at every year, not just the first.
-
-    Raises
-    ------
-    DataError
-        When the estimated growth rate is at or below :data:`GROWTH_FLOOR`
-        ("zero production growth rate"); such series cannot be corrected.
+    Each series is built on its own: its first value is ``Q_first / g_d``
+    and each later value adds the *previous* year's production, so
+    experience at a given year excludes that year's output. Exactly geometric
+    production with rate ``g_d`` makes experience equal ``Q_t / g_d`` at
+    every year. Raises ``DataError`` ("zero production growth rate") for a
+    series whose ``g_d`` is at or below :data:`GROWTH_FLOOR`.
     """
-    return replace(series, experience=_corrected_experience(series.name, series.production))
+    pieces = np.split(dataset.production, dataset._start[1:])
+    z = map(_corrected_experience, dataset.names.tolist(), pieces)
+    return SeriesTable(
+        dataset.names, dataset.T, dataset.years, dataset.cost, dataset.production, _concat(z)
+    )
 
 
 def growth_stats(series: TechSeries) -> GrowthStats:
     """Means and sample standard deviations of log production/experience growth."""
-    if series.experience is None:
-        raise DataError(f"{series.name}: experience not built yet")
-    if series.T < 3:
-        raise DataError(f"{series.name}: need T >= 3 for growth statistics")
     dlq = np.diff(np.log(series.production))
     dlz = np.diff(series.log_experience)
     return GrowthStats(

@@ -21,7 +21,7 @@ import numpy as np
 
 from .diagnostics import DistCheck, ecdf_vs_reference, pit
 from .hindcast import HindcastConfig, _model_rows, run_hindcast
-from .series import DataError, TechSeries, _corrected_experience
+from .series import DataError, SeriesTable, _concat, _corrected_experience
 from .variance import wright_ma1_variance
 
 # Role ids for the RNG stream key.
@@ -76,10 +76,11 @@ class SurrogateSpec:
             raise ValueError("volatilities must be non-negative")
         if np.any(np.abs(np.asarray(self.rho)) > 1):
             raise ValueError("rho must lie in [-1, 1]")
-
-    def _per_tech(self, field, j):
-        val = getattr(self, field)
-        return val if np.ndim(val) == 0 else val[j]
+        T = np.asarray(self.T)
+        if np.any(T != np.round(T)):
+            raise ValueError("T must be integral")
+        if np.any(T < 4):
+            raise ValueError("T must be at least 4 per technology")
 
 
 @dataclass(frozen=True)
@@ -159,58 +160,45 @@ def _growing_production(T, g, sigma_q, seed, base_key) -> np.ndarray:
     )
 
 
-def make_dataset(spec: SurrogateSpec, replicate: int = 0) -> list[TechSeries]:
-    """Generate one synthetic dataset (one replicate of the spec).
+def make_dataset(spec: SurrogateSpec, replicate: int = 0) -> SeriesTable:
+    """Generate one synthetic dataset (one replicate of the spec) as a
+    :class:`SeriesTable` with experience built.
 
     With the corrected experience construction, production paths are
     conditioned on overall growth (see ``_growing_production``). A shared
     path is conditioned over its full length only, so a technology whose
     shorter stretch of it did not grow raises ``DataError``.
     """
+
+    def draw_production(T, g, sigma_q, key):
+        if spec.corrected_experience:
+            return _growing_production(T, g, sigma_q, spec.seed, key)
+        return gen_production(T, g, sigma_q, _rng(spec.seed, *key))
+
+    fields = ("T", "g", "sigma_q", "omega", "sigma_eta", "rho")
+    lengths, *per_tech = (np.broadcast_to(getattr(spec, f), spec.n_tech).tolist() for f in fields)
+    lengths = [int(T) for T in lengths]
     shared_q = None
     if spec.shared_production:
-        T_shared = int(np.max(np.asarray(spec.T)))
-        g0 = float(np.asarray(spec.g).flat[0])
-        sq0 = float(np.asarray(spec.sigma_q).flat[0])
+        # one path, drawn with the first technology's g and sigma_q
         key = (replicate, 0, _ROLE_SHARED_PRODUCTION)
-        if spec.corrected_experience:
-            shared_q = _growing_production(T_shared, g0, sq0, spec.seed, key)
-        else:
-            shared_q = gen_production(T_shared, g0, sq0, _rng(spec.seed, *key))
-    out = []
-    for j in range(spec.n_tech):
-        name = f"tech{j:03d}"
-        T = int(spec._per_tech("T", j))
-        if T < 4:
-            raise ValueError("T must be at least 4 per technology")
+        shared_q = draw_production(max(lengths), per_tech[0][0], per_tech[1][0], key)
+    names, cost, production, experience = [], [], [], []
+    for j, (T, g, sigma_q, omega, sigma_eta, rho) in enumerate(zip(lengths, *per_tech)):
+        names.append(f"tech{j:03d}")
         if shared_q is not None:
             q = shared_q[:T]
         else:
-            g_j = float(spec._per_tech("g", j))
-            sq_j = float(spec._per_tech("sigma_q", j))
-            key = (replicate, j, _ROLE_PRODUCTION)
-            if spec.corrected_experience:
-                q = _growing_production(T, g_j, sq_j, spec.seed, key)
-            else:
-                q = gen_production(T, g_j, sq_j, _rng(spec.seed, *key))
-        z = _corrected_experience(name, q) if spec.corrected_experience else np.cumsum(q)
-        y = gen_cost(
-            np.diff(np.log(z)),
-            float(spec._per_tech("omega", j)),
-            float(spec._per_tech("sigma_eta", j)),
-            float(spec._per_tech("rho", j)),
-            _rng(spec.seed, replicate, j, _ROLE_COST),
-        )
-        out.append(
-            TechSeries(
-                name=name,
-                years=np.arange(1, T + 1),
-                cost=np.exp(y),
-                production=q,
-                experience=z,
-            )
-        )
-    return out
+            q = draw_production(T, g, sigma_q, (replicate, j, _ROLE_PRODUCTION))
+        z = _corrected_experience(names[j], q) if spec.corrected_experience else np.cumsum(q)
+        rng = _rng(spec.seed, replicate, j, _ROLE_COST)
+        cost.append(np.exp(gen_cost(np.diff(np.log(z)), omega, sigma_eta, rho, rng)))
+        production.append(q)
+        experience.append(z)
+    years = np.concatenate([np.arange(1, T + 1) for T in lengths])
+    return SeriesTable(
+        names, lengths, years, _concat(cost), _concat(production), _concat(experience)
+    )
 
 
 def run_ensemble(spec: SurrogateSpec, pipeline) -> EnsembleResult:

@@ -285,7 +285,8 @@ def test_criterion_6_exponent_identity():
     q = 5.0 * 1.07 ** np.arange(T)
     rng = np.random.default_rng(1)
     cost = np.exp(rng.normal(0, 0.2, T))
-    ts = ec.build_experience(ec.TechSeries("geo", np.arange(T), cost, q))
+    geo = ec.TechSeries("geo", np.arange(T), cost, q)
+    ts = ec.build_experience(ec.SeriesTable.from_series([geo]))[0]
     d = ts.diffs()
     w, mo = ec.fit_wright(d), ec.fit_moore(d)
     exact_gap = abs(w.omega * float(d.x.mean()) - mo.mu)
@@ -393,13 +394,16 @@ def test_criterion_8_hindcast_bookkeeping():
     ds = ec.make_dataset(ec.SurrogateSpec(n_tech=1, T=18, seed=2, n_ensembles=1), 0)
     ts = ds[0]
     cfg = ec.HindcastConfig(m=5, tau_max=4)
-    before = {(e.origin_year, e.tau, e.model): e.raw_error for e in ec.run_hindcast([ts], cfg)}
+    before = {
+        (e.origin_year, e.tau, e.model): e.raw_error
+        for e in ec.run_hindcast(ec.SeriesTable.from_series([ts]), cfg)
+    }
     cost = np.array(ts.cost)
     cost[:3] *= 31.7
     corrupted = ec.TechSeries(ts.name, ts.years, cost, ts.production, ts.experience)
     purity_ok = all(
         e.raw_error == pytest.approx(before[(e.origin_year, e.tau, e.model)], abs=1e-12)
-        for e in ec.run_hindcast([corrupted], cfg)
+        for e in ec.run_hindcast(ec.SeriesTable.from_series([corrupted]), cfg)
         if e.origin_index - cfg.m >= 3
     )
 

@@ -10,7 +10,9 @@ import pytest
 
 from expcurve import (
     HindcastConfig,
+    SeriesTable,
     SurrogateSpec,
+    TechSeries,
     build_experience,
     ingest_csv,
     make_dataset,
@@ -22,6 +24,7 @@ from expcurve import (
 )
 from expcurve import estimators
 from expcurve.cli import main
+from expcurve.params_io import reference_params_path
 
 
 def run_cli(*args):
@@ -31,8 +34,7 @@ def run_cli(*args):
 def small_dataset(tmp_path, n_tech=3, T=14, seed=5):
     path = tmp_path / "data.csv"
     ds = make_dataset(SurrogateSpec(n_tech=n_tech, T=T, seed=seed, n_ensembles=1), 0)
-    stripped = [ts.__class__(ts.name, ts.years, ts.cost, ts.production) for ts in ds]
-    write_csv(path, stripped)
+    write_csv(path, SeriesTable(ds.names, ds.T, ds.years, ds.cost, ds.production))
     return path
 
 
@@ -60,7 +62,7 @@ class TestHindcastCommand:
         out = tmp_path / "out"
         assert run_cli("--output-dir", out, "hindcast", "--input", data, "--m", 5, "--tau-max", 20) == 0
         records = read_errors_csv(out / "errors.csv")
-        dataset = [build_experience(ts) for ts in ingest_csv(data)]
+        dataset = build_experience(ingest_csv(data))
         expect = run_hindcast(dataset, HindcastConfig(m=5, tau_max=20))
         assert len(records) == len(expect)
 
@@ -69,7 +71,7 @@ class TestHindcastCommand:
         out = tmp_path / "out"
         run_cli("--output-dir", out, "hindcast", "--input", data)
         records = read_errors_csv(out / "errors.csv")
-        dataset = [build_experience(ts) for ts in ingest_csv(data)]
+        dataset = build_experience(ingest_csv(data))
         expect = run_hindcast(dataset, HindcastConfig())
         got = pooled_errors(records)
         want = pooled_errors(expect)
@@ -332,6 +334,75 @@ class TestGoldenBytes:
             assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
 
 
+# SHA-256 of the outputs of a mimicked dataset of five technologies with T = 5,
+# 9, 17, 130 and 200 periods, captured before the dataset became one columnar
+# table. Lengths above 8 and above 128 cross NumPy's pairwise-summation
+# blocks, so a growth mean, a standard deviation or an experience sum that
+# changed its order of additions would change these bytes.
+MIXED_PARAMS = (
+    "technology,T,mu,K,g,sigma_q,r,sigma_x,omega,sigma_eta,rho\n"
+    "A,5,-0.05,0.05,0.15,0.08,0.1,0.01,-0.5,0.05,0.2\n"
+    "B,9,-0.08,0.06,0.2,0.1,0.2,0.02,-0.4,0.06,0.2\n"
+    "C,17,-0.03,0.04,0.1,0.12,0.1,0.01,-0.3,0.08,0.2\n"
+    "D,130,-0.02,0.05,0.05,0.09,0.05,0.01,-0.2,0.1,0.2\n"
+    "E,200,-0.04,0.07,0.12,0.15,0.1,0.02,-0.35,0.07,0.2\n"
+)
+GOLDEN_MIXED = {
+    "estimate": {
+        "params.csv": "2bf02f1e10fc7d4a4749833fc312532fc4da8feddfdfd8069b7d7fe3baa7b525",
+        "series.csv": "e48c7f4ea5e83982cc6847535468f6bc398175f52ea70405144754789bf4f3be",
+    },
+    "hindcast": {
+        "errors.csv": "aea1778cc863426fdad7eb2ff17554143fd9a06e51a7e4c49140feb09ce0b92f",
+    },
+    "simulate": {
+        "dataset.csv": "e48c7f4ea5e83982cc6847535468f6bc398175f52ea70405144754789bf4f3be",
+        "bands_moore.csv": "b2ce5d22ccf03443d292b830a722d6da3b9bc3701a247f20ee891a32a794e494",
+        "bands_wright.csv": "fabd047d70c29bef383b752faa09135bae8844e228681d4fc7a8496eb42b6eb8",
+    },
+    "simulate-plain": {
+        "dataset.csv": "5571ad36248e463760a24b13077eaff885a8a17e9a61606d7e047f2c5234c6b5",
+        "bands_moore.csv": "04a080e3802be592375e22e32d45c30745c97cc7604fb0a824bb3d5bb8cd429a",
+        "bands_wright.csv": "d6f9251f61e930f5ee7eea7f37b07f84526675b9a7145bdd4d4de57152d9629c",
+    },
+    "simulate-shared": {
+        "dataset.csv": "bb69d39f80ed7d0278342d66719af772a5d0dc56e1bc12cb64ad22d2b71f2c10",
+        "bands_moore.csv": "7bd96cdfc8ec0ae884d4c2b927b990db0616f7b487c47371d29f9734acc2a4d3",
+        "bands_wright.csv": "2e9e6cac23bb8a22710f80a1a0a86dc05b3d5be7d71de651ec5dc40fa45f89d6",
+    },
+    "simulate-shared-plain": {
+        "dataset.csv": "86dd515fef1db2977c7e4994a019d4c61a8ac9fefeee94a8b10179dcbd079c5f",
+        "bands_moore.csv": "3ed5427048233f023bd24fb4ab3c6f1725d688846cfe50e27bf1676ccd9d9fea",
+        "bands_wright.csv": "d8e80b9a9d3fbea2649e17c5d6a3b528b3179bd5f3922b1ecec2dcb57b0abe2e",
+    },
+}
+
+
+def _mixed_argvs(run, params, out):
+    simulate = ["--seed", 2016, "simulate", "--mimic", params, "--ensembles", 2]
+    if run.startswith("simulate"):
+        flags = {"simulate": [], "simulate-shared": ["--shared-production"],
+                 "simulate-plain": ["--no-correction"],
+                 "simulate-shared-plain": ["--shared-production", "--no-correction"]}[run]
+        return [simulate + flags]
+    data = out / "dataset.csv"
+    last = {"estimate": ["estimate", "--input", data, "--emit-series"],
+            "hindcast": ["hindcast", "--input", data]}[run]
+    return [simulate, last]
+
+
+class TestMixedLengthGoldenBytes:
+    @pytest.mark.parametrize("run", sorted(GOLDEN_MIXED))
+    def test_output_digests(self, tmp_path, run):
+        params = tmp_path / "mixed.csv"
+        params.write_text(MIXED_PARAMS)
+        out = tmp_path / "out"
+        for argv in _mixed_argvs(run, params, out):
+            assert run_cli("--output-dir", out, *argv) == 0
+        for name, digest in GOLDEN_MIXED[run].items():
+            assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
+
+
 class TestOneWritePath:
     def test_commands_write_without_csv_writer(self, tmp_path, monkeypatch):
         # The codec bound csv.writer when it was imported; any other CSV
@@ -375,6 +446,26 @@ class TestOneParamsReadPath:
             ["forecast", "--tech", "Photovoltaics", "--horizon", 4],
             ["simulate", "--mimic", out / "params.csv", "--ensembles", 0],
             ["diagnose", "--errors", out / "errors.csv", "--params", out / "params.csv"],
+        ):
+            assert run_cli("--output-dir", out, *argv) == 0, argv
+
+
+class TestOneSeriesPath:
+    def test_commands_build_no_series_objects(self, tmp_path, monkeypatch):
+        # datasets are tables from ingest and generation through the
+        # hindcast and the CSV; constructing (and re-checking) one
+        # TechSeries per technology would call the patched method and fail
+        def no_series(self):
+            raise AssertionError("TechSeries constructed")
+
+        data = small_dataset(tmp_path)
+        out = tmp_path / "out"
+        monkeypatch.setattr(TechSeries, "__post_init__", no_series)
+        for argv in (
+            ["estimate", "--input", data, "--emit-series"],
+            ["hindcast", "--input", data, "--tau-max", 4],
+            ["simulate", "--n-tech", 3, "--periods", 16, "--ensembles", 2, "--tau-max", 4],
+            ["simulate", "--mimic", reference_params_path(), "--ensembles", 2],
         ):
             assert run_cli("--output-dir", out, *argv) == 0, argv
 

@@ -11,6 +11,7 @@ from numpy.testing import assert_array_equal
 
 from expcurve import (
     HindcastConfig,
+    SeriesTable,
     SurrogateSpec,
     TechSeries,
     build_experience,
@@ -48,7 +49,7 @@ def file_text(path) -> str:
 
 def odd_dataset(T=12):
     ds = make_dataset(SurrogateSpec(n_tech=len(ODD_NAMES), T=T, seed=17, n_ensembles=1), 0)
-    return [TechSeries(name, ts.years, ts.cost, ts.production) for name, ts in zip(ODD_NAMES, ds)]
+    return SeriesTable(ODD_NAMES, ds.T, ds.years, ds.cost, ds.production)
 
 
 def bits(a):
@@ -122,7 +123,7 @@ class TestRoundTrips:
 
     def test_errors_csv(self, tmp_path):
         # uncapped horizons make more rows than two write and read blocks
-        table = run_hindcast([build_experience(ts) for ts in odd_dataset(T=50)], HindcastConfig(m=4, tau_max=None))
+        table = run_hindcast(build_experience(odd_dataset(T=50)), HindcastConfig(m=4, tau_max=None))
         assert len(table) > 2 * _CHUNK
         path = tmp_path / "errors.csv"
         write_errors_csv(path, table)
@@ -141,7 +142,7 @@ class TestRoundTrips:
             assert_array_equal(bits(getattr(back, name)), bits(getattr(table, name)))
 
     def test_params_csv(self, tmp_path):
-        rows = full_sample_estimates([build_experience(ts) for ts in odd_dataset()])
+        rows = full_sample_estimates(build_experience(odd_dataset()))
         path = tmp_path / "params.csv"
         write_params_csv(path, rows)
         expected = [[r["technology"], r["T"]] + [_fmt(r[c]) for c in PARAM_COLUMNS[2:]] for r in rows]
@@ -154,37 +155,38 @@ class TestRoundTrips:
             assert_array_equal(bits([b[c] for c in PARAM_COLUMNS[2:]]), bits([r[c] for c in PARAM_COLUMNS[2:]]))
 
     def test_series_csv_built_and_unbuilt(self, tmp_path):
+        # the derived experience columns are filled for a built table and
+        # left empty for an unbuilt one
         raw = odd_dataset()
-        # built, unbuilt and built again: the derived columns come and go
-        dataset = [build_experience(ts) for ts in raw[:2]] + raw[2:4] + [build_experience(raw[4])]
-        path = tmp_path / "series.csv"
-        write_csv(path, dataset)
-        expected = []
-        for ts in dataset:
-            built = ts.experience is not None
-            for i in range(ts.T):
-                expected.append(
-                    [
-                        ts.name,
-                        int(ts.years[i]),
-                        _fmt(ts.cost[i]),
-                        _fmt(ts.production[i]),
-                        _fmt(ts.experience[i]) if built else "",
-                        _fmt(ts.log_cost[i]),
-                        _fmt(ts.log_experience[i]) if built else "",
-                    ]
-                )
-        assert file_text(path) == csv_writer_text(REQUIRED_COLUMNS + DERIVED_COLUMNS, expected)
-        back = ingest_csv(path)
-        assert [ts.name for ts in back] == list(ODD_NAMES)
-        for ts, b in zip(dataset, back):
-            assert_array_equal(b.years, ts.years)
-            assert_array_equal(bits(b.cost), bits(ts.cost))
-            assert_array_equal(bits(b.production), bits(ts.production))
+        for dataset in (build_experience(raw), raw):
+            path = tmp_path / "series.csv"
+            write_csv(path, dataset)
+            built = dataset.experience is not None
+            expected = []
+            for ts in dataset:
+                for i in range(ts.T):
+                    expected.append(
+                        [
+                            ts.name,
+                            int(ts.years[i]),
+                            _fmt(ts.cost[i]),
+                            _fmt(ts.production[i]),
+                            _fmt(ts.experience[i]) if built else "",
+                            _fmt(ts.log_cost[i]),
+                            _fmt(ts.log_experience[i]) if built else "",
+                        ]
+                    )
+            assert file_text(path) == csv_writer_text(REQUIRED_COLUMNS + DERIVED_COLUMNS, expected)
+            back = ingest_csv(path)
+            assert [ts.name for ts in back] == list(ODD_NAMES)
+            for ts, b in zip(dataset, back):
+                assert_array_equal(b.years, ts.years)
+                assert_array_equal(bits(b.cost), bits(ts.cost))
+                assert_array_equal(bits(b.production), bits(ts.production))
 
     def test_empty_dataset_writes_the_header(self, tmp_path):
         path = tmp_path / "series.csv"
-        write_csv(path, [])
+        write_csv(path, SeriesTable.from_series([]))
         assert file_text(path) == csv_writer_text(REQUIRED_COLUMNS + DERIVED_COLUMNS, [])
 
 
@@ -196,25 +198,25 @@ names = st.text(
 
 @st.composite
 def datasets(draw):
-    """One to four series of 3 to 8 years with arbitrary positive costs and
-    productions, each with or without built experience."""
+    """One to four series of 3 to 8 years with arbitrary positive costs, as
+    a table with experience built or as an unbuilt one."""
+    built = draw(st.booleans())
     out = []
     for name in draw(st.lists(names, min_size=1, max_size=4, unique=True)):
         T = draw(st.integers(3, 8))
         cost = draw(st.lists(positive, min_size=T, max_size=T))
         year0 = draw(st.integers(1800, 2100))
-        if draw(st.booleans()):
+        if built:
             # production within a factor of 4 of its first value and growing,
             # so the experience build neither fails nor loses increments
             base = draw(st.floats(min_value=1e-300, max_value=1e299))
             factors = draw(st.lists(st.floats(1.0, 2.0), min_size=T - 2, max_size=T - 2))
             production = [base] + sorted(base * f for f in factors) + [base * 4.0]
-            ts = build_experience(TechSeries(name, np.arange(year0, year0 + T), cost, production))
         else:
             production = draw(st.lists(positive, min_size=T, max_size=T))
-            ts = TechSeries(name, np.arange(year0, year0 + T), cost, production)
-        out.append(ts)
-    return out
+        out.append(TechSeries(name, np.arange(year0, year0 + T), cost, production))
+    table = SeriesTable.from_series(out)
+    return build_experience(table) if built else table
 
 
 class TestSeriesRoundTripProperty:

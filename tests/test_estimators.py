@@ -58,14 +58,17 @@ class TestFitWright:
 
     def test_scale_equivariance(self):
         # multiplying all costs by a constant shifts log levels only
-        from expcurve import TechSeries, build_experience
+        from expcurve import SeriesTable, TechSeries, build_experience
 
         rng = np.random.default_rng(6)
         T = 15
         cost = np.exp(rng.normal(0, 0.5, T))
         prod = np.exp(rng.normal(0.1, 0.2, T)).cumsum() + 1
-        a = build_experience(TechSeries("a", np.arange(T), cost, prod)).diffs()
-        b = build_experience(TechSeries("b", np.arange(T), 312.5 * cost, prod)).diffs()
+        pair = [
+            TechSeries("a", np.arange(T), cost, prod),
+            TechSeries("b", np.arange(T), 312.5 * cost, prod),
+        ]
+        a, b = (ts.diffs() for ts in build_experience(SeriesTable.from_series(pair)))
         wa, wb = fit_wright(a), fit_wright(b)
         assert wb.omega == pytest.approx(wa.omega, rel=1e-12)
         assert wb.sigma_eta == pytest.approx(wa.sigma_eta, rel=1e-9)
@@ -331,6 +334,12 @@ class TestPoolRho:
     def test_reference_table(self):
         rows = load_reference_params()
         assert len(rows) == 51
-        rho_star, excl = pool_rho([r["rho"] for r in rows])
-        assert excl == 9
-        assert abs(rho_star - 0.19) <= 0.01
+        # the paper's 0.19; no row is exactly at +-0.99
+        assert pool_rho([r["rho"] for r in rows]) == (0.19376190476190472, 9)
+
+    def test_excludes_what_the_fit_flags(self):
+        # 0.99 is a boundary estimate for fit_wright_ma1, so pooling drops it
+        assert pool_rho([0.99, 0.1]) == (0.1, 1)
+        assert pool_rho([-0.99, 0.1, math.nan]) == (0.1, 2)
+        flagged = WrightParams(omega=-1, sigma_eta=0.1, m=5, rho=0.99, sigma_u=0.1, boundary=True)
+        assert pool_rho([flagged, 0.3]) == (0.3, 1)

@@ -14,6 +14,7 @@ from expcurve import (
     HindcastConfig,
     HindcastError,
     HindcastTable,
+    SeriesTable,
     SurrogateSpec,
     TechSeries,
     fit_moore,
@@ -126,12 +127,12 @@ class TestForecastsAndEstimates:
         cfg = HindcastConfig(m=5, tau_max=4)
         before = {
             (e.origin_year, e.tau, e.model): e.raw_error
-            for e in run_hindcast([ts], cfg)
+            for e in run_hindcast(SeriesTable.from_series([ts]), cfg)
         }
         cost = np.array(ts.cost)
         cost[:3] *= 31.7  # touches only years before origin index >= 8 windows
         corrupted = TechSeries(ts.name, ts.years, cost, ts.production, ts.experience)
-        after = run_hindcast([corrupted], cfg)
+        after = run_hindcast(SeriesTable.from_series([corrupted]), cfg)
         for e in after:
             if e.origin_index - cfg.m >= 3:
                 assert e.raw_error == pytest.approx(
@@ -236,7 +237,8 @@ class TestNormalizationFields:
         from expcurve import build_experience
 
         with pytest.warns(UserWarning, match="zero residual scale"):
-            errs = run_hindcast([build_experience(ts)], HindcastConfig(m=5))
+            dataset = build_experience(SeriesTable.from_series([ts]))
+            errs = run_hindcast(dataset, HindcastConfig(m=5))
         assert len(errs) > 0
         assert all(math.isnan(e.normalized_error) for e in errs)
         assert all(e.raw_error == pytest.approx(0.0, abs=1e-12) for e in errs)
@@ -430,7 +432,7 @@ class TestTableProperties:
         ts = dataset[j]
         cost = np.array(ts.cost)
         cost[:cut] *= factors
-        changed = [*dataset[:j], _with_costs(ts, cost), *dataset[j + 1:]]
+        changed = SeriesTable.from_series([*dataset[:j], _with_costs(ts, cost), *dataset[j + 1:]])
         before = _hindcast_quietly(dataset, cfg)
         after = _hindcast_quietly(changed, cfg)
         assert len(after) == len(before)
@@ -451,12 +453,12 @@ class TestTableProperties:
         # is below 1e-12 relative unless the scale estimate is tiny, as for
         # m = 2 and two nearly equal cost changes.
         dataset, cfg = case
-        scaled = [_with_costs(ts, ts.cost * c) for ts in dataset]
+        scaled = SeriesTable.from_series([_with_costs(ts, ts.cost * c) for ts in dataset])
         before = _hindcast_quietly(dataset, cfg)
         after = _hindcast_quietly(scaled, cfg)
         if not len(before):
             return
-        log_cost = max(np.abs(ts.log_cost).max() for ts in dataset + scaled)
+        log_cost = max(np.abs(ts.log_cost).max() for ts in [*dataset, *scaled])
         scale = np.minimum(before.K_hat, before.sigma_eta_hat)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")

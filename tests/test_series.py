@@ -7,6 +7,7 @@ from numpy.testing import assert_allclose
 from expcurve import (
     DataError,
     DiffSeries,
+    SeriesTable,
     TechSeries,
     build_experience,
     estimate_discrete_growth,
@@ -14,6 +15,11 @@ from expcurve import (
     ingest_csv,
     write_csv,
 )
+
+
+def built(ts):
+    """``ts`` with experience built, through a table of one series."""
+    return build_experience(SeriesTable.from_series([ts]))[0]
 
 
 def make_csv(tmp_path, text, name="data.csv"):
@@ -110,9 +116,9 @@ class TestIngest:
             np.exp(rng.normal(0, 1, 20)),
             np.exp(rng.normal(0, 1, 20)),
         )
-        ts = build_experience(ts)
+        ts = built(ts)
         out = tmp_path / "out.csv"
-        write_csv(out, [ts])
+        write_csv(out, SeriesTable.from_series([ts]))
         back = ingest_csv(out)[0]
         assert np.array_equal(back.years, ts.years)
         assert np.array_equal(back.cost, ts.cost)
@@ -121,7 +127,7 @@ class TestIngest:
     def test_round_trip_without_experience(self, tmp_path):
         ts = TechSeries("raw", [1, 2, 3], [2.0, 1.5, 1.25], [1.0, 2.0, 3.0])
         out = tmp_path / "raw.csv"
-        write_csv(out, [ts])
+        write_csv(out, SeriesTable.from_series([ts]))
         back = ingest_csv(out)[0]
         assert back.experience is None
         assert np.array_equal(back.cost, ts.cost)
@@ -143,8 +149,8 @@ class TestTechSeries:
         rng = np.random.default_rng(3)
         cost = np.exp(rng.normal(0, 1, 12))
         prod = np.exp(rng.normal(0.1, 0.2, 12)).cumsum() + 1
-        a = build_experience(TechSeries("a", np.arange(12), cost, prod))
-        b = build_experience(TechSeries("b", np.arange(12), 7.3 * cost, prod))
+        a = built(TechSeries("a", np.arange(12), cost, prod))
+        b = built(TechSeries("b", np.arange(12), 7.3 * cost, prod))
         assert_allclose(a.diffs().y, b.diffs().y, atol=1e-14)
         assert_allclose(a.diffs().x, b.diffs().x, atol=1e-15)
 
@@ -186,20 +192,20 @@ class TestDiscreteGrowth:
 class TestBuildExperience:
     def test_hand_recursion(self):
         ts = TechSeries("A", [0, 1, 2], [1.0, 0.9, 0.8], [1.0, 2.0, 4.0])
-        ts = build_experience(ts)
+        ts = built(ts)
         assert_allclose(ts.experience, [1.0, 2.0, 4.0], rtol=1e-14)
         assert_allclose(ts.log_experience, [0.0, math.log(2), math.log(4)], rtol=1e-14)
 
     def test_constant_production_rejected(self):
         ts = TechSeries("A", [0, 1, 2], [1.0, 0.9, 0.8], [3.0, 3.0, 3.0])
         with pytest.raises(DataError, match="zero production growth"):
-            build_experience(ts)
+            built(ts)
 
     def test_geometric_production_gives_constant_growth(self):
         g_d = 0.17
         T = 15
         q = 2.5 * (1 + g_d) ** np.arange(T)
-        ts = build_experience(TechSeries("g", np.arange(T), np.ones(T), q))
+        ts = built(TechSeries("g", np.arange(T), np.ones(T), q))
         x = np.diff(ts.log_experience)
         assert_allclose(x, math.log(1 + g_d), rtol=1e-10)
         # correction consistency: Z_t = Q_t / g_d at every t
@@ -208,7 +214,7 @@ class TestBuildExperience:
     def test_accumulation_identity_and_monotone(self):
         rng = np.random.default_rng(11)
         q = np.exp(rng.normal(0.1, 0.3, 25)).cumsum()
-        ts = build_experience(TechSeries("m", np.arange(25), np.ones(25), q))
+        ts = built(TechSeries("m", np.arange(25), np.ones(25), q))
         z = ts.experience
         assert np.all(np.diff(z) > 0)
         assert_allclose(np.diff(z), q[:-1], rtol=1e-12)
@@ -217,9 +223,7 @@ class TestBuildExperience:
 class TestGrowthStats:
     def _series_from_dlq(self, dlq):
         q = np.exp(np.concatenate([[0.0], np.cumsum(dlq)]))
-        return build_experience(
-            TechSeries("s", np.arange(len(q)), np.ones(len(q)), q)
-        )
+        return built(TechSeries("s", np.arange(len(q)), np.ones(len(q)), q))
 
     def test_constant_diffs(self):
         gs = growth_stats(self._series_from_dlq([0.1, 0.1]))
@@ -250,3 +254,73 @@ class TestDiffSeries:
 
     def test_m(self):
         assert DiffSeries(y=[1.0, 2.0], x=[1.0, 1.0]).m == 2
+
+
+def two_series(first="a", second="b"):
+    return [
+        TechSeries(first, np.arange(1990, 2000), np.linspace(2.0, 1.0, 10), np.arange(1.0, 11.0)),
+        TechSeries(second, np.arange(2000, 2010), np.linspace(3.0, 1.5, 10), np.arange(2.0, 12.0)),
+    ]
+
+
+class TestSeriesTable:
+    def test_columns_rows_and_sub_tables(self):
+        table = build_experience(SeriesTable.from_series(two_series()))
+        assert len(table) == 2 and table.T.tolist() == [10, 10]
+        assert table.names.tolist() == ["a", "b"]
+        assert_allclose(table.log_cost, np.log(table.cost), rtol=0, atol=0)
+        a, b = table
+        assert (a.name, b.name) == ("a", "b")
+        assert np.array_equal(b.years, np.arange(2000, 2010))
+        assert np.array_equal(table[-1].experience, table.experience[10:])
+        assert np.array_equal(a.log_experience, table.log_experience[:10])
+        sub = table[table.names == "b"]
+        assert isinstance(sub, SeriesTable) and len(sub) == 1
+        assert np.array_equal(sub[0].cost, b.cost) and np.array_equal(sub.experience, b.experience)
+        assert table[::-1].names.tolist() == ["b", "a"]
+        assert np.array_equal(table[[1, 0]].years[:10], b.years)
+        with pytest.raises(IndexError):
+            table[2]
+
+    def test_columns_and_row_views_are_read_only(self):
+        table = SeriesTable.from_series(two_series())
+        with pytest.raises(ValueError):
+            table.cost[0] = 5.0
+        with pytest.raises(ValueError):
+            table[1].production[0] = 5.0
+
+    def test_experience_for_all_or_none(self):
+        raw = two_series()
+        with pytest.raises(DataError, match="all of its series or for none"):
+            SeriesTable.from_series([built(raw[0]), raw[1]])
+
+    def test_unbuilt_table_has_no_log_experience(self):
+        with pytest.raises(DataError, match="experience not built"):
+            SeriesTable.from_series(two_series()).log_experience
+
+    def test_lengths_must_match(self):
+        with pytest.raises(DataError, match="lengths differ"):
+            SeriesTable(["a"], [3], [1, 2, 3], [1.0, 1.0], [1.0, 1.0, 1.0])
+        with pytest.raises(DataError, match="lengths differ"):
+            TechSeries("a", [1, 2, 3], [1.0, 1.0, 1.0], [1.0, 1.0])
+
+    def test_empty_name_rejected(self):
+        with pytest.raises(DataError, match="^empty technology name$"):
+            TechSeries("", [1, 2, 3], [1.0, 1.0, 1.0], [1.0, 2.0, 3.0])
+        with pytest.raises(DataError, match="^empty technology name$"):
+            SeriesTable.from_series(two_series(second=""))
+
+    def test_duplicate_name_rejected(self):
+        # two series named "a" would be written to one CSV and read back as
+        # one 20-year series
+        with pytest.raises(DataError, match="^a: duplicate technology name$"):
+            SeriesTable.from_series(two_series(second="a"))
+
+    def test_faults_name_their_technology(self):
+        raw = two_series()
+        with pytest.raises(DataError, match="^b: gap in years \\(2001 -> 2003\\)$"):
+            SeriesTable(["a", "b"], [10, 10], np.r_[raw[0].years, 2000, 2001, range(2003, 2011)],
+                        np.ones(20), np.ones(20))
+        with pytest.raises(DataError, match="^b: experience must be finite"):
+            SeriesTable(["a", "b"], [10, 10], np.r_[raw[0].years, raw[1].years], np.ones(20),
+                        np.ones(20), np.r_[np.arange(1.0, 11.0), 5.0, np.arange(5.0, 14.0)])

@@ -148,6 +148,18 @@ class TestMakeDataset:
         with pytest.raises(ValueError, match="length n_tech"):
             SurrogateSpec(n_tech=3, g=np.array([0.1, 0.2]))
 
+    def test_periods_checked_at_construction(self):
+        with pytest.raises(ValueError, match="T must be integral"):
+            SurrogateSpec(n_tech=1, T=50.7)
+        with pytest.raises(ValueError, match="T must be integral"):
+            SurrogateSpec(n_tech=2, T=np.array([12, 9.5]))
+        with pytest.raises(ValueError, match="T must be at least 4 per technology"):
+            SurrogateSpec(n_tech=1, T=3)
+        with pytest.raises(ValueError, match="T must be at least 4 per technology"):
+            SurrogateSpec(n_tech=3, T=np.array([30, 12, 3]))
+        spec = SurrogateSpec(n_tech=2, T=np.array([4.0, 6.0]), n_ensembles=1)
+        assert make_dataset(spec).T.tolist() == [4, 6]
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize(
         "field", ["n_tech", "T", "g", "sigma_q", "omega", "sigma_eta", "rho", "n_ensembles"]
