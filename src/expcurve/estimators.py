@@ -29,13 +29,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .series import DiffSeries, SeriesTable, growth_stats
+from .params_io import PARAM_COLUMNS
+from .series import DataError, DiffSeries, SeriesTable
 
 # MA(1) coefficients at or beyond this magnitude are flagged as boundary
 # estimates; pooling excludes them as likely misspecified.
 RHO_BOUNDARY = 0.99
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+# Golden-section steps allowed before a fit is reported as not converged.
+_MAX_ITER = 200
 
 
 @dataclass(frozen=True)
@@ -149,28 +152,18 @@ def _innovation_sums(y, x, rhos, lengths):
     return syy, sxy, sxx, logdet
 
 
-def _innovation_profiles(y, x, rhos, lengths=None):
+def _innovation_profiles(y, x, rhos, lengths):
     """Profile likelihood of the MA(1) regression at each candidate ``rho``.
 
     Whitens ``y`` and ``x`` with the innovations recursion, then solves the
     generalized least-squares slope and the ML innovation variance in closed
-    form. One series is ``(m,)`` arrays with ``(k,)`` candidates; a batch is
-    an ``(n, m_max)`` stack with ``(n, k)`` (or shared ``(k,)``) candidates
-    and, for rows of unequal length, the row ``lengths`` ordered as
-    :func:`_innovation_sums` needs.
+    form. ``y`` and ``x`` are ``(n, m_max)`` stacks with row ``lengths``
+    ordered as :func:`_innovation_sums` needs; the candidates are ``(n, k)``
+    or shared ``(k,)``.
 
-    Returns ``(loglik, omega, sigma_u2)`` arrays shaped like the candidates.
+    Returns ``(loglik, omega, sigma_u2)`` arrays, each ``(n, k)``.
     """
-    y = np.asarray(y, dtype=float)
-    x = np.asarray(x, dtype=float)
-    rhos = np.atleast_1d(np.asarray(rhos, dtype=float))
-    single = y.ndim == 1
-    if single:
-        y, x = y[None], x[None]
-    if lengths is None:
-        lengths = np.full(len(y), y.shape[1])
-    if rhos.ndim == 1:
-        rhos = np.broadcast_to(rhos, (len(y), len(rhos)))
+    rhos = np.broadcast_to(rhos, (len(y), np.shape(rhos)[-1]))
     syy, sxy, sxx, logdet = _innovation_sums(y, x, rhos, lengths)
     if (sxx <= 0.0).any():
         raise ValueError("degenerate regressor: all experience changes are zero")
@@ -179,8 +172,6 @@ def _innovation_profiles(y, x, rhos, lengths=None):
     rss = np.maximum(syy - omega * sxy, 1e-300)  # guard exact fits
     sigma_u2 = rss / m
     loglik = -0.5 * (m * np.log(2.0 * np.pi * sigma_u2) + logdet + m)
-    if single:
-        return loglik[0], omega[0], sigma_u2[0]
     return loglik, omega, sigma_u2
 
 
@@ -196,9 +187,7 @@ def ma1_loglik(diffs: DiffSeries, omega: float, rho: float, sigma_u: float) -> f
     return -0.5 * (m * math.log(2.0 * math.pi * s2) + logdet.item() + quad.item() / s2)
 
 
-def fit_wright_ma1(
-    diffs: DiffSeries | Sequence[DiffSeries], max_iter: int = 200
-) -> WrightParams | list[WrightParams]:
+def fit_wright_ma1(diffs: DiffSeries | Sequence[DiffSeries]) -> WrightParams | list[WrightParams]:
     """Maximum-likelihood fit of the MA(1) experience-curve model.
 
     ``rho`` is searched on a 0.01-step grid over [-1, 1] with ``omega`` and
@@ -216,7 +205,7 @@ def fit_wright_ma1(
 
     Requires ``m >= 4``; shorter windows leave the likelihood too flat in
     ``rho`` for the estimate to mean anything. Raises ``RuntimeError`` if a
-    series has not converged after ``max_iter`` golden-section steps.
+    series has not converged after ``_MAX_ITER`` (200) golden-section steps.
     """
     single = isinstance(diffs, DiffSeries)
     batch = [diffs] if single else list(diffs)
@@ -247,7 +236,7 @@ def fit_wright_ma1(
     val, _, _ = _innovation_profiles(y, x, np.stack([c, d], axis=1), lengths)
     fc, fd = -val[:, 0], -val[:, 1]
     active = np.ones(len(batch), dtype=bool)
-    for _ in range(max_iter):
+    for _ in range(_MAX_ITER):
         active = ~(b - a < 1e-10)
         if not active.any():
             break
@@ -313,35 +302,39 @@ def full_sample_estimates(dataset: SeriesTable) -> list[dict]:
     """Whole-sample estimate rows, one per technology of a
     :class:`SeriesTable` with experience built.
 
-    Each row holds the columns of the ``estimate`` output table: growth
-    statistics, Moore drift/scale, the least-squares experience exponent and
-    residual scale, and the MA(1) coefficient (``nan`` when the series is too
-    short). The MA(1) coefficients of all series with ``m >= 4`` come from
-    one lockstep :func:`fit_wright_ma1` call.
+    Each row holds the ``PARAM_COLUMNS`` of the ``estimate`` output table:
+    growth statistics, Moore drift/scale, the least-squares experience
+    exponent and residual scale, and the MA(1) coefficient (``nan`` when the
+    series is too short). The table's log columns are differenced once,
+    whole; the series of each length are then gathered into one matrix, row
+    by row, and reduced along the rows by the same kernels as
+    :func:`fit_wright`, :func:`fit_moore` and :func:`growth_stats`, so each
+    value adds the same terms in the same order as those per-series
+    functions. The MA(1) coefficients of all series with ``m >= 4`` come
+    from one lockstep :func:`fit_wright_ma1` call.
     """
-    rows, ma1 = [], []
-    for series in dataset:
-        gs = growth_stats(series)
-        d = series.diffs()
-        w = fit_wright(d)
-        mo = fit_moore(d)
-        if d.m >= 4:
-            ma1.append((len(rows), d))
-        rows.append(
-            {
-                "technology": series.name,
-                "T": series.T,
-                "mu": mo.mu,
-                "K": mo.K,
-                "g": gs.g,
-                "sigma_q": gs.sigma_q,
-                "r": gs.r,
-                "sigma_x": gs.sigma_x,
-                "omega": w.omega,
-                "sigma_eta": w.sigma_eta,
-                "rho": float("nan"),
-            }
-        )
-    for (i, _), fit in zip(ma1, fit_wright_ma1([d for _, d in ma1])):
-        rows[i]["rho"] = fit.rho
-    return rows
+    T = dataset.T
+    cut = np.cumsum(T)[:-1] - 1  # the steps from one series into the next
+    logs = (dataset.log_cost, dataset.log_experience, np.log(dataset.production))
+    dy, dx, dq = (np.delete(np.diff(c), cut) for c in logs)
+    if np.any(dx <= 0):
+        raise DataError("experience differences must be positive")
+    start = np.cumsum(T - 1) - (T - 1)
+    # rows in PARAM_COLUMNS order after technology and T
+    est = np.full((len(PARAM_COLUMNS) - 2, len(T)), np.nan)
+    ma1, ma1_rows = [], []
+    for length in np.unique(T).tolist():
+        j = np.flatnonzero(T == length)
+        rows = start[j, None] + np.arange(length - 1)
+        y, x = dy[rows], dx[rows]
+        _, omega, sig_eta2, mu, k2 = _window_fits(x, y)
+        growth = np.stack([dq[rows], x])
+        g, r = growth.mean(axis=-1)
+        sigma_q, sigma_x = growth.std(axis=-1, ddof=1)
+        est[:-1, j] = mu, np.sqrt(k2), g, sigma_q, r, sigma_x, omega, np.sqrt(sig_eta2)
+        if length > 4:
+            ma1 += map(DiffSeries, y, x)
+            ma1_rows += j.tolist()
+    est[-1, ma1_rows] = [fit.rho for fit in fit_wright_ma1(ma1)]
+    columns = (dataset.names.tolist(), T.tolist(), *est.tolist())
+    return [dict(zip(PARAM_COLUMNS, row)) for row in zip(*columns)]

@@ -78,9 +78,10 @@ class HindcastError:
     so errors of different horizons can be aggregated (``/ sqrt(A)`` for the
     random walk, ``/ sqrt(constant-growth MA(1) variance)`` for the
     experience curve). ``m`` is the window size. ``wright_variance`` is the
-    realized-experience MA(1) variance of this window/horizon. Records
-    loaded from CSV carry ``None`` for ``origin_index`` and the variances,
-    which the CSV format omits.
+    realized-experience MA(1) variance of this window/horizon (the
+    random-walk variance is ``K_hat**2 * A``). Records loaded from CSV carry
+    ``None`` for ``origin_index`` and ``wright_variance``, which the CSV
+    format omits.
 
     A row is a fresh view built from the table's columns on every access:
     changing its fields changes nothing in the table, and rows compare by
@@ -99,12 +100,11 @@ class HindcastError:
     pooled_error: float
     m: int
     origin_index: int | None = None
-    moore_variance: float | None = None
     wright_variance: float | None = None
 
 
 _FIELDS = tuple(f.name for f in fields(HindcastError))
-_OPTIONAL = ("origin_index", "moore_variance", "wright_variance")
+_OPTIONAL = ("origin_index", "wright_variance")
 _DTYPES = {
     "technology": str,
     "model": str,
@@ -126,9 +126,9 @@ class HindcastTable:
     origin, horizon, model).
 
     Each :class:`HindcastError` field is a NumPy array attribute of the same
-    name. An optional column (``origin_index``, ``moore_variance``,
-    ``wright_variance``) is ``None`` when the source lacks it; a table read
-    from CSV has none of them. A table without ``m`` cannot be made.
+    name. An optional column (``origin_index``, ``wright_variance``) is
+    ``None`` when the source lacks it; a table read from CSV has neither. A
+    table without ``m`` cannot be made.
 
     ``len(table)``, ``table[i]`` and iteration give :class:`HindcastError`
     row views, so record-wise code and ``dataclasses.replace`` keep working;
@@ -256,7 +256,6 @@ def _hindcast_rows(dataset: SeriesTable, cfg: HindcastConfig) -> tuple[HindcastT
     e_m = actual - mu[win] * taus
     a = a_factor(taus, m)
     v_wright = su2[win] * _ma1_unit_variance(rho, xw[win], fsum, taus)
-    v_moore = k2[win] * a
 
     n = len(taus)
     k_row = k_hat[win]
@@ -288,7 +287,6 @@ def _hindcast_rows(dataset: SeriesTable, cfg: HindcastConfig) -> tuple[HindcastT
         pooled_error=per_model(pooled_m, pooled_w),
         m=np.full(2 * n, m),
         origin_index=per_row(o[win]),
-        moore_variance=per_row(v_moore),
         wright_variance=per_row(v_wright),
     )
     return table, int(np.count_nonzero(~(k_hat > 0.0)))
@@ -386,8 +384,8 @@ def read_errors_csv(path) -> HindcastTable:
 
     Columns are found by header name. Raises ``ValueError`` for a missing
     column, a row with missing fields, or a window size ``m`` that cannot be
-    recovered from ``A = tau + tau**2 / m``. ``origin_index`` and the
-    variances are not stored, so those columns are ``None``.
+    recovered from ``A = tau + tau**2 / m``. ``origin_index`` and
+    ``wright_variance`` are not stored, so those columns are ``None``.
     """
     columns = _csvio.read_csv(
         path, {name: _DTYPES.get(name, float) for name in ERROR_COLUMNS}, "error CSV"

@@ -136,8 +136,9 @@ def gen_cost(x_diffs, omega: float, sigma_eta: float, rho: float, seed) -> np.nd
     return np.concatenate([[0.0], np.cumsum(omega * x + e)])
 
 
-def _growing_production(T, g, sigma_q, seed, base_key) -> np.ndarray:
-    """Draw a production path, conditioning on overall growth.
+def _growing_production(T, g, sigma_q, seed, base_key) -> tuple[np.ndarray, np.ndarray]:
+    """Draw a production path, conditioning on overall growth; returns the
+    path and its corrected experience, whose construction is the test.
 
     The initial-stock correction needs an end-to-end growth rate above
     ``GROWTH_FLOOR``, the test ``build_experience`` applies to real data;
@@ -150,10 +151,9 @@ def _growing_production(T, g, sigma_q, seed, base_key) -> np.ndarray:
         key = base_key if attempt == 0 else (*base_key, attempt)
         q = gen_production(T, g, sigma_q, _rng(seed, *key))
         try:
-            _corrected_experience("", q)
+            return q, _corrected_experience("", q)
         except DataError:
             continue
-        return q
     raise DataError(
         f"no growing production path found for stream {base_key} "
         f"(g={g}, sigma_q={sigma_q}, T={T})"
@@ -170,10 +170,11 @@ def make_dataset(spec: SurrogateSpec, replicate: int = 0) -> SeriesTable:
     shorter stretch of it did not grow raises ``DataError``.
     """
 
-    def draw_production(T, g, sigma_q, key):
+    def draw_production(T, g, sigma_q, key):  # a path and its experience
         if spec.corrected_experience:
             return _growing_production(T, g, sigma_q, spec.seed, key)
-        return gen_production(T, g, sigma_q, _rng(spec.seed, *key))
+        q = gen_production(T, g, sigma_q, _rng(spec.seed, *key))
+        return q, np.cumsum(q)
 
     fields = ("T", "g", "sigma_q", "omega", "sigma_eta", "rho")
     lengths, *per_tech = (np.broadcast_to(getattr(spec, f), spec.n_tech).tolist() for f in fields)
@@ -182,15 +183,15 @@ def make_dataset(spec: SurrogateSpec, replicate: int = 0) -> SeriesTable:
     if spec.shared_production:
         # one path, drawn with the first technology's g and sigma_q
         key = (replicate, 0, _ROLE_SHARED_PRODUCTION)
-        shared_q = draw_production(max(lengths), per_tech[0][0], per_tech[1][0], key)
+        shared_q, _ = draw_production(max(lengths), per_tech[0][0], per_tech[1][0], key)
     names, cost, production, experience = [], [], [], []
     for j, (T, g, sigma_q, omega, sigma_eta, rho) in enumerate(zip(lengths, *per_tech)):
         names.append(f"tech{j:03d}")
-        if shared_q is not None:
-            q = shared_q[:T]
+        if shared_q is None:
+            q, z = draw_production(T, g, sigma_q, (replicate, j, _ROLE_PRODUCTION))
         else:
-            q = draw_production(T, g, sigma_q, (replicate, j, _ROLE_PRODUCTION))
-        z = _corrected_experience(names[j], q) if spec.corrected_experience else np.cumsum(q)
+            q = shared_q[:T]
+            z = _corrected_experience(names[j], q) if spec.corrected_experience else np.cumsum(q)
         rng = _rng(spec.seed, replicate, j, _ROLE_COST)
         cost.append(np.exp(gen_cost(np.diff(np.log(z)), omega, sigma_eta, rho, rng)))
         production.append(q)

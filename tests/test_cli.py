@@ -397,8 +397,10 @@ class TestMixedLengthGoldenBytes:
         params = tmp_path / "mixed.csv"
         params.write_text(MIXED_PARAMS)
         out = tmp_path / "out"
-        for argv in _mixed_argvs(run, params, out):
-            assert run_cli("--output-dir", out, *argv) == 0
+        # every run hindcasts the T = 5 technology, too short for m = 5
+        with pytest.warns(UserWarning, match=r"tech000: too short for m=5 \(T=5\); skipped"):
+            for argv in _mixed_argvs(run, params, out):
+                assert run_cli("--output-dir", out, *argv) == 0
         for name, digest in GOLDEN_MIXED[run].items():
             assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
 
@@ -468,6 +470,41 @@ class TestOneSeriesPath:
             ["simulate", "--mimic", reference_params_path(), "--ensembles", 2],
         ):
             assert run_cli("--output-dir", out, *argv) == 0, argv
+
+
+class TestOneEstimatePath:
+    def test_estimate_reads_columns(self, tmp_path, monkeypatch):
+        # whole-sample estimates come from the table's columns; a row view,
+        # a per-series difference copy or a per-series fit would call a
+        # patched function and fail
+        def refuse(*args, **kwargs):
+            raise AssertionError("per-series path taken")
+
+        params = tmp_path / "mixed.csv"
+        params.write_text(MIXED_PARAMS)
+        mixed = tmp_path / "mixed"
+        with pytest.warns(UserWarning, match="too short"):
+            assert run_cli("--output-dir", mixed, *_mixed_argvs("estimate", params, mixed)[0]) == 0
+        fits = {"window": 0, "ma1": 0}
+
+        def count(name, fn):
+            def wrapped(*args):
+                fits[name] += 1
+                return fn(*args)
+            return wrapped
+
+        monkeypatch.setattr(SeriesTable, "__iter__", refuse)
+        monkeypatch.setattr(TechSeries, "diffs", refuse)
+        monkeypatch.setattr(estimators, "fit_wright", refuse)
+        monkeypatch.setattr(estimators, "fit_moore", refuse)
+        monkeypatch.setattr(estimators, "_window_fits", count("window", estimators._window_fits))
+        monkeypatch.setattr(estimators, "fit_wright_ma1", count("ma1", estimators.fit_wright_ma1))
+        # 3 series of one length, then 5 of 5 distinct lengths
+        for data, lengths in ((small_dataset(tmp_path), 1), (mixed / "dataset.csv", 5)):
+            fits.update(window=0, ma1=0)
+            argv = ["--output-dir", tmp_path / "out", "estimate", "--input", data, "--emit-series"]
+            assert run_cli(*argv) == 0
+            assert fits == {"window": lengths, "ma1": 1}
 
 
 class TestEntryPoint:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from expcurve import (
     DiffSeries,
@@ -165,9 +165,7 @@ class TestMa1ProfileAgainstDenseGls:
         rng = np.random.default_rng(17)
         m, rho = 25, 0.35
         d = ma1_diffs(rng, m, omega=-0.4, sigma_eta=0.12, rho=rho)
-        ll, omega, su2 = _innovation_profiles(
-            np.asarray(d.y), np.asarray(d.x), np.array([rho])
-        )
+        ll, omega, su2 = _innovation_profiles(d.y[None], d.x[None], np.array([rho]), np.array([m]))
         # oracle: explicit generalized least squares with the dense covariance
         cov = np.zeros((m, m))
         np.fill_diagonal(cov, 1 + rho**2)
@@ -179,9 +177,9 @@ class TestMa1ProfileAgainstDenseGls:
         su2_gls = (resid @ np.linalg.solve(cov, resid)) / m
         sign, logdet = np.linalg.slogdet(cov)
         ll_gls = -0.5 * (m * math.log(2 * math.pi * su2_gls) + logdet + m)
-        assert omega[0] == pytest.approx(omega_gls, rel=1e-11)
-        assert su2[0] == pytest.approx(su2_gls, rel=1e-11)
-        assert ll[0] == pytest.approx(ll_gls, rel=1e-11)
+        assert omega[0, 0] == pytest.approx(omega_gls, rel=1e-11)
+        assert su2[0, 0] == pytest.approx(su2_gls, rel=1e-11)
+        assert ll[0, 0] == pytest.approx(ll_gls, rel=1e-11)
 
     def test_optimum_not_beaten_by_scipy(self):
         from scipy.optimize import minimize_scalar
@@ -195,9 +193,9 @@ class TestMa1ProfileAgainstDenseGls:
 
             def nll(rho):
                 ll, _, _ = _innovation_profiles(
-                    np.asarray(d.y), np.asarray(d.x), np.array([rho])
+                    d.y[None], d.x[None], np.array([rho]), np.array([d.m])
                 )
-                return -float(ll[0])
+                return -float(ll[0, 0])
 
             res = minimize_scalar(nll, bounds=(-1, 1), method="bounded",
                                   options={"xatol": 1e-10})
@@ -262,9 +260,9 @@ class TestFitWrightMa1Batch:
         rhos = rng.uniform(-1, 1, (len(rows), 7))
         batched = _innovation_profiles(y, x, rhos, lengths)
         for i, d in enumerate(rows):
-            single = _innovation_profiles(np.asarray(d.y), np.asarray(d.x), rhos[i])
+            single = _innovation_profiles(d.y[None], d.x[None], rhos[i], np.array([d.m]))
             for got, want in zip(batched, single):
-                assert np.array_equal(got[i], want)
+                assert np.array_equal(got[i], want[0])
         with pytest.raises(ValueError, match="non-increasing"):
             _innovation_profiles(y[::-1], x[::-1], rhos, lengths[::-1])
 
@@ -283,30 +281,56 @@ class TestFitWrightMa1Batch:
         with pytest.raises(ValueError, match="at least 4 differences.*got 3"):
             fit_wright_ma1(batch)
 
-    def test_tiny_max_iter_raises(self):
+    def test_tiny_max_iter_raises(self, monkeypatch):
+        from expcurve import estimators
+
         rng = np.random.default_rng(2)
         batch = [ma1_diffs(rng, m, omega=-0.3, sigma_eta=0.1, rho=0.2) for m in (12, 30)]
+        monkeypatch.setattr(estimators, "_MAX_ITER", 3)
         for arg in (batch, batch[0]):
             with pytest.raises(RuntimeError, match="did not converge; best rho so far"):
-                fit_wright_ma1(arg, max_iter=3)
+                fit_wright_ma1(arg)
+        monkeypatch.setattr(estimators, "_MAX_ITER", 0)
         with pytest.raises(RuntimeError, match="did not converge"):
-            fit_wright_ma1(batch, max_iter=0)
+            fit_wright_ma1(batch)
 
     def test_empty_sequence(self):
         assert fit_wright_ma1([]) == []
 
     def test_full_sample_estimates_one_row_per_series(self):
-        from expcurve import SurrogateSpec, make_dataset
+        from expcurve import SurrogateSpec, growth_stats, make_dataset
+        from expcurve.params_io import PARAM_COLUMNS
 
-        ds = make_dataset(SurrogateSpec(n_tech=4, T=np.array([30, 4, 12, 5]), seed=3, n_ensembles=1), 0)
+        # repeated lengths share one matrix; lengths above 8 and 128 cross
+        # NumPy's pairwise-summation blocks
+        T = np.array([200, 4, 9, 130, 12, 5, 9, 30, 200])
+        ds = make_dataset(SurrogateSpec(n_tech=len(T), T=T, seed=3, n_ensembles=1), 0)
         rows = full_sample_estimates(ds)
         assert [r["technology"] for r in rows] == [ts.name for ts in ds]
-        # T=4 leaves 3 differences, too few for the MA(1) fit
-        assert math.isnan(rows[1]["rho"])
         for ts, row in zip(ds, rows):
-            if ts.T > 4:
-                assert row["rho"] == fit_wright_ma1(ts.diffs()).rho
-            assert row["omega"] == fit_wright(ts.diffs()).omega
+            assert list(row) == list(PARAM_COLUMNS)
+            d = ts.diffs()
+            gs, w, mo = growth_stats(ts), fit_wright(d), fit_moore(d)
+            # T=4 leaves 3 differences, too few for the MA(1) fit
+            rho = fit_wright_ma1(d).rho if ts.T > 4 else math.nan
+            want = [ts.name, ts.T, mo.mu, mo.K, gs.g, gs.sigma_q, gs.r, gs.sigma_x,
+                    w.omega, w.sigma_eta, rho]
+            got = list(row.values())
+            assert got[:2] == want[:2]
+            assert all(type(v) is type(u) for v, u in zip(got, want))
+            bits = [np.array(v[2:], dtype=float).view(np.uint64) for v in (got, want)]
+            assert_array_equal(*bits)
+
+
+    def test_full_sample_estimates_rejects_flat_log_experience(self):
+        from expcurve import DataError, SeriesTable
+
+        # experience strictly increasing, but too little for its log to move
+        z = [1e20, 1e20 + 2**14, 1e20 + 2**15]
+        table = SeriesTable(["a"], [3], [1, 2, 3], [1.0, 0.9, 0.8], [1.0, 1.0, 1.0], z)
+        assert np.all(np.diff(table.experience) > 0)
+        with pytest.raises(DataError, match="experience differences must be positive"):
+            full_sample_estimates(table)
 
 
 class TestPoolRho:

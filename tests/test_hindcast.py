@@ -175,7 +175,6 @@ class TestForecastsAndEstimates:
             su = e.sigma_eta_hat / math.sqrt(1 + rho**2)
             expect = wright_ma1_variance(su, rho, d.x[o - 5:o], d.x[o:o + e.tau])
             assert e.wright_variance == pytest.approx(expect, rel=1e-12)
-            assert e.moore_variance == pytest.approx(e.K_hat**2 * e.A, rel=1e-12)
 
     def test_sign_agreement_near_constant_x(self):
         # with smooth experience the two models err nearly identically

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 from scipy import stats
 
 from expcurve import (
@@ -126,6 +126,28 @@ class TestMakeDataset:
         )[0]
         assert_allclose(plain.experience, np.cumsum(plain.production), rtol=1e-12)
         assert corrected.experience[0] > corrected.production[0]  # initial stock added
+
+    def test_experience_built_once_per_path(self, monkeypatch):
+        # the growth test of an accepted path builds its experience, which
+        # the dataset keeps; with no redraws that is one build per technology
+        from expcurve import surrogate
+
+        calls = {"experience": 0, "production": 0}
+
+        def counted(name, fn):
+            def wrapped(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapped
+
+        build, draw = surrogate._corrected_experience, surrogate.gen_production
+        monkeypatch.setattr(surrogate, "_corrected_experience", counted("experience", build))
+        monkeypatch.setattr(surrogate, "gen_production", counted("production", draw))
+        spec = SurrogateSpec(n_tech=6, T=np.array([4, 9, 30, 30, 50, 12]), seed=4, n_ensembles=1)
+        ds = make_dataset(spec, 0)
+        assert calls == {"experience": 6, "production": 6}  # no redraws
+        for ts in ds:
+            assert_array_equal(ts.experience, build(ts.name, ts.production))
 
     def test_per_tech_parameter_vectors(self):
         spec = SurrogateSpec(
