@@ -65,11 +65,12 @@ def read_csv(path, columns: dict, what: str) -> dict[str, np.ndarray]:
     ``columns`` maps each wanted name to its type (``str``, an integer type
     or ``float``); the header may hold other columns, in any order. Text
     columns come back as ``str`` arrays as wide as their longest value.
-    Blank lines are skipped. Raises ``ValueError`` naming ``what`` for a
-    missing column, a row that ends before one of them, or a value that does
-    not parse; the last names its data row, counted from 1 below the header.
+    Blank lines are skipped, and so is a UTF-8 byte-order mark. Raises
+    ``ValueError`` naming ``what`` for a missing column, a row that ends
+    before one of them, or a value that does not parse; the last two name
+    their data row, counted from 1 below the header.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         header = next(csv.reader(fh), [])
         missing = [name for name in columns if name not in header]
         if missing:
@@ -90,13 +91,14 @@ def read_csv(path, columns: dict, what: str) -> dict[str, np.ndarray]:
                     )
             except ValueError as exc:
                 msg = str(exc)
-                if msg.startswith("invalid column index"):
-                    raise ValueError(f"{what} has a row with missing fields") from None
-                # NumPy counts rows from 0 at the start of each block
                 row = re.search(r"at row (\d+)", msg)
                 if row is None:
                     raise
-                at = f"at data row {done + int(row.group(1)) + 1}"
+                # in each block NumPy counts a short row from 1, a bad value from 0
+                short = msg.startswith("invalid column index")
+                at = f"at data row {done + int(row.group(1)) + (not short)}"
+                if short:
+                    raise ValueError(f"{what} has a row with missing fields {at}") from None
                 raise ValueError(f"{what}: {msg[:row.start()]}{at}{msg[row.end():]}") from None
             # copies, so that no block outlives its loop
             for name, kind in columns.items():

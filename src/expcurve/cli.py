@@ -88,8 +88,8 @@ def _outdir(args) -> Path:
 def cmd_estimate(args) -> int:
     outdir = _outdir(args)
     dataset = build_experience(ingest_csv(args.input))
-    rows = full_sample_estimates(dataset)
-    _atomic(outdir / "params.csv", lambda p: write_params_csv(p, rows))
+    table = full_sample_estimates(dataset)
+    _atomic(outdir / "params.csv", lambda p: write_params_csv(p, table))
     if args.emit_series:
         _atomic(outdir / "series.csv", lambda p: write_csv(p, dataset))
     _write_manifest(
@@ -99,7 +99,7 @@ def cmd_estimate(args) -> int:
         args.seed,
         {"data": args.input},
     )
-    print(f"wrote {outdir / 'params.csv'} ({len(rows)} technologies)")
+    print(f"wrote {outdir / 'params.csv'} ({len(table)} technologies)")
     return 0
 
 
@@ -159,23 +159,21 @@ def cmd_diagnose(args) -> int:
     inputs = {"errors": args.errors}
     if args.params:
         inputs["params"] = args.params
-        rows = read_params_csv(args.params)
-        sahal = sahal_check([(r["mu"], r["r"], r["omega"]) for r in rows])
+        table = read_params_csv(args.params)
         _write_csv(
             outdir / "sahal.csv",
             ["technology", "omega", "mu_over_r", "residual"],
-            [[r["technology"] for r in rows], *sahal.T],
+            [table["technology"], table["omega"], *sahal_check(table["mu"], table["r"], table["omega"])],
         )
-        growing = [r for r in rows if r["g"] > 0]
-        skipped = len(rows) - len(growing)
-        pairs = tanh_check([(r["g"], r["sigma_q"], r["sigma_x"], r["r"]) for r in growing])
+        growing = table[table["g"] > 0]
+        skipped = len(table) - len(growing)
         _write_csv(
             outdir / "tanh.csv",
             ["technology", "g", "sigma_q", "r", "sigma_x_observed", "sigma_x_theory"],
-            # tanh_check rows are (sigma_x_observed, sigma_x_theory, r, g)
-            [[r[k] for r in growing] for k in ("technology", "g", "sigma_q")] + list(pairs[:, [2, 0, 1]].T),
+            [growing[c] for c in ("technology", "g", "sigma_q", "r", "sigma_x")]
+            + [tanh_check(growing["g"], growing["sigma_q"])],
         )
-        summary.append(f"sahal: n={len(rows)}")
+        summary.append(f"sahal: n={len(table)}")
         summary.append(f"tanh: n={len(growing)} skipped_nonpositive_growth={skipped}")
 
     _write_text(outdir / "summary.txt", "\n".join(summary) + "\n")
@@ -232,11 +230,10 @@ def cmd_simulate(args) -> int:
         return 0
 
     if args.mimic:
-        rows = read_params_csv(args.mimic)
+        table = read_params_csv(args.mimic)
         inputs["mimic"] = args.mimic
-        fields = ("T", "g", "sigma_q", "omega", "sigma_eta")
-        generator = {f: np.array([r[f] for r in rows]) for f in fields}
-        generator.update(n_tech=len(rows), rho=args.rho_star)
+        generator = {f: table[f] for f in ("T", "g", "sigma_q", "omega", "sigma_eta")}
+        generator.update(n_tech=len(table), rho=args.rho_star)
     else:
         generator = dict(
             n_tech=args.n_tech,
@@ -335,19 +332,17 @@ def cmd_forecast(args) -> int:
         diffs = series.diffs()
         wparams, mparams = fit_wright(diffs), fit_moore(diffs)
     else:
-        params_path = args.params if args.params else reference_params_path()
         if args.params:
             inputs["params"] = args.params
-        rows = {r["technology"]: r for r in read_params_csv(params_path)}
-        if args.tech not in rows:
+        table = read_params_csv(args.params or reference_params_path())
+        rows = table[table["technology"] == args.tech]
+        if not len(rows):
             raise DataError(f"technology '{args.tech}' not found in parameter table")
-        est = rows[args.tech]
-        series = constant_growth_series(
-            args.tech, T=est["T"], r=est["r"], mu=est["mu"]
-        )
-        m = est["T"] - 1
-        wparams = WrightParams(omega=est["omega"], sigma_eta=est["sigma_eta"], m=m)
-        mparams = MooreParams(mu=est["mu"], K=est["K"], m=m)
+        # a name given twice takes its last row
+        T, mu, K, r, omega, sigma_eta = rows[-1][["T", "mu", "K", "r", "omega", "sigma_eta"]].item()
+        series = constant_growth_series(args.tech, T=T, r=r, mu=mu)
+        wparams = WrightParams(omega=omega, sigma_eta=sigma_eta, m=T - 1)
+        mparams = MooreParams(mu=mu, K=K, m=T - 1)
     fw = forecast_wright(
         series,
         wparams,

@@ -102,36 +102,28 @@ def pit(sample, reference: str = "normal", df=None) -> np.ndarray:
     return _reference_cdf(reference, df)(s)
 
 
-def sahal_check(entries) -> np.ndarray:
+def sahal_check(mu, r, omega) -> tuple[np.ndarray, np.ndarray]:
     """Exponent identity scatter data.
 
-    For each ``(mu, r, omega)`` triple returns
-    ``(omega, mu / r, omega - mu / r)``. When both cost and experience trends
-    are exponential, the first two coincide.
+    From columns of cost drift ``mu``, experience growth ``r`` and
+    experience exponent ``omega`` returns ``(mu_over_r, residual)``, where
+    ``residual = omega - mu / r``. When both cost and experience trends are
+    exponential, ``omega`` and ``mu / r`` coincide.
     """
-    rows = []
-    for mu, r, omega in entries:
-        if r == 0.0:
-            raise ValueError("r must be non-zero")
-        ratio = mu / r
-        rows.append((omega, ratio, omega - ratio))
-    if not rows:
-        raise ValueError("empty entry list")
-    return np.asarray(rows, dtype=float)
+    mu, r, omega = (np.asarray(c, dtype=float) for c in (mu, r, omega))
+    if np.any(r == 0.0):
+        raise ValueError("r must be non-zero")
+    mu_over_r = mu / r
+    return mu_over_r, omega - mu_over_r
 
 
-def tanh_check(entries) -> np.ndarray:
-    """Observed vs predicted experience volatility, with drift pairs.
+def tanh_check(g, sigma_q) -> np.ndarray:
+    """Predicted experience volatility ``sigma_q * sqrt(tanh(g / 2))`` for
+    columns of log production drift ``g`` and volatility ``sigma_q``.
 
-    For each ``(g, sigma_q, sigma_x, r)`` tuple (log production drift and
-    volatility, observed log experience volatility and drift) returns
-    ``(sigma_x_observed, sigma_x_predicted, r, g)`` where the prediction is
-    ``sigma_q * sqrt(tanh(g / 2))``. Requires ``g > 0`` per entry.
+    Each value goes through :func:`sigma_x_theory`, which requires ``g > 0``.
     """
-    rows = []
-    for g, sigma_q, sigma_x, r in entries:
-        _, var_pred = sigma_x_theory(g, sigma_q)
-        rows.append((sigma_x, math.sqrt(var_pred), r, g))
-    if not rows:
-        raise ValueError("empty entry list")
-    return np.asarray(rows, dtype=float)
+    # value by value, because np.tanh differs from math.tanh in the last bit
+    # on about a third of inputs
+    pairs = zip(np.asarray(g, dtype=float).tolist(), np.asarray(sigma_q, dtype=float).tolist())
+    return np.sqrt([sigma_x_theory(a, b)[1] for a, b in pairs])

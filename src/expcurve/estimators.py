@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .params_io import PARAM_COLUMNS
+from .params_io import PARAM_COLUMNS, param_table
 from .series import DataError, DiffSeries, SeriesTable
 
 # MA(1) coefficients at or beyond this magnitude are flagged as boundary
@@ -278,40 +278,35 @@ def fit_wright_ma1(diffs: DiffSeries | Sequence[DiffSeries]) -> WrightParams | l
     return out[0] if single else out
 
 
-def pool_rho(params) -> tuple[float, int]:
-    """Pooled MA(1) coefficient: mean over the entries that are not
-    boundary estimates.
+def pool_rho(rho) -> tuple[float, int]:
+    """Pooled MA(1) coefficient: the mean of a column of estimates, leaving
+    out boundary estimates.
 
-    Accepts :class:`WrightParams` objects or raw floats. An entry is kept
-    when ``|rho| < 0.99``, the test that sets the ``boundary`` flag of
-    :func:`fit_wright_ma1`; NaN is excluded. Returns
+    An estimate is kept when ``|rho| < 0.99``, the test that sets the
+    ``boundary`` flag of :func:`fit_wright_ma1`; NaN is excluded. Returns
     ``(rho_star, n_excluded)``.
     """
-    values = [p.rho if isinstance(p, WrightParams) else float(p) for p in params]
-    if None in values:
-        raise ValueError("entry has no rho estimate")
-    if not values:
-        raise ValueError("empty parameter list")
-    kept = [r for r in values if abs(r) < RHO_BOUNDARY]
-    if not kept:
-        raise ValueError("all rho estimates excluded as boundary values")
-    return float(np.mean(kept)), len(values) - len(kept)
+    rho = np.asarray(rho, dtype=float)
+    kept = rho[np.abs(rho) < RHO_BOUNDARY]
+    if not kept.size:
+        raise ValueError("no rho estimate to pool: the column is empty or all are excluded")
+    return float(np.mean(kept)), rho.size - kept.size
 
 
-def full_sample_estimates(dataset: SeriesTable) -> list[dict]:
-    """Whole-sample estimate rows, one per technology of a
-    :class:`SeriesTable` with experience built.
+def full_sample_estimates(dataset: SeriesTable) -> np.ndarray:
+    """Whole-sample parameter table (see :func:`~expcurve.params_io.param_table`),
+    one row per technology of a :class:`SeriesTable` with experience built.
 
-    Each row holds the ``PARAM_COLUMNS`` of the ``estimate`` output table:
-    growth statistics, Moore drift/scale, the least-squares experience
-    exponent and residual scale, and the MA(1) coefficient (``nan`` when the
-    series is too short). The table's log columns are differenced once,
-    whole; the series of each length are then gathered into one matrix, row
-    by row, and reduced along the rows by the same kernels as
-    :func:`fit_wright`, :func:`fit_moore` and :func:`growth_stats`, so each
-    value adds the same terms in the same order as those per-series
-    functions. The MA(1) coefficients of all series with ``m >= 4`` come
-    from one lockstep :func:`fit_wright_ma1` call.
+    Its columns are those of the ``estimate`` output table: growth
+    statistics, Moore drift/scale, the least-squares experience exponent and
+    residual scale, and the MA(1) coefficient (``nan`` when the series is too
+    short). The table's log columns are differenced once, whole; the series
+    of each length are then gathered into one matrix, row by row, and
+    reduced along the rows by the same kernels as :func:`fit_wright`,
+    :func:`fit_moore` and :func:`growth_stats`, so each value adds the same
+    terms in the same order as those per-series functions. The MA(1)
+    coefficients of all series with ``m >= 4`` come from one lockstep
+    :func:`fit_wright_ma1` call.
     """
     T = dataset.T
     cut = np.cumsum(T)[:-1] - 1  # the steps from one series into the next
@@ -336,5 +331,4 @@ def full_sample_estimates(dataset: SeriesTable) -> list[dict]:
             ma1 += map(DiffSeries, y, x)
             ma1_rows += j.tolist()
     est[-1, ma1_rows] = [fit.rho for fit in fit_wright_ma1(ma1)]
-    columns = (dataset.names.tolist(), T.tolist(), *est.tolist())
-    return [dict(zip(PARAM_COLUMNS, row)) for row in zip(*columns)]
+    return param_table(dataset.names, T, *est)

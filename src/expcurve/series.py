@@ -257,8 +257,8 @@ def ingest_csv(path) -> SeriesTable:
     unparsable value or a broken rule of the :class:`SeriesTable` contract.
     The message names the technology (the file for an empty name) and the
     file line of a faulty row, counted as ``csv`` counts rows (blank lines
-    skipped). The first unparsable value is reported, else the table's first
-    fault, in technology and year order.
+    skipped). The first short row or unparsable value is reported, else the
+    table's first fault, in technology and year order.
     """
     path = Path(path)
     kinds = dict(zip(REQUIRED_COLUMNS, (str, np.int64, float, float)))
@@ -269,8 +269,12 @@ def ingest_csv(path) -> SeriesTable:
         if row is None:
             raise DataError(str(exc)) from None
         i = int(row.group(1)) - 1
-        name = _csvio.read_csv(path, {"technology": str}, path.name)["technology"][i].strip()
-        raise DataError(f"{name or path.name} line {i + 2}: unparsable value ({exc})") from None
+        try:
+            name = _csvio.read_csv(path, {"technology": str}, path.name)["technology"][i].strip()
+        except ValueError:  # the short row ends before its name
+            name = ""
+        what = "row with missing fields" if "missing fields" in str(exc) else f"unparsable value ({exc})"
+        raise DataError(f"{name or path.name} line {i + 2}: {what}") from None
     names = np.strings.strip(columns["technology"])
 
     # technologies in order of first appearance, each one's rows by year

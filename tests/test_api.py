@@ -25,7 +25,7 @@ pkg = types.ModuleType("expcurve")
 pkg.__path__ = [{str(src)!r}]
 sys.modules["expcurve"] = pkg
 from expcurve.diagnostics import tanh_check
-tanh_check([(0.1, 0.1, 0.02, 0.1)])
+tanh_check([0.1], [0.1])
 assert "expcurve.surrogate" not in sys.modules, "diagnostics loaded surrogate"
 """
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)

@@ -104,6 +104,20 @@ class TestDiagnoseCommand:
             vals = [float(r["pit"]) for r in csv.DictReader(fh)]
         assert vals and all(0.0 <= v <= 1.0 for v in vals)
 
+    def test_params_without_growing_technology(self, tmp_path):
+        # the volatility-law file then holds its header only
+        data = small_dataset(tmp_path)
+        out = tmp_path / "out"
+        run_cli("--output-dir", out, "hindcast", "--input", data)
+        params = tmp_path / "p.csv"
+        params.write_text(
+            "technology,T,mu,K,g,sigma_q,r,sigma_x,omega,sigma_eta,rho\n"
+            "X,12,-0.05,0.05,-0.1,0.08,0.1,0.01,-0.5,0.05,0.2\n"
+        )
+        assert run_cli("--output-dir", out, "diagnose", "--errors", out / "errors.csv", "--params", params) == 0
+        assert (out / "tanh.csv").read_bytes() == b"technology,g,sigma_q,r,sigma_x_observed,sigma_x_theory\r\n"
+        assert "tanh: n=0 skipped_nonpositive_growth=1\n" in (out / "summary.txt").read_text()
+
 
 class TestSimulateCommand:
     def test_dataset_and_bands(self, tmp_path):
@@ -199,7 +213,21 @@ class TestForecastCommand:
         )
         code = run_cli("--output-dir", tmp_path / "o", "forecast", "--params", params, "--tech", "X")
         assert code == 1
-        assert capsys.readouterr().err == "error: parameter CSV has a row with missing fields\n"
+        assert capsys.readouterr().err == "error: parameter CSV has a row with missing fields at data row 1\n"
+
+    def test_params_name_given_twice_takes_the_last_row(self, tmp_path):
+        header = "technology,T,mu,K,g,sigma_q,r,sigma_x,omega,sigma_eta,rho\n"
+        first = "X,12,-0.05,0.05,0.1,0.08,0.1,0.01,-0.5,0.05,0.2\n"
+        last = "X,15,-0.08,0.06,0.2,0.10,0.2,0.02,-0.4,0.06,0.2\n"
+        outputs = {}
+        for name, rows in (("both", first + last), ("last", last), ("first", first)):
+            params = tmp_path / f"{name}.csv"
+            params.write_text(header + rows)
+            out = tmp_path / name
+            assert run_cli("--output-dir", out, "forecast", "--params", params, "--tech", "X") == 0
+            files = ("forecast_wright.csv", "forecast_moore.csv", "comparison.csv")
+            outputs[name] = [(out / f).read_bytes() for f in files]
+        assert outputs["both"] == outputs["last"] != outputs["first"]
 
     def test_input_and_params_are_exclusive(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:

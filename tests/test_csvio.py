@@ -1,5 +1,6 @@
 """The CSV codec: exact round trips, ``csv.writer`` bytes and reader errors."""
 
+import codecs
 import csv
 import io
 
@@ -16,6 +17,7 @@ from expcurve import (
     TechSeries,
     build_experience,
     ingest_csv,
+    load_reference_params,
     make_dataset,
     read_errors_csv,
     read_params_csv,
@@ -79,13 +81,14 @@ class TestReadErrorsCsv:
 
     def test_row_with_missing_fields(self, tmp_path):
         short = self.ROW.rsplit(",", 1)[0] + "\r\n"
-        for body in (short, self.ROW + short + self.ROW):
-            with pytest.raises(ValueError, match="^error CSV has a row with missing fields$"):
+        # a blank line is not a data row
+        for body, row in ((short, 1), (self.ROW + short + self.ROW, 2), ("\r\n" + self.ROW + short, 2)):
+            with pytest.raises(ValueError, match=f"^error CSV has a row with missing fields at data row {row}$"):
                 read_errors_csv(self.write(tmp_path, self.HEADER + body))
 
     def test_row_with_missing_fields_after_first_block(self, tmp_path):
         short = self.ROW.rsplit(",", 1)[0] + "\r\n"
-        with pytest.raises(ValueError, match="^error CSV has a row with missing fields$"):
+        with pytest.raises(ValueError, match="^error CSV has a row with missing fields at data row 5001$"):
             read_errors_csv(self.write(tmp_path, self.HEADER + self.ROW * 5000 + short))
 
     def test_unparsable_value_names_its_row_in_the_file(self, tmp_path):
@@ -142,17 +145,17 @@ class TestRoundTrips:
             assert_array_equal(bits(getattr(back, name)), bits(getattr(table, name)))
 
     def test_params_csv(self, tmp_path):
-        rows = full_sample_estimates(build_experience(odd_dataset()))
+        table = full_sample_estimates(build_experience(odd_dataset()))
         path = tmp_path / "params.csv"
-        write_params_csv(path, rows)
-        expected = [[r["technology"], r["T"]] + [_fmt(r[c]) for c in PARAM_COLUMNS[2:]] for r in rows]
+        write_params_csv(path, table)
+        expected = [[name, T, *map(_fmt, values)] for name, T, *values in table.tolist()]
         assert file_text(path) == csv_writer_text(PARAM_COLUMNS, expected)
         back = read_params_csv(path)
-        assert [r["technology"] for r in back] == list(ODD_NAMES)
-        for r, b in zip(rows, back):
-            assert b["T"] == r["T"] and type(b["T"]) is int
-            assert all(type(b[c]) is float for c in PARAM_COLUMNS[2:])
-            assert_array_equal(bits([b[c] for c in PARAM_COLUMNS[2:]]), bits([r[c] for c in PARAM_COLUMNS[2:]]))
+        assert back.dtype == table.dtype
+        assert back["technology"].tolist() == list(ODD_NAMES)
+        assert_array_equal(back["T"], table["T"])
+        for c in PARAM_COLUMNS[2:]:
+            assert_array_equal(bits(back[c]), bits(table[c]))
 
     def test_series_csv_built_and_unbuilt(self, tmp_path):
         # the derived experience columns are filled for a built table and
@@ -188,6 +191,35 @@ class TestRoundTrips:
         path = tmp_path / "series.csv"
         write_csv(path, SeriesTable.from_series([]))
         assert file_text(path) == csv_writer_text(REQUIRED_COLUMNS + DERIVED_COLUMNS, [])
+
+
+class TestParamTable:
+    def test_one_dtype(self, tmp_path):
+        estimated = full_sample_estimates(build_experience(odd_dataset()))
+        path = tmp_path / "params.csv"
+        write_params_csv(path, estimated)
+        for table in (estimated, read_params_csv(path), load_reference_params()):
+            assert table.dtype.names == PARAM_COLUMNS
+            assert table.dtype["technology"].kind == "U"
+            assert table.dtype["T"] == np.int64
+            assert all(table.dtype[c] == np.float64 for c in PARAM_COLUMNS[2:])
+        # its rows still read field by field
+        assert [int(r["T"]) for r in estimated] == estimated["T"].tolist()
+
+
+def test_byte_order_mark_is_skipped(tmp_path):
+    # as in Excel's "CSV UTF-8" export; the writers add none
+    dataset = odd_dataset()
+    data, params = tmp_path / "data.csv", tmp_path / "params.csv"
+    write_csv(data, dataset)
+    write_params_csv(params, full_sample_estimates(build_experience(dataset)))
+    for path in (data, params):
+        assert not path.read_bytes().startswith(codecs.BOM_UTF8)
+        path.with_name("bom_" + path.name).write_bytes(codecs.BOM_UTF8 + path.read_bytes())
+    plain, bom = ingest_csv(data), ingest_csv(tmp_path / "bom_data.csv")
+    for c in ("names", "T", "years", "cost", "production"):
+        assert_array_equal(getattr(bom, c), getattr(plain, c))
+    assert read_params_csv(tmp_path / "bom_params.csv").tobytes() == read_params_csv(params).tobytes()
 
 
 positive = st.floats(min_value=1e-300, max_value=1e300, allow_nan=False, allow_infinity=False)

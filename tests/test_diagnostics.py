@@ -99,37 +99,32 @@ class TestPit:
 
 class TestSahalCheck:
     def test_identity_rows(self):
-        rows = sahal_check([(-0.12, 0.3, -0.4)])
-        assert rows.shape == (1, 3)
-        assert rows[0, 0] == -0.4
-        assert rows[0, 1] == pytest.approx(-0.4)
-        assert rows[0, 2] == pytest.approx(0.0, abs=1e-15)
+        mu_over_r, residual = sahal_check([-0.12, 0.2], [0.3, 0.4], [-0.4, 0.5])
+        assert mu_over_r.tolist() == [-0.12 / 0.3, 0.2 / 0.4]
+        assert residual.tolist() == [-0.4 - -0.12 / 0.3, 0.5 - 0.2 / 0.4]
+        assert residual[0] == pytest.approx(0.0, abs=1e-15)
 
     def test_reference_pv_row(self):
         # -0.121 / 0.318 lands within a point of the fitted exponent -0.380
-        rows = sahal_check([(-0.121, 0.318, -0.380)])
-        assert rows[0, 1] == pytest.approx(-0.3805, abs=1e-4)
-        assert abs(rows[0, 2]) < 1e-3
+        mu_over_r, residual = sahal_check([-0.121], [0.318], [-0.380])
+        assert mu_over_r[0] == pytest.approx(-0.3805, abs=1e-4)
+        assert abs(residual[0]) < 1e-3
 
     def test_zero_r_rejected(self):
-        with pytest.raises(ValueError):
-            sahal_check([(-0.1, 0.0, -0.5)])
+        with pytest.raises(ValueError, match="r must be non-zero"):
+            sahal_check([-0.1, -0.1], [0.2, 0.0], [-0.5, -0.5])
 
 
 class TestTanhCheck:
-    # entries are (g, sigma_q, sigma_x, r)
     def test_pairs(self):
-        rows = tanh_check([(0.1, 0.1, 0.0224, 0.12)])
-        assert rows.shape == (1, 4)
-        assert rows[0, 0] == 0.0224
-        assert rows[0, 1] == pytest.approx(math.sqrt(0.01 * math.tanh(0.05)), rel=1e-12)
-        assert rows[0, 2:].tolist() == [0.12, 0.1]
+        theory = tanh_check([0.1, 0.3], [0.1, 0.2])
+        # each value is sigma_x_theory's, bit for bit
+        assert theory.tolist() == [math.sqrt(0.1 * 0.1 * math.tanh(0.05)), math.sqrt(0.2 * 0.2 * math.tanh(0.15))]
+        assert tanh_check([], []).shape == (0,)
 
     def test_exact_geometric_both_zero(self):
-        rows = tanh_check([(0.1, 0.0, 0.0, 0.1)])
-        assert rows[0, 0] == 0.0
-        assert rows[0, 1] == pytest.approx(0.0, abs=1e-15)
+        assert tanh_check([0.1], [0.0]).tolist() == [0.0]
 
     def test_nonpositive_growth_rejected(self):
-        with pytest.raises(ValueError):
-            tanh_check([(0.0, 0.1, 0.01, 0.0)])
+        with pytest.raises(ValueError, match="g must be positive"):
+            tanh_check([0.1, 0.0], [0.1, 0.1])

@@ -305,20 +305,18 @@ class TestFitWrightMa1Batch:
         # NumPy's pairwise-summation blocks
         T = np.array([200, 4, 9, 130, 12, 5, 9, 30, 200])
         ds = make_dataset(SurrogateSpec(n_tech=len(T), T=T, seed=3, n_ensembles=1), 0)
-        rows = full_sample_estimates(ds)
-        assert [r["technology"] for r in rows] == [ts.name for ts in ds]
-        for ts, row in zip(ds, rows):
-            assert list(row) == list(PARAM_COLUMNS)
+        table = full_sample_estimates(ds)
+        assert table.dtype.names == PARAM_COLUMNS
+        assert table["technology"].tolist() == [ts.name for ts in ds]
+        assert table["T"].tolist() == T.tolist()
+        for ts, row in zip(ds, table):
             d = ts.diffs()
             gs, w, mo = growth_stats(ts), fit_wright(d), fit_moore(d)
             # T=4 leaves 3 differences, too few for the MA(1) fit
             rho = fit_wright_ma1(d).rho if ts.T > 4 else math.nan
-            want = [ts.name, ts.T, mo.mu, mo.K, gs.g, gs.sigma_q, gs.r, gs.sigma_x,
-                    w.omega, w.sigma_eta, rho]
-            got = list(row.values())
-            assert got[:2] == want[:2]
-            assert all(type(v) is type(u) for v, u in zip(got, want))
-            bits = [np.array(v[2:], dtype=float).view(np.uint64) for v in (got, want)]
+            want = [mo.mu, mo.K, gs.g, gs.sigma_q, gs.r, gs.sigma_x, w.omega, w.sigma_eta, rho]
+            got = [row[c] for c in PARAM_COLUMNS[2:]]
+            bits = [np.array(v, dtype=float).view(np.uint64) for v in (got, want)]
             assert_array_equal(*bits)
 
 
@@ -342,28 +340,27 @@ class TestPoolRho:
     def test_single_entry(self):
         assert pool_rho([0.5]) == (0.5, 0)
 
-    def test_accepts_params_objects(self):
-        ps = [
-            WrightParams(omega=-1, sigma_eta=0.1, m=5, rho=0.3, sigma_u=0.1),
-            WrightParams(omega=-1, sigma_eta=0.1, m=5, rho=0.995, sigma_u=0.1),
-        ]
-        rho_star, excl = pool_rho(ps)
-        assert rho_star == pytest.approx(0.3)
-        assert excl == 1
-
     def test_all_excluded(self):
         with pytest.raises(ValueError, match="excluded"):
             pool_rho([1.0, -1.0])
 
     def test_reference_table(self):
-        rows = load_reference_params()
-        assert len(rows) == 51
+        table = load_reference_params()
+        assert len(table) == 51
         # the paper's 0.19; no row is exactly at +-0.99
-        assert pool_rho([r["rho"] for r in rows]) == (0.19376190476190472, 9)
+        assert pool_rho(table["rho"]) == (0.19376190476190472, 9)
+
+    def test_empty_column(self):
+        with pytest.raises(ValueError, match="column is empty"):
+            pool_rho([])
 
     def test_excludes_what_the_fit_flags(self):
         # 0.99 is a boundary estimate for fit_wright_ma1, so pooling drops it
         assert pool_rho([0.99, 0.1]) == (0.1, 1)
         assert pool_rho([-0.99, 0.1, math.nan]) == (0.1, 2)
-        flagged = WrightParams(omega=-1, sigma_eta=0.1, m=5, rho=0.99, sigma_u=0.1, boundary=True)
-        assert pool_rho([flagged, 0.3]) == (0.3, 1)
+        fits = [
+            WrightParams(omega=-1, sigma_eta=0.1, m=5, rho=rho, sigma_u=0.1, boundary=flagged)
+            for rho, flagged in ((0.99, True), (0.3, False))
+        ]
+        kept = [p.rho for p in fits if not p.boundary]
+        assert pool_rho([p.rho for p in fits]) == (float(np.mean(kept)), 1)

@@ -96,8 +96,9 @@ class TestIngest:
             (5003, 0, "", r"data\.csv line 5005: empty technology name$"),
             (5004, 1, "1713", r"tech 6 line 5006: duplicate year 1713$"),
             (5599, 1, "1800", r"tech 6 line 5601: gap in years \(1798 -> 1800\)$"),
+            (5005, slice(3, None), [], r"tech 0 line 5007: row with missing fields$"),
         ],
-        ids=["unparsable", "cost", "production", "empty-name", "duplicate-year", "gap"],
+        ids=["unparsable", "cost", "production", "empty-name", "duplicate-year", "gap", "short-row"],
     )
     def test_error_carries_name_and_line(self, tmp_path, row, column, value, message):
         # 7 technologies of 800 years, one year of each after another: more
@@ -106,6 +107,11 @@ class TestIngest:
         rows[row][column] = value
         text = "technology,year,cost,production\n" + "".join(",".join(r) + "\n" for r in rows)
         with pytest.raises(DataError, match="^" + message):
+            ingest_csv(make_csv(tmp_path, text))
+
+    def test_short_row_that_ends_before_its_name(self, tmp_path):
+        text = "year,cost,production,technology\n2000,1.0,1,A\n2001,0.9\n2002,0.8,3,A\n"
+        with pytest.raises(DataError, match=r"^data\.csv line 3: row with missing fields$"):
             ingest_csv(make_csv(tmp_path, text))
 
     def test_round_trip_identical(self, tmp_path):

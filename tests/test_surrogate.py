@@ -206,24 +206,18 @@ class TestMakeDataset:
         # a full heterogeneous dataset at published parameter scales
         from expcurve import HindcastConfig, load_reference_params, run_hindcast
 
-        rows = load_reference_params()
+        table = load_reference_params()
         spec = SurrogateSpec(
-            n_tech=len(rows),
-            T=np.array([r["T"] for r in rows]),
-            g=np.array([r["g"] for r in rows]),
-            sigma_q=np.array([r["sigma_q"] for r in rows]),
-            omega=np.array([r["omega"] for r in rows]),
-            sigma_eta=np.array([r["sigma_eta"] for r in rows]),
+            n_tech=len(table),
+            **{f: table[f] for f in ("T", "g", "sigma_q", "omega", "sigma_eta")},
             rho=0.19,
             seed=7,
             n_ensembles=1,
         )
         ds = make_dataset(spec, 0)
-        assert [ts.T for ts in ds] == [r["T"] for r in rows]
+        assert_array_equal(ds.T, table["T"])
         errs = run_hindcast(ds, HindcastConfig(m=5, tau_max=20, rho=0.19))
-        expect = sum(
-            sum(min(20, r["T"] - t) for t in range(6, r["T"])) for r in rows
-        )
+        expect = sum(sum(min(20, T - t) for t in range(6, T)) for T in table["T"].tolist())
         assert sum(1 for e in errs if e.model == "wright") == expect
 
 

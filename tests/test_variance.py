@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from expcurve import (
@@ -222,6 +224,31 @@ class TestReductionChainAndMonotonicity:
             assert wright_ma1_variance(
                 s, rho, np.full(m, r), np.full(tau, r)
             ) == pytest.approx(ma1_variance_constant_x(s, rho, tau, m), rel=1e-12)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        rho=st.floats(-1.0, 1.0),
+        m=st.integers(2, 60),
+        tau=st.integers(1, 60),
+        s=st.floats(0.01, 2.0),
+        r=st.floats(0.02, 0.5),
+        data=st.data(),
+    )
+    def test_exact_reductions_property(self, rho, m, tau, s, r, data):
+        # criterion 1a's three identities, to its 1e-12 relative bound
+        changes = st.floats(1e-3, 1.0)
+        past = np.array(data.draw(st.lists(changes, min_size=m, max_size=m)))
+        fut = np.array(data.draw(st.lists(changes, min_size=tau, max_size=tau)))
+        pairs = (
+            (wright_ma1_variance(s, 0.0, past, fut), wright_variance(s, past, fut)),
+            (wright_variance(s, np.full(m, r), np.full(tau, r)), moore_variance(s, tau, m)),
+            (
+                wright_ma1_variance(s, rho, np.full(m, r), np.full(tau, r)),
+                ma1_variance_constant_x(s, rho, tau, m),
+            ),
+        )
+        for got, want in pairs:
+            assert abs(got - want) <= 1e-12 * want
 
     def test_monotone_in_tau_and_scale(self):
         for f in (
