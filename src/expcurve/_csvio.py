@@ -107,3 +107,20 @@ def read_csv(path, columns: dict, what: str) -> dict[str, np.ndarray]:
             if len(block) < _CHUNK:
                 break
     return {name: np.concatenate(cols) for name, cols in parts.items()}
+
+
+def row_line(path, row: int) -> int:
+    """The file line on which data row ``row`` starts, with data rows
+    counted as :func:`read_csv` names them: from 1 below the header, blank
+    lines skipped. A quoted field may hold line breaks, so the file is
+    scanned with ``csv.reader``; only error paths need this."""
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        reader = csv.reader(fh)
+        next(reader, None)  # the header
+        start = reader.line_num + 1
+        for record in reader:
+            if record:  # a blank line is no data row
+                row -= 1
+                if not row:
+                    return start
+            start = reader.line_num + 1

@@ -6,11 +6,17 @@ hindcast CSV), ``simulate`` (synthetic datasets, ensemble bands, calibration
 studies), ``forecast`` (distributional forecasts for one technology).
 
 Every run writes its outputs atomically (temp file, then rename) plus a
-``<command>_manifest.txt`` recording the normalized options, the seed, the
-package version, and a SHA-256 of each input file. The manifest excludes the
-``--threads`` flag, which is accepted and has no effect: identical manifests
-mean bit-identical outputs. All floats are serialized with 17 significant digits,
-so piping one command's CSV into the next loses no precision.
+``<command>_manifest.txt`` recording the command, the seed, the package
+version, the options and a SHA-256 of each input file. The options are the
+parsed namespace less the entries in ``_NOT_OPTIONS``: the command and the
+seed, ``--threads`` (accepted, with no effect) and ``--output-dir``, and the
+file inputs. A command adds what it derives (``forecast`` whether it used the
+bundled table). ``simulate --calibration`` keeps the six options its study
+reads; the other ``simulate`` modes drop ``variance`` and ``iid_windows`` and
+record ``mimic`` as a flag, ``n_tech`` as generated and ``periods`` as
+``per-technology`` under ``--mimic``. So identical manifests mean
+bit-identical outputs. All floats are serialized with 17 significant
+digits, so piping one command's CSV into the next loses no precision.
 """
 
 from __future__ import annotations
@@ -25,7 +31,9 @@ import numpy as np
 
 from . import __version__, _csvio
 from .diagnostics import ecdf_vs_reference, ks_critical_value, sahal_check, tanh_check
-from .estimators import MooreParams, WrightParams, fit_moore, fit_wright, full_sample_estimates
+from .estimators import (
+    RHO_STAR, THETA_STAR, MooreParams, WrightParams, fit_moore, fit_wright, full_sample_estimates
+)
 from .forecast import (
     compare_forecasts,
     constant_growth_series,
@@ -67,13 +75,26 @@ def _sha256(path) -> str:
     return h.hexdigest()
 
 
-def _write_manifest(outdir: Path, command: str, options: dict, seed, inputs: dict) -> None:
-    lines = [f"command={command}", f"seed={seed}", f"version={__version__}"]
+# Parsed entries that are not options: the command and the seed, which have
+# lines of their own, what has no effect on the outputs, and the file inputs,
+# which are recorded by SHA-256.
+_NOT_OPTIONS = {
+    "command", "seed", "threads", "output_dir", "func", "input", "errors", "params", "mimic"
+}
+
+
+def _options(args, **derived) -> dict:
+    """The options of a parsed command line, with the values it derives."""
+    return {k: v for k, v in vars(args).items() if k not in _NOT_OPTIONS} | derived
+
+
+def _write_manifest(outdir: Path, args, options: dict, inputs: dict) -> None:
+    lines = [f"command={args.command}", f"seed={args.seed}", f"version={__version__}"]
     for key in sorted(options):
         lines.append(f"option.{key}={options[key]}")
     for name in sorted(inputs):
         lines.append(f"input.{name}.sha256={_sha256(inputs[name])}")
-    _write_text(outdir / f"{command}_manifest.txt", "\n".join(lines) + "\n")
+    _write_text(outdir / f"{args.command}_manifest.txt", "\n".join(lines) + "\n")
 
 
 def _outdir(args) -> Path:
@@ -92,13 +113,7 @@ def cmd_estimate(args) -> int:
     _atomic(outdir / "params.csv", lambda p: write_params_csv(p, table))
     if args.emit_series:
         _atomic(outdir / "series.csv", lambda p: write_csv(p, dataset))
-    _write_manifest(
-        outdir,
-        "estimate",
-        {"emit_series": args.emit_series},
-        args.seed,
-        {"data": args.input},
-    )
+    _write_manifest(outdir, args, _options(args), {"data": args.input})
     print(f"wrote {outdir / 'params.csv'} ({len(table)} technologies)")
     return 0
 
@@ -112,13 +127,7 @@ def cmd_hindcast(args) -> int:
     dataset = build_experience(ingest_csv(args.input))
     errors = run_hindcast(dataset, cfg)
     _atomic(outdir / "errors.csv", lambda p: write_errors_csv(p, errors))
-    _write_manifest(
-        outdir,
-        "hindcast",
-        {"m": cfg.m, "tau_max": cfg.tau_max, "rho_star": cfg.rho},
-        args.seed,
-        {"data": args.input},
-    )
+    _write_manifest(outdir, args, _options(args), {"data": args.input})
     print(f"wrote {outdir / 'errors.csv'} ({len(errors)} errors)")
     return 0
 
@@ -177,9 +186,7 @@ def cmd_diagnose(args) -> int:
         summary.append(f"tanh: n={len(growing)} skipped_nonpositive_growth={skipped}")
 
     _write_text(outdir / "summary.txt", "\n".join(summary) + "\n")
-    _write_manifest(
-        outdir, "diagnose", {"reference": args.reference}, args.seed, inputs
-    )
+    _write_manifest(outdir, args, _options(args), inputs)
     print(f"wrote diagnostics to {outdir}")
     return 0
 
@@ -189,16 +196,10 @@ def cmd_diagnose(args) -> int:
 
 def cmd_simulate(args) -> int:
     outdir = _outdir(args)
-    inputs = {}
+    options, inputs = _options(args), {}
     if args.calibration:
-        result = run_calibration_study(
-            m=args.m,
-            variance=args.variance,
-            iid_windows=args.iid_windows,
-            n_tech=args.n_tech,
-            periods=args.periods,
-            seed=args.seed,
-        )
+        study = ("m", "variance", "iid_windows", "n_tech", "periods")
+        result = run_calibration_study(**{k: options[k] for k in study}, seed=args.seed)
         check = result.check
         _write_csv(
             outdir / "calibration_ecdf.csv",
@@ -212,20 +213,8 @@ def cmd_simulate(args) -> int:
             f"df={result.df}\nks={result.ks_stat:.6f}\n"
             f"ks_critical_1pct={ks_critical_value(len(result.normalized)):.6f}\n",
         )
-        _write_manifest(
-            outdir,
-            "simulate",
-            {
-                "calibration": True,
-                "m": args.m,
-                "variance": args.variance,
-                "iid_windows": args.iid_windows,
-                "n_tech": args.n_tech,
-                "periods": args.periods,
-            },
-            args.seed,
-            inputs,
-        )
+        # the options the study reads
+        _write_manifest(outdir, args, {k: options[k] for k in ("calibration", *study)}, inputs)
         print(f"wrote calibration study to {outdir} (ks={result.ks_stat:.4f})")
         return 0
 
@@ -235,15 +224,8 @@ def cmd_simulate(args) -> int:
         generator = {f: table[f] for f in ("T", "g", "sigma_q", "omega", "sigma_eta")}
         generator.update(n_tech=len(table), rho=args.rho_star)
     else:
-        generator = dict(
-            n_tech=args.n_tech,
-            T=args.periods,
-            g=args.g,
-            sigma_q=args.sigma_q,
-            omega=args.omega,
-            sigma_eta=args.sigma_eta,
-            rho=args.rho,
-        )
+        generator = {f: options[f] for f in ("n_tech", "g", "sigma_q", "omega", "sigma_eta", "rho")}
+        generator["T"] = args.periods
     spec = SurrogateSpec(
         **generator,
         seed=args.seed,
@@ -278,29 +260,10 @@ def cmd_simulate(args) -> int:
                 [taus.astype(float), result.mean[sub], result.lower[sub], result.upper[sub]],
             )
 
-    _write_manifest(
-        outdir,
-        "simulate",
-        {
-            "calibration": False,
-            "mimic": bool(args.mimic),
-            "n_tech": spec.n_tech,
-            "periods": args.periods if not args.mimic else "per-technology",
-            "g": args.g,
-            "sigma_q": args.sigma_q,
-            "omega": args.omega,
-            "sigma_eta": args.sigma_eta,
-            "rho": args.rho,
-            "rho_star": args.rho_star,
-            "ensembles": args.ensembles,
-            "m": args.m,
-            "tau_max": args.tau_max,
-            "shared_production": args.shared_production,
-            "no_correction": args.no_correction,
-        },
-        args.seed,
-        inputs,
-    )
+    periods = "per-technology" if args.mimic else args.periods
+    options.update(mimic=bool(args.mimic), n_tech=spec.n_tech, periods=periods)
+    del options["variance"], options["iid_windows"]  # calibration only
+    _write_manifest(outdir, args, options, inputs)
     print(f"wrote surrogate outputs to {outdir}")
     return 0
 
@@ -360,20 +323,8 @@ def cmd_forecast(args) -> int:
         ["tau", "mean_diff_wright_minus_moore", "band_width_ratio"],
         [comp[:, 0].astype(np.int64), comp[:, 1], comp[:, 2]],
     )
-    _write_manifest(
-        outdir,
-        "forecast",
-        {
-            "tech": args.tech,
-            "horizon": args.horizon,
-            "future_growth": args.future_growth,
-            "rho_star": args.rho_star,
-            "theta_star": args.theta_star,
-            "reference_params": not (args.input or args.params),
-        },
-        args.seed,
-        inputs,
-    )
+    options = _options(args, reference_params=not (args.input or args.params))
+    _write_manifest(outdir, args, options, inputs)
     print(f"wrote forecasts to {outdir}")
     return 0
 
@@ -409,7 +360,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True)
     p.add_argument("--m", type=int, default=5, help="window size in differences")
     p.add_argument("--tau-max", type=int, default=20, help="maximum forecast horizon")
-    p.add_argument("--rho-star", type=float, default=0.19, help="pooled MA(1) coefficient")
+    p.add_argument("--rho-star", type=float, default=RHO_STAR, help="pooled MA(1) coefficient")
     p.set_defaults(func=cmd_hindcast)
 
     p = sub.add_parser("diagnose", help="distribution checks on a hindcast error CSV")
@@ -429,7 +380,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ensembles", type=int, default=1000)
     p.add_argument("--m", type=int, default=5)
     p.add_argument("--tau-max", type=int, default=20)
-    p.add_argument("--rho-star", type=float, default=0.19)
+    p.add_argument("--rho-star", type=float, default=RHO_STAR)
     p.add_argument("--shared-production", action="store_true")
     p.add_argument(
         "--no-correction",
@@ -451,8 +402,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tech", required=True)
     p.add_argument("--horizon", type=int, default=10)
     p.add_argument("--future-growth", type=float, default=None)
-    p.add_argument("--rho-star", type=float, default=0.19)
-    p.add_argument("--theta-star", type=float, default=0.23)
+    p.add_argument("--rho-star", type=float, default=RHO_STAR)
+    p.add_argument("--theta-star", type=float, default=THETA_STAR)
     p.set_defaults(func=cmd_forecast)
 
     return parser

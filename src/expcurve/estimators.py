@@ -36,6 +36,11 @@ from .series import DataError, DiffSeries, SeriesTable
 # estimates; pooling excludes them as likely misspecified.
 RHO_BOUNDARY = 0.99
 
+# The paper's pooled MA(1) coefficients: rho* of the experience curve (pool_rho
+# over the bundled table gives 0.194) and theta* of the time trend.
+RHO_STAR = 0.19
+THETA_STAR = 0.23
+
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 # Golden-section steps allowed before a fit is reported as not converged.
 _MAX_ITER = 200

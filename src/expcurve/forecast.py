@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimators import MooreParams, WrightParams
+from .estimators import RHO_STAR, THETA_STAR, MooreParams, WrightParams
 from .series import TechSeries
 from .variance import _ma1_unit_variance, ma1_variance_approx, ma1_variance_constant_x
 
@@ -81,7 +81,7 @@ def forecast_wright(
     params: WrightParams,
     horizons: int,
     future_x_growth=None,
-    rho_star: float = 0.19,
+    rho_star: float = RHO_STAR,
 ) -> DistForecast:
     """Experience-conditional distributional forecast.
 
@@ -123,7 +123,7 @@ def forecast_moore(
     series: TechSeries,
     params: MooreParams,
     horizons: int,
-    theta_star: float = 0.23,
+    theta_star: float = THETA_STAR,
 ) -> DistForecast:
     """Time-trend distributional forecast (unconditional on experience)."""
     if horizons < 1:

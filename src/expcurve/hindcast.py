@@ -31,7 +31,7 @@ import numpy as np
 
 from . import _csvio
 from ._csvio import _CHUNK
-from .estimators import _window_fits
+from .estimators import RHO_STAR, _window_fits
 from .series import SeriesTable
 from .variance import _ma1_unit_variance, a_factor, ma1_variance_constant_x
 
@@ -59,13 +59,16 @@ class HindcastConfig:
 
     m: int = 5
     tau_max: int | None = 20
-    rho: float = 0.19
+    rho: float = RHO_STAR
 
     def __post_init__(self):
-        if self.m < 2:
-            raise ValueError("m must be at least 2")
-        if self.tau_max is not None and self.tau_max < 1:
-            raise ValueError("tau_max must be at least 1")
+        if not isinstance(self.m, (int, np.integer)) or self.m < 2:
+            raise ValueError("m must be an integer of at least 2")
+        tau_max = 1 if self.tau_max is None else self.tau_max  # None leaves horizons uncapped
+        if not isinstance(tau_max, (int, np.integer)) or tau_max < 1:
+            raise ValueError("tau_max must be None or an integer of at least 1")
+        if not abs(self.rho) <= 1.0:  # NaN fails too
+            raise ValueError("rho must lie in [-1, 1]")
 
 
 @dataclass(slots=True)

@@ -256,9 +256,9 @@ def ingest_csv(path) -> SeriesTable:
     Raises ``DataError`` for a missing column, a row with missing fields, an
     unparsable value or a broken rule of the :class:`SeriesTable` contract.
     The message names the technology (the file for an empty name) and the
-    file line of a faulty row, counted as ``csv`` counts rows (blank lines
-    skipped). The first short row or unparsable value is reported, else the
-    table's first fault, in technology and year order.
+    file line a faulty row starts on, blank lines and line breaks in quoted
+    fields included. The first short row or unparsable value is reported,
+    else the table's first fault, in technology and year order.
     """
     path = Path(path)
     kinds = dict(zip(REQUIRED_COLUMNS, (str, np.int64, float, float)))
@@ -274,7 +274,7 @@ def ingest_csv(path) -> SeriesTable:
         except ValueError:  # the short row ends before its name
             name = ""
         what = "row with missing fields" if "missing fields" in str(exc) else f"unparsable value ({exc})"
-        raise DataError(f"{name or path.name} line {i + 2}: {what}") from None
+        raise DataError(f"{name or path.name} line {_csvio.row_line(path, i + 1)}: {what}") from None
     names = np.strings.strip(columns["technology"])
 
     # technologies in order of first appearance, each one's rows by year
@@ -288,7 +288,7 @@ def ingest_csv(path) -> SeriesTable:
             uniq[order], counts[order], *(columns[c][rows] for c in REQUIRED_COLUMNS[1:])
         )
     except _Fault as fault:
-        at = "" if fault.row is None else f" line {rows[fault.row] + 2}"
+        at = "" if fault.row is None else f" line {_csvio.row_line(path, rows[fault.row] + 1)}"
         raise DataError(f"{fault.name or path.name}{at}: {fault.what}") from None
 
 

@@ -64,10 +64,10 @@ class SurrogateSpec:
         for field in ("n_tech", "T", "g", "sigma_q", "omega", "sigma_eta", "rho", "n_ensembles"):
             if not np.all(np.isfinite(getattr(self, field))):
                 raise ValueError(f"{field} must be finite")
-        if self.n_tech < 1:
-            raise ValueError("n_tech must be positive")
-        if self.n_ensembles < 1:
-            raise ValueError("n_ensembles must be positive")
+        for field in ("n_tech", "n_ensembles"):
+            count = getattr(self, field)
+            if not isinstance(count, (int, np.integer)) or count < 1:
+                raise ValueError(f"{field} must be a positive integer")
         for field in ("T", "g", "sigma_q", "omega", "sigma_eta", "rho"):
             val = getattr(self, field)
             if np.ndim(val) > 0 and len(np.asarray(val)) != self.n_tech:

@@ -279,21 +279,26 @@ class TestDeterminism:
 # SHA-256 of the estimate and forecast outputs for small_dataset(n_tech=3,
 # T=20, seed=2016), captured before the window fits and the realized MA(1)
 # variance moved into shared kernels. The diagnose and simulate digests were
-# captured before every CSV writer moved onto the column-wise codec.
+# captured before every CSV writer moved onto the column-wise codec, the
+# manifests and the runs with non-default options before the manifests were
+# built from the parsed options.
 GOLDEN_OUTPUTS = {
     "estimate": {
         "params.csv": "b508710e9d50b061f73e619484f74a214fd9660a1aaccd97908db3b63e14ad47",
         "series.csv": "91f00f5494a7b232e9220a72461288dac395ec92aba85261dd3d4f3babacdf1f",
+        "estimate_manifest.txt": "72ada45941631b5b9b320f69edb5766b86e11954b3a8321948f7b4dab97c1ce2",
     },
     "forecast-table": {
         "forecast_wright.csv": "d0066a77243a08607a72a18669b6ad9a3e4c8a37903f338e7479038aea93a7a0",
         "forecast_moore.csv": "e7b16c196ebed0748ff2775d127b017fcb2c039355260256cc4cc81daba3660b",
         "comparison.csv": "d3fb5056c854dca9918607317cdcde737cdab0d07c067b2815f51b17676e624f",
+        "forecast_manifest.txt": "5389900dab4e04b602b1e58cfe5245ad11a4cfd68d0437ba6f8672cb383eff77",
     },
     "forecast-input": {
         "forecast_wright.csv": "8ace5388d697f2e98aafc6288bcbbda4da0744569cabfed28c9821c5d23f0674",
         "forecast_moore.csv": "dafdb8493bf4e07abb2bfec4c82578c7d7fe39a267d06c347386ad975e7f8ca9",
         "comparison.csv": "7778524a9e246c93e7bb3c6b15f3dc4e31bcab1b5f17f90abdb372574955c3bb",
+        "forecast_manifest.txt": "67750e1fd70a472ef92cecf07cc2888785f518aa7aefd3a7bffa85df45d24ff6",
     },
     "diagnose-student": {
         "ecdf.csv": "afd542a48f49bb1023c9479b8641dd1ef531a71c5429da4759e95c6a8bb0a16a",
@@ -301,21 +306,48 @@ GOLDEN_OUTPUTS = {
         "sahal.csv": "f2a84106794e376917798dfeb52c22ca304656b522e74a880952e38f48ba2930",
         "tanh.csv": "8db833766bcef5a1cc39f4f1e593accbf3479b84c143bcaca15bd003fd35e71b",
         "summary.txt": "b0dc17368b0bf4ba0f083821a4a4fb3b1395d8b6407db1538251ba3a446c1143",
+        "diagnose_manifest.txt": "3212a768bcc0dad768cb93cdbd76213f7cb074454707badda0a071bd2efbb5ba",
     },
     "diagnose-normal": {
         "ecdf.csv": "e1e1fc6e2130699163ddc3a6cc3bbb772a67c7f8ff9a8689316249490d95a7f5",
         "pit.csv": "84c05c73d77c5834da2cb859e888afb3297394446f5c9a8b9309f870c80b17bf",
+        "diagnose_manifest.txt": "b127a12ef3de5f5e8d7271f212b854f67dd3f1f5c05a3ce4fe252cc154fc88dc",
     },
     "simulate-dataset": {
         "dataset.csv": "91f00f5494a7b232e9220a72461288dac395ec92aba85261dd3d4f3babacdf1f",
+        "simulate_manifest.txt": "1ffcb76c2c7607457d486ff802fbcbd384c3df06d6a0036c0f6b6822a820223a",
     },
     "simulate-calibration": {
         "calibration_ecdf.csv": "a108c9206011f173535917c678ee831095f83e8de65380373c142b84de25dc95",
         "calibration_pit.csv": "5e1d9527627cb68436a7b2646ea382cf639210e16c4ad7526093c91bcfaed96f",
+        "simulate_manifest.txt": "67466624d6cf253cc6223a385650d6736fd3c8cc2ff061b1dccde3b644eaaad6",
     },
     "simulate-bands": {
         "bands_moore.csv": "7af1b46a02b2eab54f2b31ea1dd563234d4d8b18a09ce4263378c956ee831277",
         "bands_wright.csv": "daa07c9631c1ab9cc11fa28e26491f0a049e8d3f1983e16d87c0a43bf4e7a09b",
+        "simulate_manifest.txt": "788311202a3dfd1436c374fb92a1690532b53f03977c855b4e4a65adfb2eb455",
+    },
+    "hindcast-options": {
+        "errors.csv": "21f6d6a7bcd6804140c424c257d80eccf4b30430e0351cc74229b9e74d4e47ce",
+        "hindcast_manifest.txt": "3aa258fd40884907ccf5e30889fd3797bd2c22aac706aa8a93740fb05d88b9c6",
+    },
+    "forecast-params": {
+        "forecast_wright.csv": "eb33fa611eae99c430f39f8339d061759e5c70531e7b18bbd6305bac5637bac4",
+        "forecast_moore.csv": "5d9e0c84381282c543000c6a838e8b39fc939dde0874ba4c265069cfed3a91f9",
+        "comparison.csv": "7e5130cb1ca697e8858d44d9e29a4d59ee482bb76f221c700b537aeeeadf9958",
+        "forecast_manifest.txt": "f56311213f889ac549ecaf9ad7ab8d09bc501318d9f96043645bf238fe122c1b",
+    },
+    "simulate-options": {
+        "dataset.csv": "c60b8edc7e625219cdaa135f546cabeb112dd21ca8a89448bbf9f91be9a00a65",
+        "bands_moore.csv": "2f269d971a5f16d58b0042d647e9f11ee9037c81a87e5fa3916ed061e3571950",
+        "bands_wright.csv": "b79ed2d5d9f2257125a52bb468d5724d3f8e82f075e8655bc6fc7b639148a779",
+        "simulate_manifest.txt": "8809255e81a842d39477f182c39ab0c6ffd63ca61379cf379dd0f269814aebf4",
+    },
+    "simulate-calibration-options": {
+        "calibration_ecdf.csv": "aef762ed6790c8846c77db192ccd7cd5bbeee66541b8bbefc2380f277c05f788",
+        "calibration_pit.csv": "80b926e4b8b4848822a24e17b8a96b7d58f4064d8e03058a62586b81a64ce34e",
+        "summary.txt": "29ec30450fe8dbc9001199657fa09de3210f70d2706b745a8e07206dfd7dcb61",
+        "simulate_manifest.txt": "a575b50115ebff60f1d89e97bb354d9c3a03e99ba4da7d91e9795631afae94b4",
     },
 }
 
@@ -348,6 +380,24 @@ def _golden_argvs(run, data, out):
             ["--seed", 2016, "simulate", "--n-tech", 3, "--periods", 20,
              "--ensembles", 2, "--tau-max", 6]
         ],
+        "hindcast-options": [hindcast + ["--m", 4, "--tau-max", 7, "--rho-star", 0.3]],
+        "forecast-params": [
+            estimate,
+            ["--seed", 9, "forecast", "--params", out / "params.csv", "--tech", "tech001",
+             "--horizon", 7, "--future-growth", 0.05, "--rho-star", 0.25, "--theta-star", 0.3],
+        ],
+        # the calibration-only options given outside calibration, and the
+        # generator options given in calibration, are all left out
+        "simulate-options": [
+            ["--seed", 3, "--threads", 3, "simulate", "--n-tech", 2, "--periods", 12,
+             "--g", 0.2, "--sigma-q", 0.05, "--omega", -0.5, "--sigma-eta", 0.2, "--rho", 0.3,
+             "--ensembles", 2, "--m", 4, "--tau-max", 3, "--rho-star", 0.25,
+             "--shared-production", "--no-correction", "--variance", "true", "--iid-windows"]
+        ],
+        "simulate-calibration-options": [
+            ["--seed", 5, "simulate", "--calibration", "--m", 4, "--variance", "true",
+             "--n-tech", 6, "--periods", 12, "--g", 0.3, "--ensembles", 3, "--rho-star", 0.25]
+        ],
     }[run]
 
 
@@ -366,7 +416,8 @@ class TestGoldenBytes:
 # 9, 17, 130 and 200 periods, captured before the dataset became one columnar
 # table. Lengths above 8 and above 128 cross NumPy's pairwise-summation
 # blocks, so a growth mean, a standard deviation or an experience sum that
-# changed its order of additions would change these bytes.
+# changed its order of additions would change these bytes. The manifests were
+# captured before they were built from the parsed options.
 MIXED_PARAMS = (
     "technology,T,mu,K,g,sigma_q,r,sigma_x,omega,sigma_eta,rho\n"
     "A,5,-0.05,0.05,0.15,0.08,0.1,0.01,-0.5,0.05,0.2\n"
@@ -379,29 +430,35 @@ GOLDEN_MIXED = {
     "estimate": {
         "params.csv": "2bf02f1e10fc7d4a4749833fc312532fc4da8feddfdfd8069b7d7fe3baa7b525",
         "series.csv": "e48c7f4ea5e83982cc6847535468f6bc398175f52ea70405144754789bf4f3be",
+        "estimate_manifest.txt": "cc452357f37b9c71d0255bd7d342c21e61dd8eacf8a3649d18cb801fbcca1bd4",
     },
     "hindcast": {
         "errors.csv": "aea1778cc863426fdad7eb2ff17554143fd9a06e51a7e4c49140feb09ce0b92f",
+        "hindcast_manifest.txt": "46ebc03b1c0d393b7dc7828077269cabf13df26adb953d3dabd1fba577735864",
     },
     "simulate": {
         "dataset.csv": "e48c7f4ea5e83982cc6847535468f6bc398175f52ea70405144754789bf4f3be",
         "bands_moore.csv": "b2ce5d22ccf03443d292b830a722d6da3b9bc3701a247f20ee891a32a794e494",
         "bands_wright.csv": "fabd047d70c29bef383b752faa09135bae8844e228681d4fc7a8496eb42b6eb8",
+        "simulate_manifest.txt": "0cf160f2176566caf754a1335c6c6d587522255c211837b32e359d09d133448d",
     },
     "simulate-plain": {
         "dataset.csv": "5571ad36248e463760a24b13077eaff885a8a17e9a61606d7e047f2c5234c6b5",
         "bands_moore.csv": "04a080e3802be592375e22e32d45c30745c97cc7604fb0a824bb3d5bb8cd429a",
         "bands_wright.csv": "d6f9251f61e930f5ee7eea7f37b07f84526675b9a7145bdd4d4de57152d9629c",
+        "simulate_manifest.txt": "dd9cb9c5f9281d9ffeb18aa2a35601100135b82fc2dad0658c661796bda09b60",
     },
     "simulate-shared": {
         "dataset.csv": "bb69d39f80ed7d0278342d66719af772a5d0dc56e1bc12cb64ad22d2b71f2c10",
         "bands_moore.csv": "7bd96cdfc8ec0ae884d4c2b927b990db0616f7b487c47371d29f9734acc2a4d3",
         "bands_wright.csv": "2e9e6cac23bb8a22710f80a1a0a86dc05b3d5be7d71de651ec5dc40fa45f89d6",
+        "simulate_manifest.txt": "bc8f2041c2277e5b3b4ba260a06e6532f84e6cfb1deec732571248d691c9e8aa",
     },
     "simulate-shared-plain": {
         "dataset.csv": "86dd515fef1db2977c7e4994a019d4c61a8ac9fefeee94a8b10179dcbd079c5f",
         "bands_moore.csv": "3ed5427048233f023bd24fb4ab3c6f1725d688846cfe50e27bf1676ccd9d9fea",
         "bands_wright.csv": "d8e80b9a9d3fbea2649e17c5d6a3b528b3179bd5f3922b1ecec2dcb57b0abe2e",
+        "simulate_manifest.txt": "9028098e34d1317471aa80a2e5d79e40a96d09d79544f3f0fa41c1d6fbb4b539",
     },
 }
 

@@ -47,6 +47,19 @@ class TestConfig:
             HindcastConfig(tau_max=0)
         HindcastConfig(tau_max=None)
 
+    @pytest.mark.parametrize(
+        "kwargs, field",
+        [({"m": 5.0}, "m"), ({"m": 5, "tau_max": 2.5}, "tau_max"), ({"tau_max": 20.0}, "tau_max"),
+         ({"rho": 1.5}, "rho"), ({"rho": -1.01}, "rho"), ({"rho": math.nan}, "rho")],
+    )
+    def test_rejected_at_construction(self, kwargs, field):
+        with pytest.raises(ValueError, match=f"^{field} must"):
+            HindcastConfig(**kwargs)
+
+    def test_numpy_integers_accepted(self):
+        cfg = HindcastConfig(m=np.int64(5), tau_max=np.int64(4), rho=np.float64(-1.0))
+        assert len(run_hindcast(surrogate(T=12), cfg)) > 0
+
 
 class TestBookkeeping:
     def test_minimal_series_single_error(self):

@@ -114,6 +114,24 @@ class TestIngest:
         with pytest.raises(DataError, match=r"^data\.csv line 3: row with missing fields$"):
             ingest_csv(make_csv(tmp_path, text))
 
+    @pytest.mark.parametrize(
+        "value, message",
+        [("x", r"A line 5: unparsable value \(.*'x'"), ("-1", r"A line 5: non-positive cost$")],
+        ids=["unparsable", "contract"],
+    )
+    def test_line_counts_blank_lines(self, tmp_path, value, message):
+        text = f"technology,year,cost,production\nA,2000,1,1\n\n\nA,2001,{value},1\nA,2002,1,1\n"
+        with pytest.raises(DataError, match="^" + message):
+            ingest_csv(make_csv(tmp_path, text))
+
+    def test_line_counts_line_breaks_in_quoted_names(self, tmp_path):
+        # each row of "B\nC" spans two lines; the year gap is on line 7
+        row = '"B\nC",{},1,1\n'
+        text = "technology,year,cost,production\n" + row.format(2000) + row.format(2001)
+        text += "\n" + row.format(2003)
+        with pytest.raises(DataError, match=r"^B\nC line 7: gap in years \(2001 -> 2003\)$"):
+            ingest_csv(make_csv(tmp_path, text))
+
     def test_round_trip_identical(self, tmp_path):
         rng = np.random.default_rng(7)
         ts = TechSeries(

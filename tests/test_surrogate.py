@@ -170,6 +170,14 @@ class TestMakeDataset:
         with pytest.raises(ValueError, match="length n_tech"):
             SurrogateSpec(n_tech=3, g=np.array([0.1, 0.2]))
 
+    @pytest.mark.parametrize("field", ["n_tech", "n_ensembles"])
+    def test_counts_must_be_integers(self, field):
+        for bad in (2.0, 2.5, 0):
+            with pytest.raises(ValueError, match=f"{field} must be a positive integer"):
+                SurrogateSpec(**{"n_tech": 2, field: bad})
+        spec = SurrogateSpec(n_tech=np.int64(2), n_ensembles=np.int64(1), T=6)
+        assert make_dataset(spec, 0).T.tolist() == [6, 6]
+
     def test_periods_checked_at_construction(self):
         with pytest.raises(ValueError, match="T must be integral"):
             SurrogateSpec(n_tech=1, T=50.7)
