@@ -229,35 +229,29 @@ def cmd_simulate(args) -> int:
     spec = SurrogateSpec(
         **generator,
         seed=args.seed,
-        n_ensembles=max(args.ensembles, 1),
+        n_ensembles=args.ensembles or 1,
         shared_production=args.shared_production,
         corrected_experience=not args.no_correction,
     )
+    cfg = HindcastConfig(m=args.m, tau_max=args.tau_max, rho=args.rho_star)
 
     _atomic(outdir / "dataset.csv", lambda p: write_csv(p, make_dataset(spec, 0)))
 
     if args.ensembles > 0:
-        cfg = HindcastConfig(m=args.m, tau_max=args.tau_max, rho=args.rho_star)
-        taus = np.arange(1, args.tau_max + 1)
+        taus = range(1, cfg.tau_max + 1)
 
         def stat(dataset):
+            # one row per model, one column per horizon; nan where no error reaches it
             errs = run_hindcast(dataset, cfg)
-            out = np.full(2 * len(taus), np.nan)
-            for k, model in enumerate(("moore", "wright")):
-                table = mse_by_horizon(_model_rows(errs, model))
-                for i, tau in enumerate(taus):
-                    if int(tau) in table:
-                        out[k * len(taus) + i] = table[int(tau)][0]
-            return out
+            mse = [mse_by_horizon(_model_rows(errs, model)) for model in ("moore", "wright")]
+            return [[by_tau.get(tau, (np.nan,))[0] for tau in taus] for by_tau in mse]
 
         result = run_ensemble(spec, stat)
-        half = len(taus)
         for k, model in enumerate(("moore", "wright")):
-            sub = slice(k * half, (k + 1) * half)
             _write_csv(
                 outdir / f"bands_{model}.csv",
                 ["grid", "stat_mean", "lo", "hi"],
-                [taus.astype(float), result.mean[sub], result.lower[sub], result.upper[sub]],
+                [np.array(taus, dtype=float), result.mean[k], result.lower[k], result.upper[k]],
             )
 
     periods = "per-technology" if args.mimic else args.periods
@@ -346,6 +340,11 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--output-dir", default=".", help="directory for output files")
     sub = parser.add_subparsers(dest="command", required=True)
+    # the hindcast options, which `simulate` reads for its bands
+    window = argparse.ArgumentParser(add_help=False)
+    window.add_argument("--m", type=int, default=5, help="window size in differences")
+    window.add_argument("--tau-max", type=int, default=20, help="maximum forecast horizon")
+    window.add_argument("--rho-star", type=float, default=RHO_STAR, help="pooled MA(1) coefficient")
 
     p = sub.add_parser("estimate", help="whole-sample parameter table from a data CSV")
     p.add_argument("--input", required=True, help="CSV: technology,year,cost,production")
@@ -356,11 +355,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(func=cmd_estimate)
 
-    p = sub.add_parser("hindcast", help="rolling-origin pseudo-forecast errors")
+    p = sub.add_parser("hindcast", parents=[window], help="rolling-origin pseudo-forecast errors")
     p.add_argument("--input", required=True)
-    p.add_argument("--m", type=int, default=5, help="window size in differences")
-    p.add_argument("--tau-max", type=int, default=20, help="maximum forecast horizon")
-    p.add_argument("--rho-star", type=float, default=RHO_STAR, help="pooled MA(1) coefficient")
     p.set_defaults(func=cmd_hindcast)
 
     p = sub.add_parser("diagnose", help="distribution checks on a hindcast error CSV")
@@ -369,7 +365,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--reference", choices=("student", "normal"), default="student")
     p.set_defaults(func=cmd_diagnose)
 
-    p = sub.add_parser("simulate", help="synthetic datasets, bands, calibration studies")
+    p = sub.add_parser(
+        "simulate", parents=[window], help="synthetic datasets, bands, calibration studies"
+    )
     p.add_argument("--n-tech", type=int, default=200)
     p.add_argument("--periods", type=int, default=50)
     p.add_argument("--g", type=float, default=0.1)
@@ -378,17 +376,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sigma-eta", type=float, default=0.1)
     p.add_argument("--rho", type=float, default=0.0, help="generator MA(1) coefficient")
     p.add_argument("--ensembles", type=int, default=1000)
-    p.add_argument("--m", type=int, default=5)
-    p.add_argument("--tau-max", type=int, default=20)
-    p.add_argument("--rho-star", type=float, default=RHO_STAR)
     p.add_argument("--shared-production", action="store_true")
     p.add_argument(
         "--no-correction",
         action="store_true",
         help="plain cumulative production instead of the initial-stock correction",
     )
-    p.add_argument("--mimic", default=None, help="params.csv whose rows set per-technology parameters")
-    p.add_argument("--calibration", action="store_true", help="run the theory calibration study")
+    mode = p.add_mutually_exclusive_group()
+    mode.add_argument("--mimic", default=None, help="params.csv whose rows set per-technology parameters")
+    mode.add_argument("--calibration", action="store_true", help="run the theory calibration study")
     p.add_argument("--variance", choices=("estimated", "true"), default="estimated")
     p.add_argument("--iid-windows", action="store_true")
     p.set_defaults(func=cmd_simulate)

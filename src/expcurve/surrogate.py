@@ -203,15 +203,15 @@ def make_dataset(spec: SurrogateSpec, replicate: int = 0) -> SeriesTable:
 
 
 def run_ensemble(spec: SurrogateSpec, pipeline) -> EnsembleResult:
-    """Apply ``pipeline`` (dataset -> statistic vector) to every replicate.
+    """Apply ``pipeline`` (dataset -> statistic of any shape) to every replicate.
 
-    Returns the pointwise mean and the 2.5%/97.5% nearest-rank band; the
-    band only means much with on the order of 100+ replicates. A pipeline
-    failure aborts with the replicate index so the exact dataset can be
-    regenerated via ``make_dataset(spec, replicate)``. Replicates run one
-    after another in the calling thread; the CLI's ``--threads`` flag is
-    accepted and has no effect, because a thread pool made the ensemble no
-    faster.
+    Returns the pointwise mean and the 2.5%/97.5% nearest-rank band, each in
+    the statistic's shape (a scalar gives a vector of one); the band only
+    means much with on the order of 100+ replicates. A pipeline failure
+    aborts with the replicate index so the exact dataset can be regenerated
+    via ``make_dataset(spec, replicate)``. Replicates run one after another
+    in the calling thread; the CLI's ``--threads`` flag is accepted and has
+    no effect, because a thread pool made the ensemble no faster.
     """
 
     def one(r: int) -> np.ndarray:
@@ -223,7 +223,7 @@ def run_ensemble(spec: SurrogateSpec, pipeline) -> EnsembleResult:
                 f"reproduce with make_dataset(spec, {r})"
             ) from exc
 
-    matrix = np.vstack([one(r) for r in range(spec.n_ensembles)])
+    matrix = np.stack([one(r) for r in range(spec.n_ensembles)])
     n = matrix.shape[0]
     srt = np.sort(matrix, axis=0)
     lo_idx = max(int(math.ceil(0.025 * n)) - 1, 0)
@@ -300,6 +300,7 @@ def run_calibration_study(
         raise ValueError("variance must be 'estimated' or 'true'")
     spec = replace(_CALIBRATION_SPEC, n_tech=n_tech, T=periods, seed=seed)
     rho = spec.rho
+    cfg = HindcastConfig(m=m, tau_max=None, rho=rho)  # checks m for both branches
     su_true = spec.sigma_eta / math.sqrt(1.0 + rho * rho)
 
     if iid_windows:
@@ -327,7 +328,7 @@ def run_calibration_study(
             norm = raw / np.sqrt(kernel * su_hat2)
     else:
         dataset = make_dataset(spec, 0)
-        errors = run_hindcast(dataset, HindcastConfig(m=m, tau_max=None, rho=rho))
+        errors = run_hindcast(dataset, cfg)
         wright = _model_rows(errors, "wright")
         raw = wright.raw_error
         v_est = wright.wright_variance

@@ -171,6 +171,39 @@ class TestSimulateCommand:
         for got, want in zip(ds, make_dataset(spec, 0)):
             assert np.array_equal(got.cost, want.cost)
 
+    @pytest.mark.parametrize(
+        "options, message",
+        [
+            (["--ensembles", 2, "--tau-max", 0], "tau_max must be None or an integer of at least 1"),
+            (["--ensembles", 2, "--m", 1], "m must be an integer of at least 2"),
+            (["--ensembles", 2, "--rho-star", 1.5], "rho must lie in [-1, 1]"),
+            (["--ensembles", 0, "--tau-max", 0], "tau_max must be None or an integer of at least 1"),
+            (["--ensembles", -3], "n_ensembles must be a positive integer"),
+            (
+                ["--calibration", "--iid-windows", "--variance", "true", "--m", 1],
+                "m must be an integer of at least 2",
+            ),
+        ],
+        ids=["tau-max", "m", "rho-star", "no-ensembles", "negative-ensembles", "calibration-m"],
+    )
+    def test_options_checked_before_any_write(self, tmp_path, capsys, options, message):
+        out = tmp_path / "out"
+        code = run_cli("--output-dir", out, "simulate", "--n-tech", 2, "--periods", 10, *options)
+        assert code == 1
+        assert message in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
+    def test_mimic_and_calibration_are_exclusive(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            run_cli(
+                "--output-dir", out, "simulate", "--calibration",
+                "--mimic", reference_params_path(), "--n-tech", 3, "--periods", 12,
+            )
+        assert exc.value.code == 2
+        assert "not allowed with argument" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestForecastCommand:
     def test_reference_params_pv(self, tmp_path):

@@ -260,6 +260,15 @@ class TestRunEnsemble:
         backwards = [stat(make_dataset(spec, r)) for r in reversed(range(16))]
         assert_allclose(np.sort(backwards, axis=0)[0], a.lower, rtol=0)
 
+    def test_statistic_keeps_its_shape(self):
+        spec = SurrogateSpec(n_tech=3, T=10, seed=5, n_ensembles=40)
+        stat = lambda ds: np.reshape(ds.cost, (3, 10))[:2, :4]
+        res = run_ensemble(spec, stat)
+        flat = run_ensemble(spec, lambda ds: stat(ds).ravel())
+        for field in ("mean", "lower", "upper"):
+            assert getattr(res, field).shape == (2, 4)
+            assert_array_equal(getattr(res, field).ravel(), getattr(flat, field))
+
     def test_failure_carries_replicate(self):
         spec = SurrogateSpec(n_tech=1, T=8, seed=0, n_ensembles=5)
 
@@ -334,6 +343,13 @@ class TestCalibrationStudy:
     def test_error_count_matches_hindcast_arithmetic(self):
         res = run_calibration_study(m=5, variance="true", n_tech=10, periods=15, seed=2)
         assert len(res.normalized) == 10 * (9 * 10) // 2
+
+    @pytest.mark.parametrize("iid_windows", [False, True], ids=["overlapping", "iid"])
+    def test_window_size_checked_in_both_branches(self, iid_windows):
+        with pytest.raises(ValueError, match="m must be an integer of at least 2"):
+            run_calibration_study(
+                m=1, variance="true", iid_windows=iid_windows, n_tech=3, periods=12
+            )
 
     def test_bad_variance_mode(self):
         with pytest.raises(ValueError):
