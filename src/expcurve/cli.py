@@ -234,6 +234,8 @@ def cmd_simulate(args) -> int:
         corrected_experience=not args.no_correction,
     )
     cfg = HindcastConfig(m=args.m, tau_max=args.tau_max, rho=args.rho_star)
+    if args.ensembles > 0 and np.max(spec.T) < cfg.m + 2:
+        raise ValueError(f"no series has the m + 2 = {cfg.m + 2} periods that one error needs")
 
     _atomic(outdir / "dataset.csv", lambda p: write_csv(p, make_dataset(spec, 0)))
 

@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, fields
-from itertools import repeat
+from typing import NamedTuple
 
 import numpy as np
 
@@ -33,7 +33,7 @@ from . import _csvio
 from ._csvio import _CHUNK
 from .estimators import RHO_STAR, _window_fits
 from .series import SeriesTable
-from .variance import _ma1_unit_variance, a_factor, ma1_variance_constant_x
+from .variance import a_factor, ma1_variance_constant_x
 
 ERROR_COLUMNS = (
     "technology",
@@ -80,11 +80,8 @@ class HindcastError:
     the two are directly comparable; ``pooled_error`` additionally rescales
     so errors of different horizons can be aggregated (``/ sqrt(A)`` for the
     random walk, ``/ sqrt(constant-growth MA(1) variance)`` for the
-    experience curve). ``m`` is the window size. ``wright_variance`` is the
-    realized-experience MA(1) variance of this window/horizon (the
-    random-walk variance is ``K_hat**2 * A``). Records loaded from CSV carry
-    ``None`` for ``origin_index`` and ``wright_variance``, which the CSV
-    format omits.
+    experience curve). The fields are the ``errors.csv`` columns
+    (``ERROR_COLUMNS``) plus the window size ``m``.
 
     A row is a fresh view built from the table's columns on every access:
     changing its fields changes nothing in the table, and rows compare by
@@ -102,25 +99,13 @@ class HindcastError:
     normalized_error: float
     pooled_error: float
     m: int
-    origin_index: int | None = None
-    wright_variance: float | None = None
 
 
 _FIELDS = tuple(f.name for f in fields(HindcastError))
-_OPTIONAL = ("origin_index", "wright_variance")
-_DTYPES = {
-    "technology": str,
-    "model": str,
-    "origin_year": np.int64,
-    "tau": np.int64,
-    "m": np.int64,
-    "origin_index": np.int64,
-}
+_DTYPES = {"technology": str, "model": str, "origin_year": np.int64, "tau": np.int64, "m": np.int64}
 
 
 def _same_column(a, b) -> bool:
-    if a is None or b is None:
-        return a is b
     return a.shape == b.shape and np.array_equal(a, b, equal_nan=a.dtype.kind == "f")
 
 
@@ -128,10 +113,9 @@ class HindcastTable:
     """Hindcast errors stored column-wise, in record order (technology,
     origin, horizon, model).
 
-    Each :class:`HindcastError` field is a NumPy array attribute of the same
-    name. An optional column (``origin_index``, ``wright_variance``) is
-    ``None`` when the source lacks it; a table read from CSV has neither. A
-    table without ``m`` cannot be made.
+    Each :class:`HindcastError` field (an ``errors.csv`` column or ``m``) is
+    a NumPy array attribute of the same name, and every one is required, so
+    a table read back from its CSV equals the table that was written.
 
     ``len(table)``, ``table[i]`` and iteration give :class:`HindcastError`
     row views, so record-wise code and ``dataclasses.replace`` keep working;
@@ -144,14 +128,12 @@ class HindcastTable:
     def __init__(self, **columns):
         n = None
         for name in _FIELDS:
-            col = columns.pop(name, None)
-            if col is not None:
-                col = np.asarray(col, dtype=_DTYPES.get(name, float))
-                if col.ndim != 1 or n not in (None, len(col)):
-                    raise ValueError("columns must be one-dimensional and of equal length")
-                n = len(col)
-            elif name not in _OPTIONAL:
+            if name not in columns:
                 raise TypeError(f"missing column '{name}'")
+            col = np.asarray(columns.pop(name), dtype=_DTYPES.get(name, float))
+            if col.ndim != 1 or n not in (None, len(col)):
+                raise ValueError("columns must be one-dimensional and of equal length")
+            n = len(col)
             setattr(self, name, col)
         if columns:
             raise TypeError(f"unknown column(s): {', '.join(columns)}")
@@ -164,22 +146,12 @@ class HindcastTable:
         # never holds more than a chunk beyond what the caller keeps.
         columns = self._columns()
         for lo in range(0, len(self), _CHUNK):
-            yield from map(
-                HindcastError,
-                *(repeat(None) if col is None else col[lo:lo + _CHUNK].tolist() for col in columns),
-            )
+            yield from map(HindcastError, *(col[lo:lo + _CHUNK].tolist() for col in columns))
 
     def __getitem__(self, index):
         if isinstance(index, (int, np.integer)):
-            return HindcastError(
-                *(None if col is None else col[index].item() for col in self._columns())
-            )
-        return HindcastTable(
-            **{
-                name: None if col is None else col[index]
-                for name, col in zip(_FIELDS, self._columns())
-            }
-        )
+            return HindcastError(*(col[index].item() for col in self._columns()))
+        return HindcastTable(**{name: col[index] for name, col in zip(_FIELDS, self._columns())})
 
     def __eq__(self, other):
         if isinstance(other, HindcastTable):
@@ -208,9 +180,31 @@ def _model_rows(table: HindcastTable, model: str) -> HindcastTable:
     return table[k::2]
 
 
-def _hindcast_rows(dataset: SeriesTable, cfg: HindcastConfig) -> tuple[HindcastTable, int]:
-    """Every error of the dataset, and the number of windows with zero
-    random-walk scale.
+class _Windows(NamedTuple):
+    """Every estimation window of a dataset and every error it makes.
+
+    Per window: its series (an index into the dataset), its origin (the
+    origin's position in the dataset's level columns), its ``m`` experience
+    differences ``xw``, and its fitted ``sig_eta2`` (not rooted) and
+    ``k_hat``. Per error, in (window, horizon) order: its window ``win``, its
+    horizon ``tau``, the realized experience differences ``fsum`` summed over
+    the horizon, and the raw random-walk and experience-curve errors.
+    """
+
+    series: np.ndarray
+    origin: np.ndarray
+    xw: np.ndarray
+    sig_eta2: np.ndarray
+    k_hat: np.ndarray
+    win: np.ndarray
+    tau: np.ndarray
+    fsum: np.ndarray
+    e_moore: np.ndarray
+    e_wright: np.ndarray
+
+
+def _windows(dataset: SeriesTable, cfg: HindcastConfig) -> _Windows:
+    """Gather every window and error of the dataset.
 
     Every window and future path is gathered by index from the table's log
     cost and log experience columns. Window ``w`` ends at origin ``o[w]`` of
@@ -222,10 +216,9 @@ def _hindcast_rows(dataset: SeriesTable, cfg: HindcastConfig) -> tuple[HindcastT
     drops are read from other series or clipped at the end and never reach a
     result. Future sums are a row-wise cumulative sum, so every sum adds the
     same terms in the same order as a per-window loop would. The window fits
-    and the realized-experience MA(1) variance are the library's own
-    kernels, applied to all windows at once.
+    are the library's own kernel, applied to all windows at once.
     """
-    m, rho = cfg.m, cfg.rho
+    m = cfg.m
     T, y = dataset.T, dataset.log_cost
     dy = np.diff(y)
     dx = np.diff(dataset.log_experience)
@@ -238,11 +231,7 @@ def _hindcast_rows(dataset: SeriesTable, cfg: HindcastConfig) -> tuple[HindcastT
     at = (np.cumsum(T) - T)[sid] + o
     past = at[:, None] + np.arange(-m, 0)
     xw, yw = dx[past], dy[past]
-
     _, omega, sig_eta2, mu, k2 = _window_fits(xw, yw)
-    sig_eta = np.sqrt(sig_eta2)
-    k_hat = np.sqrt(k2)
-    su2 = sig_eta2 * (1.0 / (1.0 + rho * rho))
 
     n_tau = T[sid] - 1 - o
     if cfg.tau_max is not None:
@@ -254,14 +243,22 @@ def _hindcast_rows(dataset: SeriesTable, cfg: HindcastConfig) -> tuple[HindcastT
     actual = (y.take(ahead, mode="clip") - y[at, None])[keep]
     win, col = np.nonzero(keep)
     taus = col + 1
-
-    e_w = actual - omega[win] * fsum
     e_m = actual - mu[win] * taus
+    e_w = actual - omega[win] * fsum
+    return _Windows(sid, at, xw, sig_eta2, np.sqrt(k2), win, taus, fsum, e_m, e_w)
+
+
+def _error_table(dataset: SeriesTable, cfg: HindcastConfig, w: _Windows) -> HindcastTable:
+    """The table of a gather's errors: a moore row, then a wright row, for
+    each error."""
+    m, rho = cfg.m, cfg.rho
+    win, taus, e_m, e_w = w.win, w.tau, w.e_moore, w.e_wright
+    sig_eta = np.sqrt(w.sig_eta2)
+    su2 = w.sig_eta2 * (1.0 / (1.0 + rho * rho))
     a = a_factor(taus, m)
-    v_wright = su2[win] * _ma1_unit_variance(rho, xw[win], fsum, taus)
 
     n = len(taus)
-    k_row = k_hat[win]
+    k_row = w.k_hat[win]
     scaled = k_row > 0.0
     norm_w = np.divide(e_w, k_row, out=np.full(n, np.nan), where=scaled)
     norm_m = np.divide(e_m, k_row, out=np.full(n, np.nan), where=scaled)
@@ -277,9 +274,9 @@ def _hindcast_rows(dataset: SeriesTable, cfg: HindcastConfig) -> tuple[HindcastT
     def per_row(values):
         return np.repeat(values, 2)
 
-    table = HindcastTable(
-        technology=per_row(dataset.names[sid[win]]),
-        origin_year=per_row(dataset.years[at[win]]),
+    return HindcastTable(
+        technology=per_row(dataset.names[w.series[win]]),
+        origin_year=per_row(dataset.years[w.origin[win]]),
         tau=per_row(taus),
         model=np.tile(np.array(["moore", "wright"]), n),
         raw_error=per_model(e_m, e_w),
@@ -289,10 +286,7 @@ def _hindcast_rows(dataset: SeriesTable, cfg: HindcastConfig) -> tuple[HindcastT
         normalized_error=per_model(norm_m, norm_w),
         pooled_error=per_model(pooled_m, pooled_w),
         m=np.full(2 * n, m),
-        origin_index=per_row(o[win]),
-        wright_variance=per_row(v_wright),
     )
-    return table, int(np.count_nonzero(~(k_hat > 0.0)))
 
 
 def run_hindcast(dataset: SeriesTable, config: HindcastConfig | None = None) -> HindcastTable:
@@ -312,14 +306,15 @@ def run_hindcast(dataset: SeriesTable, config: HindcastConfig | None = None) -> 
         warnings.warn(f"{name}: too short for m={cfg.m} (T={T}); skipped", stacklevel=2)
     if short.all():
         return HindcastTable(**{name: () for name in _FIELDS})
-    table, zero_scale = _hindcast_rows(dataset, cfg)
+    windows = _windows(dataset, cfg)
+    zero_scale = np.count_nonzero(~(windows.k_hat > 0.0))
     if zero_scale:
         warnings.warn(
             f"{zero_scale} window(s) had zero residual scale; their normalized "
             "errors are recorded as nan",
             stacklevel=2,
         )
-    return table
+    return _error_table(dataset, cfg, windows)
 
 
 def mse_by_horizon(errors: HindcastTable, normalization: str = "moore") -> dict[int, tuple[float, int]]:
@@ -387,8 +382,7 @@ def read_errors_csv(path) -> HindcastTable:
 
     Columns are found by header name. Raises ``ValueError`` for a missing
     column, a row with missing fields, or a window size ``m`` that cannot be
-    recovered from ``A = tau + tau**2 / m``. ``origin_index`` and
-    ``wright_variance`` are not stored, so those columns are ``None``.
+    recovered from ``A = tau + tau**2 / m``.
     """
     columns = _csvio.read_csv(
         path, {name: _DTYPES.get(name, float) for name in ERROR_COLUMNS}, "error CSV"

@@ -20,9 +20,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .diagnostics import DistCheck, ecdf_vs_reference, pit
-from .hindcast import HindcastConfig, _model_rows, run_hindcast
+from .hindcast import HindcastConfig, _windows
 from .series import DataError, SeriesTable, _concat, _corrected_experience
-from .variance import wright_ma1_variance
+from .variance import _ma1_unit_variance, wright_ma1_variance
 
 # Role ids for the RNG stream key.
 _ROLE_PRODUCTION = 0
@@ -294,13 +294,16 @@ def run_calibration_study(
 
     ``iid_windows=True`` instead spreads the same total number of errors over
     independent minimal series of ``m + 2`` periods, one single-step error
-    each, removing the overlapping-window dependence.
+    each, removing the overlapping-window dependence. Either way ``periods``
+    must be at least ``m + 2``.
     """
     if variance not in ("estimated", "true"):
         raise ValueError("variance must be 'estimated' or 'true'")
     spec = replace(_CALIBRATION_SPEC, n_tech=n_tech, T=periods, seed=seed)
     rho = spec.rho
     cfg = HindcastConfig(m=m, tau_max=None, rho=rho)  # checks m for both branches
+    if periods < m + 2:  # no window plus one forecast, in either branch
+        raise ValueError(f"periods must be at least m + 2 = {m + 2}")
     su_true = spec.sigma_eta / math.sqrt(1.0 + rho * rho)
 
     if iid_windows:
@@ -327,17 +330,16 @@ def run_calibration_study(
             su_hat2 = sig_eta_hat2 / (1.0 + rho * rho)
             norm = raw / np.sqrt(kernel * su_hat2)
     else:
-        dataset = make_dataset(spec, 0)
-        errors = run_hindcast(dataset, cfg)
-        wright = _model_rows(errors, "wright")
-        raw = wright.raw_error
-        v_est = wright.wright_variance
+        w = _windows(make_dataset(spec, 0), cfg)
+        raw = w.e_wright
+        su2 = w.sig_eta2 * (1.0 / (1.0 + rho * rho))
+        v_est = su2[w.win] * _ma1_unit_variance(rho, w.xw[w.win], w.fsum, w.tau)
         if variance == "estimated":
             norm = raw / np.sqrt(v_est)
         else:
             # The variance is linear in sigma_u^2; rescale the per-window
             # value to the true innovation scale.
-            sig_eta_hat2 = wright.sigma_eta_hat ** 2
+            sig_eta_hat2 = np.sqrt(w.sig_eta2[w.win]) ** 2
             su_hat2 = sig_eta_hat2 / (1.0 + rho * rho)
             norm = raw / np.sqrt(v_est / su_hat2 * su_true * su_true)
 

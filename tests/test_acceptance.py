@@ -404,7 +404,7 @@ def test_criterion_8_hindcast_bookkeeping():
     purity_ok = all(
         e.raw_error == pytest.approx(before[(e.origin_year, e.tau, e.model)], abs=1e-12)
         for e in ec.run_hindcast(ec.SeriesTable.from_series([corrupted]), cfg)
-        if e.origin_index - cfg.m >= 3
+        if e.origin_year - ts.years[0] - cfg.m >= 3
     )
 
     ds0 = ec.make_dataset(

@@ -183,8 +183,17 @@ class TestSimulateCommand:
                 ["--calibration", "--iid-windows", "--variance", "true", "--m", 1],
                 "m must be an integer of at least 2",
             ),
+            (["--ensembles", 2, "--periods", 6, "--m", 5], "no series has the m + 2 = 7 periods"),
+            (
+                ["--calibration", "--iid-windows", "--variance", "true", "--m", 5, "--periods", 4],
+                "periods must be at least m + 2 = 7",
+            ),
+            (["--calibration", "--m", 5, "--periods", 6], "periods must be at least m + 2 = 7"),
         ],
-        ids=["tau-max", "m", "rho-star", "no-ensembles", "negative-ensembles", "calibration-m"],
+        ids=[
+            "tau-max", "m", "rho-star", "no-ensembles", "negative-ensembles", "calibration-m",
+            "series-too-short", "calibration-iid-periods", "calibration-periods",
+        ],
     )
     def test_options_checked_before_any_write(self, tmp_path, capsys, options, message):
         out = tmp_path / "out"
@@ -192,6 +201,15 @@ class TestSimulateCommand:
         assert code == 1
         assert message in capsys.readouterr().err
         assert list(out.iterdir()) == []
+
+    def test_shortest_usable_series(self, tmp_path):
+        # m + 2 periods make one window with one forecast
+        out = tmp_path / "out"
+        code = run_cli(
+            "--output-dir", out, "simulate", "--n-tech", 2, "--periods", 7, "--m", 5, "--ensembles", 2
+        )
+        assert code == 0
+        assert (out / "bands_moore.csv").exists() and (out / "bands_wright.csv").exists()
 
     def test_mimic_and_calibration_are_exclusive(self, tmp_path, capsys):
         out = tmp_path / "out"

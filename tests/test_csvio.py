@@ -12,6 +12,7 @@ from numpy.testing import assert_array_equal
 
 from expcurve import (
     HindcastConfig,
+    HindcastTable,
     SeriesTable,
     SurrogateSpec,
     TechSeries,
@@ -72,7 +73,11 @@ class TestReadErrorsCsv:
         assert len(table) == 1
         assert table.technology.tolist() == ["tech"] and table.model.tolist() == ["moore"]
         assert table.m.tolist() == [5]  # A = tau + tau**2 / m = 2 + 4 / 5
-        assert table.origin_index is None and table.wright_variance is None
+        assert table == HindcastTable(
+            technology=["tech"], origin_year=[2000], tau=[2], model=["moore"], raw_error=[0.5],
+            K_hat=[0.25], sigma_eta_hat=[0.125], A=[2.8], normalized_error=[2.0],
+            pooled_error=[1.25], m=[5],
+        )
 
     def test_missing_column(self, tmp_path):
         header = ",".join(c for c in ERROR_COLUMNS if c not in ("tau", "A")) + "\r\n"

@@ -24,10 +24,13 @@ from expcurve import (
     mse_by_horizon,
     pooled_errors,
     read_errors_csv,
+    run_calibration_study,
     run_hindcast,
     wright_ma1_variance,
     write_errors_csv,
 )
+from expcurve.hindcast import ERROR_COLUMNS
+from expcurve.surrogate import _CALIBRATION_SPEC
 
 
 def surrogate(n_tech=1, T=20, seed=0, **kw):
@@ -110,7 +113,7 @@ class TestForecastsAndEstimates:
         errs = run_hindcast(ds, HindcastConfig(m=m, tau_max=3))
         d = ts.diffs()
         for e in errs:
-            o = e.origin_index
+            o = e.origin_year - ts.years[0]
             win = DiffSeries(y=d.y[o - m:o], x=d.x[o - m:o])
             assert e.K_hat == pytest.approx(fit_moore(win).K, rel=1e-12)
             assert e.sigma_eta_hat == pytest.approx(fit_wright(win).sigma_eta, rel=1e-12)
@@ -124,7 +127,7 @@ class TestForecastsAndEstimates:
         x = ts.log_experience
         d = ts.diffs()
         for e in errs:
-            o = e.origin_index
+            o = e.origin_year - ts.years[0]
             win_x, win_y = d.x[o - m:o], d.y[o - m:o]
             if e.model == "wright":
                 om = (win_x @ win_y) / (win_x @ win_x)
@@ -147,7 +150,7 @@ class TestForecastsAndEstimates:
         corrupted = TechSeries(ts.name, ts.years, cost, ts.production, ts.experience)
         after = run_hindcast(SeriesTable.from_series([corrupted]), cfg)
         for e in after:
-            if e.origin_index - cfg.m >= 3:
+            if e.origin_year - ts.years[0] - cfg.m >= 3:
                 assert e.raw_error == pytest.approx(
                     before[(e.origin_year, e.tau, e.model)], abs=1e-12
                 )
@@ -164,7 +167,7 @@ class TestForecastsAndEstimates:
         for e in errs:
             if e.model != "wright":
                 continue
-            o = e.origin_index
+            o = e.origin_year - ts.years[0]
             xw, yw = d.x[o - m:o], d.y[o - m:o]
             om_hat = (xw @ yw) / (xw @ xw)
             decomposed = (omega - om_hat) * d.x[o:o + e.tau].sum() + eta[o:o + e.tau].sum()
@@ -178,16 +181,26 @@ class TestForecastsAndEstimates:
                 assert abs(e.raw_error) < 1e-12
 
     def test_variance_fields_match_formulas(self):
-        ds = surrogate(T=14, seed=10, rho=0.5)
-        ts = ds[0]
-        rho = 0.31
-        errs = run_hindcast(ds, HindcastConfig(m=5, tau_max=5, rho=rho))
-        d = ts.diffs()
-        for e in errs:
-            o = e.origin_index
-            su = e.sigma_eta_hat / math.sqrt(1 + rho**2)
-            expect = wright_ma1_variance(su, rho, d.x[o - 5:o], d.x[o:o + e.tau])
-            assert e.wright_variance == pytest.approx(expect, rel=1e-12)
+        # The calibration study divides each experience-curve error by the
+        # realized-experience MA(1) standard deviation of its window and
+        # horizon, at the estimated or the true innovation scale.
+        m, n_tech, periods, seed = 5, 3, 14, 10
+        spec = dataclasses.replace(_CALIBRATION_SPEC, n_tech=n_tech, T=periods, seed=seed)
+        ds = make_dataset(spec, 0)
+        rho = spec.rho
+        errs = run_hindcast(ds, HindcastConfig(m=m, tau_max=None, rho=rho))
+        wright = [e for e in errs if e.model == "wright"]
+        series = {ts.name: (ts.diffs().x, ts.years[0]) for ts in ds}
+        for variance in ("estimated", "true"):
+            res = run_calibration_study(m=m, variance=variance, n_tech=n_tech, periods=periods, seed=seed)
+            assert len(res.normalized) == len(wright)
+            for e, norm in zip(wright, res.normalized):
+                x, first_year = series[e.technology]
+                o = e.origin_year - first_year
+                scale = e.sigma_eta_hat if variance == "estimated" else spec.sigma_eta
+                su = scale / math.sqrt(1 + rho**2)
+                expect = e.raw_error / math.sqrt(wright_ma1_variance(su, rho, x[o - m:o], x[o:o + e.tau]))
+                assert norm == pytest.approx(expect, rel=1e-12)
 
     def test_sign_agreement_near_constant_x(self):
         # with smooth experience the two models err nearly identically
@@ -335,14 +348,18 @@ def test_errors_csv_golden_bytes_mixed_lengths(tmp_path, tau_max):
 
 class TestTable:
     def test_rows_are_records(self):
-        errs = run_hindcast(surrogate(n_tech=2, T=9, seed=4), HindcastConfig(m=4, tau_max=3))
+        ds = surrogate(n_tech=2, T=9, seed=4)
+        errs = run_hindcast(ds, HindcastConfig(m=4, tau_max=3))
         rows = list(errs)
         assert len(rows) == len(errs)
         assert all(type(r) is HindcastError for r in rows)
         assert errs[0] == rows[0] and errs[-1] == rows[-1]
         assert [errs[i] for i in range(len(errs))] == rows
         assert dataclasses.replace(errs[1], tau=99).tau == 99
-        assert rows[0].m == 4 and rows[0].origin_index == 4
+        assert rows[0].m == 4 and rows[0].origin_year - ds[0].years[0] == 4
+
+    def test_fields_are_the_csv_columns(self):
+        assert [f.name for f in dataclasses.fields(HindcastError)] == [*ERROR_COLUMNS, "m"]
 
     def test_model_rows_are_strided_views(self):
         from expcurve.hindcast import _model_rows
@@ -450,7 +467,7 @@ class TestTableProperties:
         assert len(after) == len(before)
         if not len(before):
             return
-        keep = (before.technology != ts.name) | (before.origin_index - before.m >= cut)
+        keep = (before.technology != ts.name) | (before.origin_year - ts.years[0] - before.m >= cut)
         for field in dataclasses.fields(HindcastError):
             a, b = getattr(before, field.name)[keep], getattr(after, field.name)[keep]
             assert a.tobytes() == b.tobytes(), field.name
@@ -499,4 +516,4 @@ class TestTableProperties:
         for name in ("technology", "origin_year", "tau", "model", "raw_error", "K_hat",
                      "sigma_eta_hat", "A", "normalized_error", "pooled_error", "m"):
             assert getattr(back, name).tobytes() == getattr(errs, name).tobytes(), name
-        assert back.origin_index is None and back.wright_variance is None
+        assert back == errs

@@ -281,7 +281,7 @@ class TestRunEnsemble:
     def test_ecdf_bands_bracket_normal_cdf(self):
         # true-scale normalized errors: the band around the ECDF statistic
         # should cover the normal CDF at nearly every grid point
-        from expcurve import HindcastConfig, run_hindcast
+        from expcurve import HindcastConfig, run_hindcast, wright_ma1_variance
 
         rho, sigma_eta = 0.6, 0.1
         su_true = sigma_eta / math.sqrt(1 + rho**2)
@@ -289,10 +289,14 @@ class TestRunEnsemble:
 
         def ecdf_stat(ds):
             errs = run_hindcast(ds, HindcastConfig(m=5, tau_max=None, rho=rho))
-            wright = errs[errs.model == "wright"]
-            su_hat2 = wright.sigma_eta_hat**2 / (1 + rho**2)
-            norm = wright.raw_error / np.sqrt(wright.wright_variance / su_hat2 * su_true**2)
-            return [(norm <= q).mean() for q in grid]
+            series = {ts.name: (ts.diffs().x, ts.years[0]) for ts in ds}
+            norm = []
+            for e in errs[errs.model == "wright"]:
+                x, first_year = series[e.technology]
+                o = e.origin_year - first_year
+                v = wright_ma1_variance(su_true, rho, x[o - 5:o], x[o:o + e.tau])
+                norm.append(e.raw_error / math.sqrt(v))
+            return [(np.array(norm) <= q).mean() for q in grid]
 
         spec = SurrogateSpec(
             n_tech=12, T=18, omega=-0.3, sigma_eta=sigma_eta, rho=rho,
@@ -350,6 +354,18 @@ class TestCalibrationStudy:
             run_calibration_study(
                 m=1, variance="true", iid_windows=iid_windows, n_tech=3, periods=12
             )
+
+    @pytest.mark.parametrize("iid_windows", [False, True], ids=["overlapping", "iid"])
+    def test_periods_checked_in_both_branches(self, iid_windows):
+        # a series of m + 1 periods has a window but nothing to forecast
+        with pytest.raises(ValueError, match=r"^periods must be at least m \+ 2 = 7$"):
+            run_calibration_study(
+                m=5, variance="true", iid_windows=iid_windows, n_tech=10, periods=6
+            )
+        res = run_calibration_study(
+            m=5, variance="true", iid_windows=iid_windows, n_tech=10, periods=7
+        )
+        assert len(res.normalized) == 10
 
     def test_bad_variance_mode(self):
         with pytest.raises(ValueError):
