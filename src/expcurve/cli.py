@@ -43,7 +43,7 @@ from .forecast import (
 from .hindcast import (
     HindcastConfig,
     _model_rows,
-    mse_by_horizon,
+    mse_curve,
     read_errors_csv,
     run_hindcast,
     write_errors_csv,
@@ -121,10 +121,18 @@ def cmd_estimate(args) -> int:
 # ----------------------------------------------------------------- hindcast
 
 
+def _check_reach(T, cfg: HindcastConfig) -> None:
+    """Reject series lengths ``T`` of which none gives one error: a window
+    of ``m`` differences plus one forecast."""
+    if np.max(T, initial=0) < cfg.m + 2:
+        raise ValueError(f"no series has the m + 2 = {cfg.m + 2} periods that one error needs")
+
+
 def cmd_hindcast(args) -> int:
     outdir = _outdir(args)
     cfg = HindcastConfig(m=args.m, tau_max=args.tau_max, rho=args.rho_star)
     dataset = build_experience(ingest_csv(args.input))
+    _check_reach(dataset.T, cfg)
     errors = run_hindcast(dataset, cfg)
     _atomic(outdir / "errors.csv", lambda p: write_errors_csv(p, errors))
     _write_manifest(outdir, args, _options(args), {"data": args.input})
@@ -234,26 +242,20 @@ def cmd_simulate(args) -> int:
         corrected_experience=not args.no_correction,
     )
     cfg = HindcastConfig(m=args.m, tau_max=args.tau_max, rho=args.rho_star)
-    if args.ensembles > 0 and np.max(spec.T) < cfg.m + 2:
-        raise ValueError(f"no series has the m + 2 = {cfg.m + 2} periods that one error needs")
+    if args.ensembles > 0:
+        _check_reach(spec.T, cfg)
 
     _atomic(outdir / "dataset.csv", lambda p: write_csv(p, make_dataset(spec, 0)))
 
     if args.ensembles > 0:
-        taus = range(1, cfg.tau_max + 1)
-
-        def stat(dataset):
-            # one row per model, one column per horizon; nan where no error reaches it
-            errs = run_hindcast(dataset, cfg)
-            mse = [mse_by_horizon(_model_rows(errs, model)) for model in ("moore", "wright")]
-            return [[by_tau.get(tau, (np.nan,))[0] for tau in taus] for by_tau in mse]
-
-        result = run_ensemble(spec, stat)
+        # one row per model, one column per horizon; nan where no error reaches it
+        result = run_ensemble(spec, lambda dataset: mse_curve(dataset, cfg))
+        grid = np.arange(1, cfg.tau_max + 1, dtype=float)
         for k, model in enumerate(("moore", "wright")):
             _write_csv(
                 outdir / f"bands_{model}.csv",
                 ["grid", "stat_mean", "lo", "hi"],
-                [np.array(taus, dtype=float), result.mean[k], result.lower[k], result.upper[k]],
+                [grid, result.mean[k], result.lower[k], result.upper[k]],
             )
 
     periods = "per-technology" if args.mimic else args.periods

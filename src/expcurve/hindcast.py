@@ -189,6 +189,10 @@ class _Windows(NamedTuple):
     ``k_hat``. Per error, in (window, horizon) order: its window ``win``, its
     horizon ``tau``, the realized experience differences ``fsum`` summed over
     the horizon, and the raw random-walk and experience-curve errors.
+
+    :func:`run_hindcast` builds the error table from it. :func:`mse_curve`
+    (one per ensemble replicate) and the calibration study read it directly
+    and build no table.
     """
 
     series: np.ndarray
@@ -259,10 +263,9 @@ def _error_table(dataset: SeriesTable, cfg: HindcastConfig, w: _Windows) -> Hind
 
     n = len(taus)
     k_row = w.k_hat[win]
-    scaled = k_row > 0.0
-    norm_w = np.divide(e_w, k_row, out=np.full(n, np.nan), where=scaled)
-    norm_m = np.divide(e_m, k_row, out=np.full(n, np.nan), where=scaled)
-    pooled_m = np.divide(e_m, k_row * np.sqrt(a), out=np.full(n, np.nan), where=scaled)
+    norm_w = _normalized(e_w, k_row)
+    norm_m = _normalized(e_m, k_row)
+    pooled_m = np.divide(e_m, k_row * np.sqrt(a), out=np.full(n, np.nan), where=k_row > 0.0)
     pooled_w = np.full(n, np.nan)
     pos = sig_eta[win] > 0.0
     v_pool = ma1_variance_constant_x(np.sqrt(su2[win[pos]]), rho, taus[pos], m)
@@ -289,32 +292,91 @@ def _error_table(dataset: SeriesTable, cfg: HindcastConfig, w: _Windows) -> Hind
     )
 
 
-def run_hindcast(dataset: SeriesTable, config: HindcastConfig | None = None) -> HindcastTable:
-    """Run the rolling-origin procedure over a :class:`SeriesTable` with
-    experience built.
+def _normalized(errors: np.ndarray, k_row: np.ndarray) -> np.ndarray:
+    """Errors divided by their window's random-walk scale ``K_hat``; ``nan``
+    where the window's scale is zero."""
+    return np.divide(errors, k_row, out=np.full(len(errors), np.nan), where=k_row > 0.0)
 
-    Series too short for one window plus one forecast are skipped with a
-    warning, not an error. All windows of the dataset are computed in one
-    vectorized pass in the calling thread; the CLI's ``--threads`` flag is
-    accepted and has no effect, because a thread pool made the pass slower.
-    Row order is (technology, origin, horizon, model), with technologies in
-    dataset order.
+
+def _gather(dataset: SeriesTable, cfg: HindcastConfig) -> _Windows | None:
+    """The gather of :func:`run_hindcast` and :func:`mse_curve`, with their
+    warnings.
+
+    Warns once for each series too short for one window plus one forecast
+    (it is skipped) and once for the windows with zero residual scale (their
+    normalized errors are ``nan``); each warning points at the caller of the
+    public function. Returns ``None`` when every series is too short.
     """
-    cfg = config or HindcastConfig()
     short = dataset.T < cfg.m + 2
     for name, T in zip(dataset.names[short].tolist(), dataset.T[short].tolist()):
-        warnings.warn(f"{name}: too short for m={cfg.m} (T={T}); skipped", stacklevel=2)
+        warnings.warn(f"{name}: too short for m={cfg.m} (T={T}); skipped", stacklevel=3)
     if short.all():
-        return HindcastTable(**{name: () for name in _FIELDS})
+        return None
     windows = _windows(dataset, cfg)
     zero_scale = np.count_nonzero(~(windows.k_hat > 0.0))
     if zero_scale:
         warnings.warn(
             f"{zero_scale} window(s) had zero residual scale; their normalized "
             "errors are recorded as nan",
-            stacklevel=2,
+            stacklevel=3,
         )
+    return windows
+
+
+def run_hindcast(dataset: SeriesTable, config: HindcastConfig | None = None) -> HindcastTable:
+    """Run the rolling-origin procedure over a :class:`SeriesTable` with
+    experience built, and return every error with the columns of
+    ``errors.csv``.
+
+    Series too short for one window plus one forecast are skipped with a
+    warning, not an error. All windows of the dataset are computed in one
+    vectorized pass in the calling thread; the CLI's ``--threads`` flag is
+    accepted and has no effect, because a thread pool made the pass slower.
+    Row order is (technology, origin, horizon, model), with technologies in
+    dataset order. A caller that needs only the per-horizon mean squared
+    normalized error calls :func:`mse_curve`, which builds no table.
+    """
+    cfg = config or HindcastConfig()
+    windows = _gather(dataset, cfg)
+    if windows is None:
+        return HindcastTable(**{name: () for name in _FIELDS})
     return _error_table(dataset, cfg, windows)
+
+
+def _horizon_mse(taus: np.ndarray, vals: np.ndarray, tau_max: int = 0):
+    """Mean squared value and count of the finite ``vals`` per horizon, as
+    two arrays indexed by horizon (at least ``0 .. tau_max``); the mean is
+    ``nan`` where a horizon has no finite value."""
+    finite = np.isfinite(vals)
+    taus = taus[finite]
+    vals = vals[finite]
+    # bincount adds in row order, as a running sum per horizon would
+    sums = np.bincount(taus, weights=vals * vals, minlength=tau_max + 1)
+    counts = np.bincount(taus, minlength=tau_max + 1)
+    return np.divide(sums, counts, out=np.full(len(counts), np.nan), where=counts > 0), counts
+
+
+def mse_curve(dataset: SeriesTable, config: HindcastConfig | None = None) -> np.ndarray:
+    """Mean squared normalized error per model and horizon of a hindcast of
+    ``dataset``: row 0 for moore, row 1 for wright, column ``tau - 1`` for
+    horizons 1 .. ``tau_max`` (the longest reach when uncapped), ``nan``
+    where no finite error reaches a horizon.
+
+    Row ``k`` holds, bit for bit, the means of
+    ``mse_by_horizon(_model_rows(run_hindcast(dataset, config), model))``,
+    and it warns as :func:`run_hindcast` does. It reads only the window
+    gather and builds no error table, so an ensemble statistic pays for
+    nothing it does not read.
+    """
+    cfg = config or HindcastConfig()
+    w = _gather(dataset, cfg)
+    if w is None:
+        return np.full((2, cfg.tau_max or 0), np.nan)
+    tau_max = cfg.tau_max or int(w.tau.max())
+    k_row = w.k_hat[w.win]
+    return np.stack([
+        _horizon_mse(w.tau, _normalized(e, k_row), tau_max)[0][1:] for e in (w.e_moore, w.e_wright)
+    ])
 
 
 def mse_by_horizon(errors: HindcastTable, normalization: str = "moore") -> dict[int, tuple[float, int]]:
@@ -331,16 +393,8 @@ def mse_by_horizon(errors: HindcastTable, normalization: str = "moore") -> dict[
     if normalization not in ("moore", "pooled"):
         raise ValueError("normalization must be 'moore' or 'pooled'")
     vals = errors.normalized_error if normalization == "moore" else errors.pooled_error
-    finite = np.isfinite(vals)
-    taus = errors.tau[finite]
-    vals = vals[finite]
-    # bincount adds in row order, as a running sum per horizon would
-    sums = np.bincount(taus, weights=vals * vals)
-    counts = np.bincount(taus)
-    return {
-        tau: (float(sums[tau] / counts[tau]), int(counts[tau]))
-        for tau in np.flatnonzero(counts).tolist()
-    }
+    mse, counts = _horizon_mse(errors.tau, vals)
+    return {tau: (float(mse[tau]), int(counts[tau])) for tau in np.flatnonzero(counts).tolist()}
 
 
 def pooled_errors(errors: HindcastTable, config: HindcastConfig | None = None) -> np.ndarray:

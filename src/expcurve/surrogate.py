@@ -212,6 +212,10 @@ def run_ensemble(spec: SurrogateSpec, pipeline) -> EnsembleResult:
     via ``make_dataset(spec, replicate)``. Replicates run one after another
     in the calling thread; the CLI's ``--threads`` flag is accepted and has
     no effect, because a thread pool made the ensemble no faster.
+
+    A replicate costs one ``make_dataset`` plus the pipeline. ``simulate``'s
+    pipeline is ``hindcast.mse_curve``, which reads the window gather and
+    builds no error table, so generating the dataset is most of a replicate.
     """
 
     def one(r: int) -> np.ndarray:

@@ -22,7 +22,7 @@ from expcurve import (
     run_hindcast,
     write_csv,
 )
-from expcurve import estimators
+from expcurve import estimators, hindcast
 from expcurve.cli import main
 from expcurve.params_io import reference_params_path
 
@@ -78,6 +78,20 @@ class TestHindcastCommand:
         finite = np.isfinite(want)
         assert np.array_equal(got[finite], want[finite])
 
+
+    @pytest.mark.parametrize("periods", [6, None], ids=["too-short", "no-rows"])
+    def test_no_error_rejected_before_any_write(self, tmp_path, capsys, periods):
+        data = tmp_path / "data.csv"
+        if periods is None:
+            data.write_text("technology,year,cost,production\n")
+        else:
+            argv = ["simulate", "--n-tech", 2, "--periods", periods, "--ensembles", 0]
+            assert run_cli("--output-dir", tmp_path, *argv) == 0
+            data = tmp_path / "dataset.csv"
+        out = tmp_path / "out"
+        assert run_cli("--output-dir", out, "hindcast", "--input", data, "--m", 5) == 1
+        assert "no series has the m + 2 = 7 periods that one error needs" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
 
 class TestDiagnoseCommand:
     def test_outputs(self, tmp_path):
@@ -540,6 +554,21 @@ class TestMixedLengthGoldenBytes:
         for name, digest in GOLDEN_MIXED[run].items():
             assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
 
+
+
+class TestEnsembleStatistic:
+    def test_bands_build_no_error_table(self, tmp_path, monkeypatch):
+        # An ensemble replicate reads the window gather only; building the
+        # full error table would call the patched builder and fail.
+        def no_table(*args, **kwargs):
+            raise AssertionError("an ensemble replicate built an error table")
+
+        monkeypatch.setattr(hindcast, "_error_table", no_table)
+        out = tmp_path / "out"
+        (argv,) = _golden_argvs("simulate-bands", None, out)
+        assert run_cli("--output-dir", out, *argv) == 0
+        for name, digest in GOLDEN_OUTPUTS["simulate-bands"].items():
+            assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
 
 class TestOneWritePath:
     def test_commands_write_without_csv_writer(self, tmp_path, monkeypatch):

@@ -29,7 +29,7 @@ from expcurve import (
     wright_ma1_variance,
     write_errors_csv,
 )
-from expcurve.hindcast import ERROR_COLUMNS
+from expcurve.hindcast import ERROR_COLUMNS, _model_rows, mse_curve
 from expcurve.surrogate import _CALIBRATION_SPEC
 
 
@@ -294,6 +294,76 @@ class TestMseByHorizon:
         with pytest.raises(ValueError):
             mse_by_horizon(errs, normalization="raw")
 
+
+
+def table_curve(errs, tau_max):
+    """The (model x horizon) mean squared normalized error read from an
+    error table, ``nan`` where no error reaches a horizon."""
+    by_model = [mse_by_horizon(_model_rows(errs, model)) for model in ("moore", "wright")]
+    return np.array([[by_tau.get(tau, (np.nan,))[0] for tau in range(1, tau_max + 1)] for by_tau in by_model])
+
+
+def assert_same_bits(got, want):
+    assert got.shape == want.shape
+    assert_array_equal(np.isnan(got), np.isnan(want))
+    finite = ~np.isnan(want)
+    assert_array_equal(got[finite].view(np.int64), want[finite].view(np.int64))
+
+
+class TestMseCurve:
+    """``mse_curve`` reads the window gather, yet it equals the curve read
+    from the full error table bit for bit."""
+
+    def test_uniform_surrogate(self):
+        ds = surrogate(n_tech=20, T=50, seed=11)
+        cfg = HindcastConfig(m=5, tau_max=20)
+        curve = mse_curve(ds, cfg)
+        assert curve.shape == (2, 20) and np.all(np.isfinite(curve))
+        assert_same_bits(curve, table_curve(run_hindcast(ds, cfg), 20))
+
+    def test_mixed_lengths_skip_the_short_series(self):
+        spec = SurrogateSpec(n_tech=4, T=np.array([5, 12, 30, 50]), rho=0.3, seed=4, n_ensembles=1)
+        ds = make_dataset(spec, 0)
+        cfg = HindcastConfig(m=5, tau_max=20)
+        with pytest.warns(UserWarning, match=r"tech000: too short for m=5 \(T=5\); skipped"):
+            curve = mse_curve(ds, cfg)
+        with pytest.warns(UserWarning, match=r"tech000: too short for m=5 \(T=5\); skipped"):
+            errs = run_hindcast(ds, cfg)
+        assert_same_bits(curve, table_curve(errs, 20))
+
+    def test_zero_scale_windows_give_nan(self):
+        T = 10
+        ts = TechSeries("flat", np.arange(T), np.ones(T), 2.0 * 1.1 ** np.arange(T))
+        from expcurve import build_experience
+
+        cfg = HindcastConfig(m=5)
+        with pytest.warns(UserWarning, match="zero residual scale"):
+            dataset = build_experience(SeriesTable.from_series([ts]))
+            curve = mse_curve(dataset, cfg)
+        with pytest.warns(UserWarning, match="zero residual scale"):
+            errs = run_hindcast(dataset, cfg)
+        assert np.all(np.isnan(curve))
+        assert_same_bits(curve, table_curve(errs, 20))
+
+    def test_horizons_past_the_longest_reach(self):
+        ds = surrogate(n_tech=3, T=12, seed=6)
+        cfg = HindcastConfig(m=5, tau_max=20)
+        curve = mse_curve(ds, cfg)
+        # the longest series reaches T - 1 - m = 6 horizons
+        assert np.all(np.isfinite(curve[:, :6])) and np.all(np.isnan(curve[:, 6:]))
+        assert_same_bits(curve, table_curve(run_hindcast(ds, cfg), 20))
+
+    def test_no_series_long_enough(self):
+        with pytest.warns(UserWarning, match="too short"):
+            curve = mse_curve(surrogate(T=6), HindcastConfig(m=5, tau_max=3))
+        assert curve.shape == (2, 3) and np.all(np.isnan(curve))
+
+    def test_uncapped_horizons(self):
+        ds = surrogate(n_tech=2, T=15, seed=2)
+        cfg = HindcastConfig(m=4, tau_max=None)
+        curve = mse_curve(ds, cfg)
+        assert curve.shape == (2, 10)
+        assert_same_bits(curve, table_curve(run_hindcast(ds, cfg), 10))
 
 class TestCsvRoundTrip:
     def test_round_trip_exact(self, tmp_path):
