@@ -109,6 +109,8 @@ def _outdir(args) -> Path:
 def cmd_estimate(args) -> int:
     outdir = _outdir(args)
     dataset = build_experience(ingest_csv(args.input))
+    if not len(dataset):
+        raise DataError("data CSV has no rows")
     table = full_sample_estimates(dataset)
     _atomic(outdir / "params.csv", lambda p: write_params_csv(p, table))
     if args.emit_series:

@@ -320,20 +320,35 @@ def estimate_discrete_growth(production) -> float:
         raise DataError("need at least 2 production observations")
     if q[0] <= 0 or q[-1] <= 0:
         raise DataError("non-positive production at the series ends")
-    return float(np.exp(np.log(q[-1] / q[0]) / (len(q) - 1)) - 1.0)
+    return float(_discrete_growth(q[None], np.array([len(q)]))[0])
 
 
-def _corrected_experience(name: str, production) -> np.ndarray:
-    """Experience from production under the initial-stock correction.
+def _discrete_growth(production: np.ndarray, T: np.ndarray) -> np.ndarray:
+    """``g_d`` of each row of a (series × year) production matrix whose row
+    ``i`` holds a series of ``T[i]`` years, then padding."""
+    first = production[:, :1].ravel()  # a table of no series has no columns
+    last = production[np.arange(len(production)), T - 1]
+    with np.errstate(divide="ignore"):  # an end that underflowed to 0 gives g_d = -1
+        return np.exp(np.log(last / first) / (T - 1)) - 1.0
 
-    Raises ``DataError`` unless the discrete growth rate ``g_d`` exceeds
-    :data:`GROWTH_FLOOR`; the correction divides by it.
+
+def _corrected_experience(names, production: np.ndarray, T: np.ndarray) -> np.ndarray:
+    """Experience of each row of a (series × year) production matrix under
+    the initial-stock correction; row ``i`` holds a series of ``T[i]`` years,
+    and the entries after them are padding that no kept entry depends on.
+
+    A row is ``Q_first / g_d`` plus the running sum of the years before each
+    year, added in year order. Raises ``DataError`` naming the first series
+    whose discrete growth rate ``g_d`` is at or below :data:`GROWTH_FLOOR`;
+    the correction divides by it.
     """
-    q = np.asarray(production, dtype=float)
-    g_d = estimate_discrete_growth(q)
-    if not g_d > GROWTH_FLOOR:
-        raise DataError(f"{name}: zero production growth rate (g_d={g_d:.3g})")
-    return q[0] / g_d + np.concatenate([[0.0], np.cumsum(q[:-1])])
+    g_d = _discrete_growth(production, T)
+    for i in np.flatnonzero(~(g_d > GROWTH_FLOOR))[:1]:
+        raise DataError(f"{names[i]}: zero production growth rate (g_d={g_d[i]:.3g})")
+    z = np.zeros(production.shape)
+    np.cumsum(production[:, :-1], axis=1, out=z[:, 1:])
+    z += production[:, :1] / g_d[:, None]
+    return z
 
 
 def build_experience(dataset: SeriesTable) -> SeriesTable:
@@ -346,10 +361,12 @@ def build_experience(dataset: SeriesTable) -> SeriesTable:
     every year. Raises ``DataError`` ("zero production growth rate") for a
     series whose ``g_d`` is at or below :data:`GROWTH_FLOOR`.
     """
-    pieces = np.split(dataset.production, dataset._start[1:])
-    z = map(_corrected_experience, dataset.names.tolist(), pieces)
+    keep = np.arange(dataset.T.max(initial=0)) < dataset.T[:, None]
+    production = np.ones(keep.shape)  # row by row, its entries under keep are the column
+    production[keep] = dataset.production
+    z = _corrected_experience(dataset.names, production, dataset.T)
     return SeriesTable(
-        dataset.names, dataset.T, dataset.years, dataset.cost, dataset.production, _concat(z)
+        dataset.names, dataset.T, dataset.years, dataset.cost, dataset.production, z[keep]
     )
 
 

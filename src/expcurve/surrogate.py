@@ -9,7 +9,10 @@ dependence of hindcast errors is handled.
 
 Randomness is counter-keyed: stream ``(seed, replicate, technology, role)``
 fully determines every draw, so a replicate is reproducible in isolation and
-does not depend on the order in which replicates run.
+does not depend on the order in which replicates run. A replicate draws each
+stream on its own and computes on all of its technologies at once, as the
+rows of (technology × year) matrices, so constructing the seeded generators
+is the largest part of generating it.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ import numpy as np
 
 from .diagnostics import DistCheck, ecdf_vs_reference, pit
 from .hindcast import HindcastConfig, _windows
-from .series import DataError, SeriesTable, _concat, _corrected_experience
+from .series import GROWTH_FLOOR, DataError, SeriesTable, _corrected_experience, _discrete_growth
 from .variance import _ma1_unit_variance, wright_ma1_variance
 
 # Role ids for the RNG stream key.
@@ -94,6 +97,24 @@ class EnsembleResult:
     n_replicates: int
 
 
+def _log_production(draws: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Rows of log production ``g t + sum_{j<=t} a_j``, each starting at 0,
+    from rows of innovations ``a`` (one fewer than the periods)."""
+    lq = np.zeros((len(draws), draws.shape[1] + 1))
+    lq[:, 1:] = g[:, None] * np.arange(1, lq.shape[1]) + np.cumsum(draws, axis=1)
+    return lq
+
+
+def _log_cost(x: np.ndarray, u: np.ndarray, omega: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """Rows of log cost, each starting at 0 and changing by
+    ``omega x_t + u_t + rho u_{t-1}``, from rows of experience changes ``x``
+    and of innovations ``u`` (one more than the changes)."""
+    lc = np.zeros((len(x), x.shape[1] + 1))
+    e = u[:, 1:] + rho[:, None] * u[:, :-1]
+    np.cumsum(omega[:, None] * x + e, axis=1, out=lc[:, 1:])
+    return lc
+
+
 def gen_log_production(T: int, g: float, sigma_q: float, seed) -> np.ndarray:
     """Log of a geometric random walk: ``g t + sum_{j<=t} a_j``, starting at 0.
 
@@ -103,9 +124,8 @@ def gen_log_production(T: int, g: float, sigma_q: float, seed) -> np.ndarray:
     """
     if T < 2:
         raise ValueError("need at least 2 periods")
-    rng = _rng(seed)
-    a = rng.normal(0.0, sigma_q, T - 1)
-    return np.concatenate([[0.0], g * np.arange(1, T) + np.cumsum(a)])
+    a = _rng(seed).normal(0.0, sigma_q, T - 1)
+    return _log_production(a[None], np.array([g], dtype=float))[0]
 
 
 def gen_production(T: int, g: float, sigma_q: float, seed) -> np.ndarray:
@@ -129,76 +149,96 @@ def gen_cost(x_diffs, omega: float, sigma_eta: float, rho: float, seed) -> np.nd
     if not abs(rho) <= 1.0:
         raise ValueError("rho must lie in [-1, 1]")
     x = np.asarray(x_diffs, dtype=float)
-    rng = _rng(seed)
     sigma_u = sigma_eta / math.sqrt(1.0 + rho * rho)
-    u = rng.normal(0.0, sigma_u, len(x) + 1)
-    e = u[1:] + rho * u[:-1]
-    return np.concatenate([[0.0], np.cumsum(omega * x + e)])
+    u = _rng(seed).normal(0.0, sigma_u, len(x) + 1)
+    omega, rho = np.array([omega], dtype=float), np.array([rho], dtype=float)
+    return _log_cost(x[None], u[None], omega, rho)[0]
 
 
-def _growing_production(T, g, sigma_q, seed, base_key) -> tuple[np.ndarray, np.ndarray]:
-    """Draw a production path, conditioning on overall growth; returns the
-    path and its corrected experience, whose construction is the test.
-
-    The initial-stock correction needs an end-to-end growth rate above
-    ``GROWTH_FLOOR``, the test ``build_experience`` applies to real data;
-    real datasets are implicitly selected the same way, since technologies
-    whose production never grew cannot be corrected and are dropped. Redraws
-    use attempt-extended stream keys, so the result is deterministic and the
-    zero-attempt draw matches the unconditioned stream.
-    """
-    for attempt in range(1000):
-        key = base_key if attempt == 0 else (*base_key, attempt)
-        q = gen_production(T, g, sigma_q, _rng(seed, *key))
-        try:
-            return q, _corrected_experience("", q)
-        except DataError:
-            continue
+def _redraw(seed, key, T, g, sigma_q) -> np.ndarray:
+    """A growing production path for the stream ``key``, whose first draw
+    did not grow, from the attempt-extended keys ``(*key, 1)``,
+    ``(*key, 2)``, ...; so the result is deterministic, and a path that
+    grows at once is the unconditioned stream."""
+    for attempt in range(1, 1000):
+        q = gen_production(T, g, sigma_q, _rng(seed, *key, attempt))
+        if _discrete_growth(q[None], np.array([T]))[0] > GROWTH_FLOOR:
+            return q
     raise DataError(
-        f"no growing production path found for stream {base_key} "
+        f"no growing production path found for stream {key} "
         f"(g={g}, sigma_q={sigma_q}, T={T})"
     )
+
+
+def _production(seed, keys, T, g, sigma_q, conditioned: bool) -> np.ndarray:
+    """Production paths as the rows of a (path × year) matrix, one stream
+    ``keys[i]`` per row of ``T[i]`` years, padded with ones.
+
+    ``conditioned`` redraws each path that fails the growth test of the
+    initial-stock correction (see ``make_dataset``); a path that passes
+    keeps its first draw, the unconditioned stream.
+    """
+    draws = np.zeros((len(keys), T.max() - 1))
+    for i, key in enumerate(keys):
+        draws[i, : T[i] - 1] = _rng(seed, *key).normal(0.0, sigma_q[i], T[i] - 1)
+    years = np.arange(draws.shape[1] + 1)
+    # the padding is log production 0, so no exp overflows past a row's end
+    production = np.exp(np.where(years < T[:, None], _log_production(draws, g), 0.0))
+    if conditioned:
+        for i in np.flatnonzero(~(_discrete_growth(production, T) > GROWTH_FLOOR)):
+            production[i, : T[i]] = _redraw(seed, keys[i], T[i], g[i], sigma_q[i])
+    return production
 
 
 def make_dataset(spec: SurrogateSpec, replicate: int = 0) -> SeriesTable:
     """Generate one synthetic dataset (one replicate of the spec) as a
     :class:`SeriesTable` with experience built.
 
+    Each technology draws its production and cost from streams of its own.
+    The paths are the rows of (technology × year) matrices, each formula is
+    applied once per replicate, and every row adds its terms in the order a
+    single series would. So most of the time goes into constructing the
+    ``2 n_tech`` seeded generators, which fix the bytes.
+
     With the corrected experience construction, production paths are
-    conditioned on overall growth (see ``_growing_production``). A shared
-    path is conditioned over its full length only, so a technology whose
-    shorter stretch of it did not grow raises ``DataError``.
+    conditioned on overall growth: the initial-stock correction needs an
+    end-to-end growth rate above ``GROWTH_FLOOR``, the test
+    ``build_experience`` applies to real data, and real datasets are
+    implicitly selected the same way, since technologies whose production
+    never grew cannot be corrected and are dropped. A path that fails the
+    test is redrawn (see ``_redraw``). A shared path is conditioned over its
+    full length only, so a technology whose shorter stretch of it did not
+    grow raises ``DataError``.
     """
-
-    def draw_production(T, g, sigma_q, key):  # a path and its experience
-        if spec.corrected_experience:
-            return _growing_production(T, g, sigma_q, spec.seed, key)
-        q = gen_production(T, g, sigma_q, _rng(spec.seed, *key))
-        return q, np.cumsum(q)
-
-    fields = ("T", "g", "sigma_q", "omega", "sigma_eta", "rho")
-    lengths, *per_tech = (np.broadcast_to(getattr(spec, f), spec.n_tech).tolist() for f in fields)
-    lengths = [int(T) for T in lengths]
-    shared_q = None
+    n = spec.n_tech
+    T = np.broadcast_to(spec.T, n).astype(int)
+    g, sigma_q, omega, sigma_eta, rho = (
+        np.broadcast_to(getattr(spec, f), n).astype(float)
+        for f in ("g", "sigma_q", "omega", "sigma_eta", "rho")
+    )
+    names = [f"tech{j:03d}" for j in range(n)]
+    corrected = spec.corrected_experience
     if spec.shared_production:
         # one path, drawn with the first technology's g and sigma_q
         key = (replicate, 0, _ROLE_SHARED_PRODUCTION)
-        shared_q, _ = draw_production(max(lengths), per_tech[0][0], per_tech[1][0], key)
-    names, cost, production, experience = [], [], [], []
-    for j, (T, g, sigma_q, omega, sigma_eta, rho) in enumerate(zip(lengths, *per_tech)):
-        names.append(f"tech{j:03d}")
-        if shared_q is None:
-            q, z = draw_production(T, g, sigma_q, (replicate, j, _ROLE_PRODUCTION))
-        else:
-            q = shared_q[:T]
-            z = _corrected_experience(names[j], q) if spec.corrected_experience else np.cumsum(q)
-        rng = _rng(spec.seed, replicate, j, _ROLE_COST)
-        cost.append(np.exp(gen_cost(np.diff(np.log(z)), omega, sigma_eta, rho, rng)))
-        production.append(q)
-        experience.append(z)
-    years = np.concatenate([np.arange(1, T + 1) for T in lengths])
+        path = _production(spec.seed, [key], T.max(keepdims=True), g[:1], sigma_q[:1], corrected)
+        production = np.broadcast_to(path, (n, path.shape[1]))
+    else:
+        keys = [(replicate, j, _ROLE_PRODUCTION) for j in range(n)]
+        production = _production(spec.seed, keys, T, g, sigma_q, corrected)
+    if corrected:
+        experience = _corrected_experience(names, production, T)
+    else:
+        experience = np.cumsum(production, axis=1)
+    sigma_u = sigma_eta / np.sqrt(1.0 + rho * rho)
+    u = np.zeros(production.shape)
+    for j in range(n):
+        u[j, : T[j]] = _rng(spec.seed, replicate, j, _ROLE_COST).normal(0.0, sigma_u[j], T[j])
+    log_cost = _log_cost(np.diff(np.log(experience), axis=1), u, omega, rho)
+    keep = np.arange(production.shape[1]) < T[:, None]
+    years = np.broadcast_to(np.arange(1, production.shape[1] + 1), keep.shape)
     return SeriesTable(
-        names, lengths, years, _concat(cost), _concat(production), _concat(experience)
+        names, T, years[keep], np.exp(log_cost[keep]), production[keep], experience[keep]
     )
 
 
@@ -215,7 +255,9 @@ def run_ensemble(spec: SurrogateSpec, pipeline) -> EnsembleResult:
 
     A replicate costs one ``make_dataset`` plus the pipeline. ``simulate``'s
     pipeline is ``hindcast.mse_curve``, which reads the window gather and
-    builds no error table, so generating the dataset is most of a replicate.
+    builds no error table. Generating the dataset is still most of a
+    replicate, and constructing its ``2 n_tech`` seeded generators is most of
+    that.
     """
 
     def one(r: int) -> np.ndarray:

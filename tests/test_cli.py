@@ -55,6 +55,14 @@ class TestEstimate:
         assert code == 1
         assert "non-positive production" in capsys.readouterr().err
 
+    def test_no_rows_rejected_before_any_write(self, tmp_path, capsys):
+        data = tmp_path / "data.csv"
+        data.write_text("technology,year,cost,production\n")
+        out = tmp_path / "out"
+        assert run_cli("--output-dir", out, "estimate", "--input", data, "--emit-series") == 1
+        assert "data CSV has no rows" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
 
 class TestHindcastCommand:
     def test_counts_match_library(self, tmp_path):

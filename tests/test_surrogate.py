@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 from scipy import stats
 
 from expcurve import (
+    DataError,
     SurrogateSpec,
     gen_cost,
     gen_log_production,
@@ -16,6 +18,81 @@ from expcurve import (
     run_ensemble,
     sigma_x_theory,
 )
+from expcurve.params_io import load_reference_params
+from expcurve.series import GROWTH_FLOOR
+
+
+# The per-technology generator that make_dataset replaced, kept as the oracle
+# of its bytes: each series drawn, conditioned and built on its own.
+def _reference_rng(seed, *key):
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
+
+
+def _reference_production(T, g, sigma_q, rng):
+    a = rng.normal(0.0, sigma_q, T - 1)
+    return np.exp(np.concatenate([[0.0], g * np.arange(1, T) + np.cumsum(a)]))
+
+
+def _reference_experience(name, q):
+    if q[0] <= 0 or q[-1] <= 0:
+        raise DataError("non-positive production at the series ends")
+    g_d = float(np.exp(np.log(q[-1] / q[0]) / (len(q) - 1)) - 1.0)
+    if not g_d > GROWTH_FLOOR:
+        raise DataError(f"{name}: zero production growth rate (g_d={g_d:.3g})")
+    return q[0] / g_d + np.concatenate([[0.0], np.cumsum(q[:-1])])
+
+
+def _reference_cost(x, omega, sigma_eta, rho, rng):
+    sigma_u = sigma_eta / math.sqrt(1.0 + rho * rho)
+    u = rng.normal(0.0, sigma_u, len(x) + 1)
+    e = u[1:] + rho * u[:-1]
+    return np.exp(np.concatenate([[0.0], np.cumsum(omega * x + e)]))
+
+
+def reference_dataset(spec, replicate):
+    """The dataset make_dataset should return, and how many production
+    paths it redrew."""
+    redraws = 0
+
+    def draw_production(T, g, sigma_q, base_key):
+        nonlocal redraws
+        if not spec.corrected_experience:
+            q = _reference_production(T, g, sigma_q, _reference_rng(spec.seed, *base_key))
+            return q, np.cumsum(q)
+        for attempt in range(1000):
+            key = base_key if attempt == 0 else (*base_key, attempt)
+            q = _reference_production(T, g, sigma_q, _reference_rng(spec.seed, *key))
+            try:
+                return q, _reference_experience("", q)
+            except DataError:
+                redraws += 1
+        raise DataError(
+            f"no growing production path found for stream {base_key} "
+            f"(g={g}, sigma_q={sigma_q}, T={T})"
+        )
+
+    fields = ("T", "g", "sigma_q", "omega", "sigma_eta", "rho")
+    lengths, *per_tech = (np.broadcast_to(getattr(spec, f), spec.n_tech).tolist() for f in fields)
+    lengths = [int(T) for T in lengths]
+    shared_q = None
+    if spec.shared_production:
+        key = (replicate, 0, 2)
+        shared_q, _ = draw_production(max(lengths), per_tech[0][0], per_tech[1][0], key)
+    names, cost, production, experience = [], [], [], []
+    for j, (T, g, sigma_q, omega, sigma_eta, rho) in enumerate(zip(lengths, *per_tech)):
+        names.append(f"tech{j:03d}")
+        if shared_q is None:
+            q, z = draw_production(T, g, sigma_q, (replicate, j, 0))
+        else:
+            q = shared_q[:T]
+            z = _reference_experience(names[j], q) if spec.corrected_experience else np.cumsum(q)
+        rng = _reference_rng(spec.seed, replicate, j, 1)
+        cost.append(_reference_cost(np.diff(np.log(z)), omega, sigma_eta, rho, rng))
+        production.append(q)
+        experience.append(z)
+    years = np.concatenate([np.arange(1, T + 1) for T in lengths])
+    columns = (years, *(np.concatenate(c) for c in (cost, production, experience)))
+    return (names, lengths, *columns), redraws
 
 
 class TestGenProduction:
@@ -128,8 +205,8 @@ class TestMakeDataset:
         assert corrected.experience[0] > corrected.production[0]  # initial stock added
 
     def test_experience_built_once_per_path(self, monkeypatch):
-        # the growth test of an accepted path builds its experience, which
-        # the dataset keeps; with no redraws that is one build per technology
+        # one initial-stock correction over every technology's row, and a
+        # per-path production draw only for a path that failed the growth test
         from expcurve import surrogate
 
         calls = {"experience": 0, "production": 0}
@@ -143,11 +220,34 @@ class TestMakeDataset:
         build, draw = surrogate._corrected_experience, surrogate.gen_production
         monkeypatch.setattr(surrogate, "_corrected_experience", counted("experience", build))
         monkeypatch.setattr(surrogate, "gen_production", counted("production", draw))
-        spec = SurrogateSpec(n_tech=6, T=np.array([4, 9, 30, 30, 50, 12]), seed=4, n_ensembles=1)
-        ds = make_dataset(spec, 0)
-        assert calls == {"experience": 6, "production": 6}  # no redraws
-        for ts in ds:
-            assert_array_equal(ts.experience, build(ts.name, ts.production))
+        T = np.array([4, 9, 30, 30, 50, 12])
+        for g in (0.1, np.array([-0.05, 0.1, -0.05, 0.02, 0.1, -0.02])):
+            calls.update(experience=0, production=0)
+            spec = SurrogateSpec(n_tech=6, T=T, g=g, sigma_q=0.1, seed=4, n_ensembles=1)
+            ds = make_dataset(spec, 0)
+            _, redraws = reference_dataset(spec, 0)
+            assert calls == {"experience": 1, "production": redraws}
+            for ts in ds:
+                z = build([ts.name], ts.production[None], np.array([ts.T]))[0]
+                assert_array_equal(ts.experience, z)
+        assert redraws > 0  # the second spec redrew some paths
+
+    @pytest.mark.parametrize("g, T", [(-1.0, 6), (-8.0, 120)], ids=["shrinking", "underflowing"])
+    def test_redraws_exhausted(self, g, T):
+        # a path that never grows fails every attempt of its stream; one
+        # whose production underflows to 0 fails the test without a warning
+        spec = SurrogateSpec(n_tech=2, T=np.array([9, T]), g=np.array([0.1, g]),
+                             sigma_q=np.array([0.1, 0.0]), seed=3, n_ensembles=1)
+        message = f"no growing production path found for stream (2, 1, 0) (g={g}, sigma_q=0.0, T={T})"
+        with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+            make_dataset(spec, 2)
+
+    def test_shared_path_not_growing_over_a_shorter_stretch(self):
+        # the shared path is conditioned over its full length only
+        spec = SurrogateSpec(n_tech=3, T=np.array([30, 4, 30]), g=0.02, sigma_q=0.3, seed=2,
+                             n_ensembles=1, shared_production=True)
+        with pytest.raises(DataError, match=r"^tech001: zero production growth rate \(g_d=-0.221\)$"):
+            make_dataset(spec, 0)
 
     def test_per_tech_parameter_vectors(self):
         spec = SurrogateSpec(
@@ -227,6 +327,72 @@ class TestMakeDataset:
         errs = run_hindcast(ds, HindcastConfig(m=5, tau_max=20, rho=0.19))
         expect = sum(sum(min(20, T - t) for t in range(6, T)) for T in table["T"].tolist())
         assert sum(1 for e in errs if e.model == "wright") == expect
+
+
+MODES = {
+    "corrected": {},
+    "plain": {"corrected_experience": False},
+    "shared": {"shared_production": True},
+    "shared-plain": {"shared_production": True, "corrected_experience": False},
+}
+
+
+def _bundled_spec(**kwargs):
+    table = load_reference_params()
+    generator = {f: table[f] for f in ("T", "g", "sigma_q", "omega", "sigma_eta")}
+    return SurrogateSpec(n_tech=len(table), **generator, rho=0.19, n_ensembles=1, **kwargs)
+
+
+class TestMakeDatasetOracle:
+    """make_dataset equals the per-technology generator bit for bit."""
+
+    SPECS = {
+        # T = 4 is the shortest spec; 130 and 200 cross NumPy's summation blocks
+        "mixed": dict(n_tech=6, T=np.array([4, 9, 17, 130, 200, 5]),
+                      g=np.array([0.15, 0.2, 0.1, 0.05, 0.12, 0.3]),
+                      sigma_q=np.array([0.08, 0.1, 0.12, 0.09, 0.15, 0.05]),
+                      omega=np.array([-0.5, -0.4, -0.3, -0.2, -0.35, -0.6]),
+                      sigma_eta=0.07, rho=np.array([0.2, -0.3, 0.0, 0.6, 1.0, -1.0])),
+        # some drifts below zero force redraws
+        "redraws": dict(n_tech=8, T=np.array([4, 6, 12, 40, 4, 25, 7, 60]),
+                        g=np.array([-0.05, 0.02, -0.1, 0.01, 0.0, -0.02, 0.1, 0.005]),
+                        sigma_q=0.2, omega=-0.3, sigma_eta=0.1, rho=0.4),
+        "equal": dict(n_tech=3, T=12, g=0.1, sigma_q=0.1, omega=-0.3, sigma_eta=0.1),
+    }
+
+    @staticmethod
+    def assert_same(spec, replicate):
+        try:
+            expected, _ = reference_dataset(spec, replicate)
+        except DataError as exc:
+            with pytest.raises(DataError, match=f"^{re.escape(str(exc))}$"):
+                make_dataset(spec, replicate)
+            return False
+        ds = make_dataset(spec, replicate)
+        names, T, *columns = expected
+        assert ds.names.tolist() == names and ds.T.tolist() == T
+        for got, want in zip((ds.years, ds.cost, ds.production, ds.experience), columns):
+            assert_array_equal(got, want)
+        return True
+
+    @pytest.mark.parametrize("mode", sorted(MODES))
+    @pytest.mark.parametrize("name", sorted(SPECS))
+    def test_specs(self, name, mode):
+        built = 0
+        for seed in (0, 7, 2016):
+            spec = SurrogateSpec(**self.SPECS[name], seed=seed, n_ensembles=1, **MODES[mode])
+            built += sum(self.assert_same(spec, r) for r in (0, 1, 5))
+        assert built > 0
+
+    def test_redraw_spec_redraws(self):
+        spec = SurrogateSpec(**self.SPECS["redraws"], seed=0, n_ensembles=1)
+        assert reference_dataset(spec, 0)[1] > 0
+
+    @pytest.mark.parametrize("mode", sorted(MODES))
+    def test_bundled_table(self, mode):
+        for seed in (7, 13):
+            for r in (0, 3):
+                assert self.assert_same(_bundled_spec(seed=seed, **MODES[mode]), r)
 
 
 class TestRunEnsemble:
