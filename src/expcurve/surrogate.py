@@ -125,7 +125,7 @@ def gen_log_production(T: int, g: float, sigma_q: float, seed) -> np.ndarray:
     if T < 2:
         raise ValueError("need at least 2 periods")
     a = _rng(seed).normal(0.0, sigma_q, T - 1)
-    return _log_production(a[None], np.array([g], dtype=float))[0]
+    return _log_production(a[None], np.array([float(g)]))[0]
 
 
 def gen_production(T: int, g: float, sigma_q: float, seed) -> np.ndarray:
@@ -151,15 +151,13 @@ def gen_cost(x_diffs, omega: float, sigma_eta: float, rho: float, seed) -> np.nd
     x = np.asarray(x_diffs, dtype=float)
     sigma_u = sigma_eta / math.sqrt(1.0 + rho * rho)
     u = _rng(seed).normal(0.0, sigma_u, len(x) + 1)
-    omega, rho = np.array([omega], dtype=float), np.array([rho], dtype=float)
-    return _log_cost(x[None], u[None], omega, rho)[0]
+    return _log_cost(x[None], u[None], np.array([float(omega)]), np.array([float(rho)]))[0]
 
 
 def _redraw(seed, key, T, g, sigma_q) -> np.ndarray:
     """A growing production path for the stream ``key``, whose first draw
     did not grow, from the attempt-extended keys ``(*key, 1)``,
-    ``(*key, 2)``, ...; so the result is deterministic, and a path that
-    grows at once is the unconditioned stream."""
+    ``(*key, 2)``, ..., so the result is deterministic."""
     for attempt in range(1, 1000):
         q = gen_production(T, g, sigma_q, _rng(seed, *key, attempt))
         if _discrete_growth(q[None], np.array([T]))[0] > GROWTH_FLOOR:
