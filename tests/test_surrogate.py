@@ -373,6 +373,7 @@ class TestMakeDatasetOracle:
         assert ds.names.tolist() == names and ds.T.tolist() == T
         for got, want in zip((ds.years, ds.cost, ds.production, ds.experience), columns):
             assert_array_equal(got, want)
+            assert got.tobytes() == want.tobytes()  # -0.0 and 0.0 differ too
         return True
 
     @pytest.mark.parametrize("mode", sorted(MODES))
