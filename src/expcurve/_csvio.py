@@ -109,18 +109,19 @@ def read_csv(path, columns: dict, what: str) -> dict[str, np.ndarray]:
     return {name: np.concatenate(cols) for name, cols in parts.items()}
 
 
-def row_line(path, row: int) -> int:
+def row_line(path, row: int) -> tuple[int, dict]:
     """The file line on which data row ``row`` starts, with data rows
-    counted as :func:`read_csv` names them: from 1 below the header, blank
-    lines skipped. A quoted field may hold line breaks, so the file is
-    scanned with ``csv.reader``; only error paths need this."""
+    counted as :func:`read_csv` names them (from 1 below the header, blank
+    lines skipped), and the row's fields by header name; a short row lacks
+    the names past its end. A quoted field may hold line breaks, so the file
+    is scanned with ``csv.reader``; only error paths need this."""
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
-        next(reader, None)  # the header
+        header = next(reader, [])
         start = reader.line_num + 1
         for record in reader:
             if record:  # a blank line is no data row
                 row -= 1
                 if not row:
-                    return start
+                    return start, dict(zip(header, record))
             start = reader.line_num + 1

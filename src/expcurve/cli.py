@@ -5,15 +5,21 @@ Subcommands: ``estimate`` (parameter table from a cost/production CSV),
 hindcast CSV), ``simulate`` (synthetic datasets, ensemble bands, calibration
 studies), ``forecast`` (distributional forecasts for one technology).
 
-Every run writes its outputs atomically (temp file, then rename) plus a
-``<command>_manifest.txt`` recording the command, the seed, the package
-version, the options and a SHA-256 of each input file. The options are the
-parsed namespace less the entries in ``_NOT_OPTIONS``: the command and the
-seed, ``--threads`` (accepted, with no effect) and ``--output-dir``, and the
-file inputs. A command adds what it derives (``forecast`` whether it used the
-bundled table). ``simulate --calibration`` keeps the six options its study
-reads; the other ``simulate`` modes drop ``variance`` and ``iid_windows`` and
-record ``mimic`` as a flag, ``n_tech`` as generated and ``periods`` as
+A command only computes: it returns its outputs (file name to writer, in
+write order), its options and its input files. :func:`main` does every write.
+It creates ``--output-dir``, runs the command and, only once the command has
+returned, writes each output atomically (temp file, then rename), then a
+``<command>_manifest.txt``, then one line naming the files. So a run that
+fails writes nothing, and a run that succeeds writes its files, then its
+manifest. The manifest records the command, the seed, the package version,
+the options and a SHA-256 of each input file, hashed before any output is
+written. The options are the parsed namespace less the entries in
+``_NOT_OPTIONS``: the command and the seed, ``--threads`` (accepted, with no
+effect) and ``--output-dir``, and the file inputs. A command adds what it
+derives (``forecast`` whether it used the bundled table). ``simulate
+--calibration`` keeps the six options its study reads; the other
+``simulate`` modes drop ``variance`` and ``iid_windows`` and record
+``mimic`` as a flag, ``n_tech`` as generated and ``periods`` as
 ``per-technology`` under ``--mimic``. So identical manifests mean
 bit-identical outputs. All floats are serialized with 17 significant
 digits, so piping one command's CSV into the next loses no precision.
@@ -53,18 +59,13 @@ from .series import DataError, build_experience, ingest_csv, write_csv
 from .surrogate import SurrogateSpec, make_dataset, run_calibration_study, run_ensemble
 
 
-def _atomic(path: Path, writer) -> None:
-    tmp = path.with_name(path.name + ".tmp")
-    writer(tmp)
-    os.replace(tmp, path)
+def _csv(header, *blocks):
+    """A writer of one CSV: ``header`` and the rows of each block."""
+    return lambda path: _csvio.write_csv(path, header, *blocks)
 
 
-def _write_text(path: Path, text: str) -> None:
-    _atomic(path, lambda p: Path(p).write_text(text, encoding="utf-8"))
-
-
-def _write_csv(path: Path, header, *blocks) -> None:
-    _atomic(path, lambda p: _csvio.write_csv(p, header, *blocks))
+def _text(text: str):
+    return lambda path: Path(path).write_text(text, encoding="utf-8")
 
 
 def _sha256(path) -> str:
@@ -88,36 +89,27 @@ def _options(args, **derived) -> dict:
     return {k: v for k, v in vars(args).items() if k not in _NOT_OPTIONS} | derived
 
 
-def _write_manifest(outdir: Path, args, options: dict, inputs: dict) -> None:
+def _manifest(args, options: dict, inputs: dict) -> str:
     lines = [f"command={args.command}", f"seed={args.seed}", f"version={__version__}"]
     for key in sorted(options):
         lines.append(f"option.{key}={options[key]}")
     for name in sorted(inputs):
         lines.append(f"input.{name}.sha256={_sha256(inputs[name])}")
-    _write_text(outdir / f"{args.command}_manifest.txt", "\n".join(lines) + "\n")
-
-
-def _outdir(args) -> Path:
-    out = Path(args.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+    return "\n".join(lines) + "\n"
 
 
 # ----------------------------------------------------------------- estimate
 
 
-def cmd_estimate(args) -> int:
-    outdir = _outdir(args)
+def cmd_estimate(args) -> tuple[dict, dict, dict]:
     dataset = build_experience(ingest_csv(args.input))
     if not len(dataset):
         raise DataError("data CSV has no rows")
     table = full_sample_estimates(dataset)
-    _atomic(outdir / "params.csv", lambda p: write_params_csv(p, table))
+    outputs = {"params.csv": lambda p: write_params_csv(p, table)}
     if args.emit_series:
-        _atomic(outdir / "series.csv", lambda p: write_csv(p, dataset))
-    _write_manifest(outdir, args, _options(args), {"data": args.input})
-    print(f"wrote {outdir / 'params.csv'} ({len(table)} technologies)")
-    return 0
+        outputs["series.csv"] = lambda p: write_csv(p, dataset)
+    return outputs, _options(args), {"data": args.input}
 
 
 # ----------------------------------------------------------------- hindcast
@@ -130,23 +122,18 @@ def _check_reach(T, cfg: HindcastConfig) -> None:
         raise ValueError(f"no series has the m + 2 = {cfg.m + 2} periods that one error needs")
 
 
-def cmd_hindcast(args) -> int:
-    outdir = _outdir(args)
+def cmd_hindcast(args) -> tuple[dict, dict, dict]:
     cfg = HindcastConfig(m=args.m, tau_max=args.tau_max, rho=args.rho_star)
     dataset = build_experience(ingest_csv(args.input))
     _check_reach(dataset.T, cfg)
     errors = run_hindcast(dataset, cfg)
-    _atomic(outdir / "errors.csv", lambda p: write_errors_csv(p, errors))
-    _write_manifest(outdir, args, _options(args), {"data": args.input})
-    print(f"wrote {outdir / 'errors.csv'} ({len(errors)} errors)")
-    return 0
+    return {"errors.csv": lambda p: write_errors_csv(p, errors)}, _options(args), {"data": args.input}
 
 
 # ----------------------------------------------------------------- diagnose
 
 
-def cmd_diagnose(args) -> int:
-    outdir = _outdir(args)
+def cmd_diagnose(args) -> tuple[dict, dict, dict]:
     errors = read_errors_csv(args.errors)
     if not len(errors):
         raise DataError("error CSV has no rows")
@@ -172,22 +159,22 @@ def cmd_diagnose(args) -> int:
             f"{model}: n={len(finite)} dropped_nan={dropped} "
             f"ks={check.ks_stat:.6f} ks_critical_1pct={ks_critical_value(len(finite)):.6f}"
         )
-    _write_csv(outdir / "ecdf.csv", ["model", "value", "ecdf", "ref_cdf"], *ecdf_blocks)
-    _write_csv(outdir / "pit.csv", ["model", "pit"], *pit_blocks)
+    outputs = {
+        "ecdf.csv": _csv(["model", "value", "ecdf", "ref_cdf"], *ecdf_blocks),
+        "pit.csv": _csv(["model", "pit"], *pit_blocks),
+    }
 
     inputs = {"errors": args.errors}
     if args.params:
         inputs["params"] = args.params
         table = read_params_csv(args.params)
-        _write_csv(
-            outdir / "sahal.csv",
+        outputs["sahal.csv"] = _csv(
             ["technology", "omega", "mu_over_r", "residual"],
             [table["technology"], table["omega"], *sahal_check(table["mu"], table["r"], table["omega"])],
         )
         growing = table[table["g"] > 0]
         skipped = len(table) - len(growing)
-        _write_csv(
-            outdir / "tanh.csv",
+        outputs["tanh.csv"] = _csv(
             ["technology", "g", "sigma_q", "r", "sigma_x_observed", "sigma_x_theory"],
             [growing[c] for c in ("technology", "g", "sigma_q", "r", "sigma_x")]
             + [tanh_check(growing["g"], growing["sigma_q"])],
@@ -195,38 +182,32 @@ def cmd_diagnose(args) -> int:
         summary.append(f"sahal: n={len(table)}")
         summary.append(f"tanh: n={len(growing)} skipped_nonpositive_growth={skipped}")
 
-    _write_text(outdir / "summary.txt", "\n".join(summary) + "\n")
-    _write_manifest(outdir, args, _options(args), inputs)
-    print(f"wrote diagnostics to {outdir}")
-    return 0
+    outputs["summary.txt"] = _text("\n".join(summary) + "\n")
+    return outputs, _options(args), inputs
 
 
 # ----------------------------------------------------------------- simulate
 
 
-def cmd_simulate(args) -> int:
-    outdir = _outdir(args)
+def cmd_simulate(args) -> tuple[dict, dict, dict]:
     options, inputs = _options(args), {}
     if args.calibration:
         study = ("m", "variance", "iid_windows", "n_tech", "periods")
         result = run_calibration_study(**{k: options[k] for k in study}, seed=args.seed)
         check = result.check
-        _write_csv(
-            outdir / "calibration_ecdf.csv",
-            ["value", "ecdf", "ref_cdf"],
-            [check.sample, check.ecdf, check.ref_cdf],
-        )
-        _write_csv(outdir / "calibration_pit.csv", ["pit"], [result.pit_values])
-        _write_text(
-            outdir / "summary.txt",
-            f"n={len(result.normalized)}\nreference={result.reference}\n"
-            f"df={result.df}\nks={result.ks_stat:.6f}\n"
-            f"ks_critical_1pct={ks_critical_value(len(result.normalized)):.6f}\n",
-        )
+        outputs = {
+            "calibration_ecdf.csv": _csv(
+                ["value", "ecdf", "ref_cdf"], [check.sample, check.ecdf, check.ref_cdf]
+            ),
+            "calibration_pit.csv": _csv(["pit"], [result.pit_values]),
+            "summary.txt": _text(
+                f"n={len(result.normalized)}\nreference={result.reference}\n"
+                f"df={result.df}\nks={result.ks_stat:.6f}\n"
+                f"ks_critical_1pct={ks_critical_value(len(result.normalized)):.6f}\n"
+            ),
+        }
         # the options the study reads
-        _write_manifest(outdir, args, {k: options[k] for k in ("calibration", *study)}, inputs)
-        print(f"wrote calibration study to {outdir} (ks={result.ks_stat:.4f})")
-        return 0
+        return outputs, {k: options[k] for k in ("calibration", *study)}, inputs
 
     if args.mimic:
         table = read_params_csv(args.mimic)
@@ -244,28 +225,25 @@ def cmd_simulate(args) -> int:
         corrected_experience=not args.no_correction,
     )
     cfg = HindcastConfig(m=args.m, tau_max=args.tau_max, rho=args.rho_star)
+    bands = {}
     if args.ensembles > 0:
         _check_reach(spec.T, cfg)
-
-    _atomic(outdir / "dataset.csv", lambda p: write_csv(p, make_dataset(spec, 0)))
-
-    if args.ensembles > 0:
         # one row per model, one column per horizon; nan where no error reaches it
         result = run_ensemble(spec, lambda dataset: mse_curve(dataset, cfg))
         grid = np.arange(1, cfg.tau_max + 1, dtype=float)
         for k, model in enumerate(("moore", "wright")):
-            _write_csv(
-                outdir / f"bands_{model}.csv",
+            bands[f"bands_{model}.csv"] = _csv(
                 ["grid", "stat_mean", "lo", "hi"],
                 [grid, result.mean[k], result.lower[k], result.upper[k]],
             )
+    # built after the ensemble, so that the two are never held at once
+    dataset = make_dataset(spec, 0)
+    outputs = {"dataset.csv": lambda p: write_csv(p, dataset)} | bands
 
     periods = "per-technology" if args.mimic else args.periods
     options.update(mimic=bool(args.mimic), n_tech=spec.n_tech, periods=periods)
     del options["variance"], options["iid_windows"]  # calibration only
-    _write_manifest(outdir, args, options, inputs)
-    print(f"wrote surrogate outputs to {outdir}")
-    return 0
+    return outputs, options, inputs
 
 
 # ----------------------------------------------------------------- forecast
@@ -283,8 +261,7 @@ def _forecast_columns(fc) -> dict:
     }
 
 
-def cmd_forecast(args) -> int:
-    outdir = _outdir(args)
+def cmd_forecast(args) -> tuple[dict, dict, dict]:
     inputs = {}
     if args.input:
         inputs["data"] = args.input
@@ -314,19 +291,16 @@ def cmd_forecast(args) -> int:
         rho_star=args.rho_star,
     )
     fm = forecast_moore(series, mparams, horizons=args.horizon, theta_star=args.theta_star)
+    outputs = {}
     for name, fc in (("forecast_wright.csv", fw), ("forecast_moore.csv", fm)):
         columns = _forecast_columns(fc)
-        _write_csv(outdir / name, list(columns), columns.values())
+        outputs[name] = _csv(list(columns), columns.values())
     comp = compare_forecasts(fw, fm)
-    _write_csv(
-        outdir / "comparison.csv",
+    outputs["comparison.csv"] = _csv(
         ["tau", "mean_diff_wright_minus_moore", "band_width_ratio"],
         [comp[:, 0].astype(np.int64), comp[:, 1], comp[:, 2]],
     )
-    options = _options(args, reference_params=not (args.input or args.params))
-    _write_manifest(outdir, args, options, inputs)
-    print(f"wrote forecasts to {outdir}")
-    return 0
+    return outputs, _options(args, reference_params=not (args.input or args.params)), inputs
 
 
 # ----------------------------------------------------------------- parser
@@ -413,11 +387,20 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    out = Path(args.output_dir)
     try:
-        return args.func(args)
+        out.mkdir(parents=True, exist_ok=True)
+        outputs, options, inputs = args.func(args)
+        outputs[f"{args.command}_manifest.txt"] = _text(_manifest(args, options, inputs))
+        for name, writer in outputs.items():
+            tmp = out / (name + ".tmp")
+            writer(tmp)
+            os.replace(tmp, out / name)
     except (DataError, ValueError, OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    print(f"wrote {', '.join(outputs)} to {out}")
+    return 0
 
 
 if __name__ == "__main__":

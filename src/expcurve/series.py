@@ -268,13 +268,10 @@ def ingest_csv(path) -> SeriesTable:
         row = re.search(r"at data row (\d+)", str(exc))
         if row is None:
             raise DataError(str(exc)) from None
-        i = int(row.group(1)) - 1
-        try:
-            name = _csvio.read_csv(path, {"technology": str}, path.name)["technology"][i].strip()
-        except ValueError:  # the short row ends before its name
-            name = ""
+        line, fields = _csvio.row_line(path, int(row.group(1)))
+        name = fields.get("technology", "").strip()  # a short row may end before its name
         what = "row with missing fields" if "missing fields" in str(exc) else f"unparsable value ({exc})"
-        raise DataError(f"{name or path.name} line {_csvio.row_line(path, i + 1)}: {what}") from None
+        raise DataError(f"{name or path.name} line {line}: {what}") from None
     names = np.strings.strip(columns["technology"])
 
     # technologies in order of first appearance, each one's rows by year
@@ -288,7 +285,7 @@ def ingest_csv(path) -> SeriesTable:
             uniq[order], counts[order], *(columns[c][rows] for c in REQUIRED_COLUMNS[1:])
         )
     except _Fault as fault:
-        at = "" if fault.row is None else f" line {_csvio.row_line(path, rows[fault.row] + 1)}"
+        at = "" if fault.row is None else f" line {_csvio.row_line(path, rows[fault.row] + 1)[0]}"
         raise DataError(f"{fault.name or path.name}{at}: {fault.what}") from None
 
 

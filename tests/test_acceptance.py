@@ -17,9 +17,11 @@ above the tolerance on that set.
 """
 
 import math
+import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -437,9 +439,12 @@ def test_criterion_9_cli_determinism(tmp_path):
              "--input", str(out / "dataset.csv"), "--m", "5", "--tau-max", "4"],
             ["--output-dir", str(out), "diagnose", "--errors", str(out / "errors.csv")],
         ]
+        # the child imports the package these tests import
+        path = (str(Path(ec.__file__).parent.parent), os.environ.get("PYTHONPATH"))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
         for argv in cmds:
             proc = subprocess.run(
-                [sys.executable, "-m", "expcurve", *argv], capture_output=True, text=True
+                [sys.executable, "-m", "expcurve", *argv], capture_output=True, text=True, env=env
             )
             assert proc.returncode == 0, proc.stderr
         return out

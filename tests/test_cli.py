@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import math
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -22,6 +23,7 @@ from expcurve import (
     run_hindcast,
     write_csv,
 )
+import expcurve
 from expcurve import estimators, hindcast
 from expcurve.cli import main
 from expcurve.params_io import reference_params_path
@@ -62,6 +64,19 @@ class TestEstimate:
         assert run_cli("--output-dir", out, "estimate", "--input", data, "--emit-series") == 1
         assert "data CSV has no rows" in capsys.readouterr().err
         assert list(out.iterdir()) == []
+
+    def test_manifest_hashes_the_input_as_read(self, tmp_path, capsys):
+        # the input is an output's path: the manifest records the file the
+        # run read, not the file it wrote over it, and stdout names the files
+        out = tmp_path / "out"
+        out.mkdir()
+        data = out / "series.csv"
+        data.write_bytes(small_dataset(tmp_path).read_bytes())
+        read = hashlib.sha256(data.read_bytes()).hexdigest()
+        assert run_cli("--output-dir", out, "estimate", "--input", data, "--emit-series") == 0
+        assert hashlib.sha256(data.read_bytes()).hexdigest() != read
+        assert f"input.data.sha256={read}\n" in (out / "estimate_manifest.txt").read_text()
+        assert capsys.readouterr().out == f"wrote params.csv, series.csv, estimate_manifest.txt to {out}\n"
 
 
 class TestHindcastCommand:
@@ -139,6 +154,54 @@ class TestDiagnoseCommand:
         assert run_cli("--output-dir", out, "diagnose", "--errors", out / "errors.csv", "--params", params) == 0
         assert (out / "tanh.csv").read_bytes() == b"technology,g,sigma_q,r,sigma_x_observed,sigma_x_theory\r\n"
         assert "tanh: n=0 skipped_nonpositive_growth=1\n" in (out / "summary.txt").read_text()
+
+    def test_bad_params_writes_nothing(self, tmp_path, capsys):
+        # a parameter file that fails to read fails the run before any
+        # write: a fresh directory stays empty, a reused one keeps the
+        # earlier run's files and manifest
+        data = small_dataset(tmp_path)
+        errors = tmp_path / "errors.csv"
+        assert run_cli("--output-dir", tmp_path, "hindcast", "--input", data) == 0
+        params = tmp_path / "p.csv"
+        params.write_text("technology,T\nX,12\n")
+        reused = tmp_path / "reused"
+        assert run_cli("--output-dir", reused, "diagnose", "--errors", errors) == 0
+        before = {f.name: f.read_bytes() for f in reused.iterdir()}
+        for out in (tmp_path / "fresh", reused):
+            capsys.readouterr()
+            code = run_cli("--output-dir", out, "diagnose", "--errors", errors, "--params", params)
+            assert code == 1
+            assert "parameter CSV missing column(s)" in capsys.readouterr().err
+        assert list((tmp_path / "fresh").iterdir()) == []
+        assert {f.name: f.read_bytes() for f in reused.iterdir()} == before
+
+    def test_header_only_errors_rejected(self, tmp_path, capsys):
+        errors = tmp_path / "errors.csv"
+        errors.write_text(",".join(hindcast.ERROR_COLUMNS) + "\n")
+        out = tmp_path / "out"
+        assert run_cli("--output-dir", out, "diagnose", "--errors", errors) == 1
+        assert "error CSV has no rows" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
+    def test_model_with_too_few_errors(self, tmp_path):
+        # one finite pooled wright error: wright is summarized, not checked
+        data = small_dataset(tmp_path)
+        out = tmp_path / "out"
+        assert run_cli("--output-dir", out, "hindcast", "--input", data) == 0
+        header, *rows = (out / "errors.csv").read_text().splitlines(keepends=True)
+        wright = [i for i, r in enumerate(rows) if r.split(",")[3] == "wright"]
+        assert len(wright) > 1 and len(rows) - len(wright) > 1
+        for i in wright[1:]:  # pooled_error is the last column
+            rows[i] = rows[i][: rows[i].rindex(",")] + ",nan\r\n"
+        errors = tmp_path / "errors.csv"
+        errors.write_text(header + "".join(rows), newline="")
+        assert run_cli("--output-dir", out, "diagnose", "--errors", errors) == 0
+        summary = (out / "summary.txt").read_text()
+        assert "wright: too few errors (n=1)\n" in summary
+        assert f"moore: n={len(rows) - len(wright)} " in summary
+        for name in ("ecdf.csv", "pit.csv"):
+            with open(out / name, newline="") as fh:
+                assert {r["model"] for r in csv.DictReader(fh)} == {"moore"}, name
 
 
 class TestSimulateCommand:
@@ -233,6 +296,24 @@ class TestSimulateCommand:
         assert code == 0
         assert (out / "bands_moore.csv").exists() and (out / "bands_wright.csv").exists()
 
+    def test_failed_replicate_writes_nothing(self, tmp_path, capsys):
+        # replicates 0 and 1 pass, the shared production path of replicate 2
+        # does not grow over the 5-period technology's stretch
+        params = tmp_path / "p.csv"
+        params.write_text(
+            "technology,T,mu,K,g,sigma_q,r,sigma_x,omega,sigma_eta,rho\n"
+            + "".join(f"{name},{T},-0.05,0.05,0.02,0.3,0.1,0.01,-0.3,0.1,0.2\n"
+                      for name, T in (("X", 30), ("Y", 5), ("Z", 30)))
+        )
+        out = tmp_path / "out"
+        code = run_cli(
+            "--output-dir", out, "--seed", 0, "simulate", "--mimic", params, "--shared-production",
+            "--ensembles", 20, "--m", 2, "--tau-max", 2,
+        )
+        assert code == 1
+        assert "pipeline failed on replicate 2" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
     def test_mimic_and_calibration_are_exclusive(self, tmp_path, capsys):
         out = tmp_path / "out"
         with pytest.raises(SystemExit) as exc:
@@ -277,6 +358,14 @@ class TestForecastCommand:
         code = run_cli("--output-dir", tmp_path / "o", "forecast", "--tech", "warp-drive")
         assert code == 1
         assert "not found" in capsys.readouterr().err
+
+    def test_unknown_technology_in_data(self, tmp_path, capsys):
+        data = small_dataset(tmp_path)
+        out = tmp_path / "out"
+        code = run_cli("--output-dir", out, "forecast", "--input", data, "--tech", "warp-drive")
+        assert code == 1
+        assert capsys.readouterr().err == f"error: technology 'warp-drive' not found in {data}\n"
+        assert list(out.iterdir()) == []
 
     def test_params_row_with_missing_fields(self, tmp_path, capsys):
         params = tmp_path / "p.csv"
@@ -683,9 +772,12 @@ class TestOneEstimatePath:
 class TestEntryPoint:
     def test_module_invocation(self, tmp_path):
         data = small_dataset(tmp_path, n_tech=1, T=10)
+        # the child imports the package these tests import
+        path = (str(Path(expcurve.__file__).parent.parent), os.environ.get("PYTHONPATH"))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
         proc = subprocess.run(
             [sys.executable, "-m", "expcurve", "--output-dir", str(tmp_path / "o"),
              "estimate", "--input", str(data)],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env=env,
         )
         assert proc.returncode == 0, proc.stderr

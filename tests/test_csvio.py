@@ -211,6 +211,12 @@ class TestParamTable:
         # its rows still read field by field
         assert [int(r["T"]) for r in estimated] == estimated["T"].tolist()
 
+    def test_header_only_rejected(self, tmp_path):
+        path = tmp_path / "params.csv"
+        path.write_text(",".join(PARAM_COLUMNS) + "\n")
+        with pytest.raises(ValueError, match="^parameter CSV has no rows$"):
+            read_params_csv(path)
+
 
 def test_byte_order_mark_is_skipped(tmp_path):
     # as in Excel's "CSV UTF-8" export; the writers add none

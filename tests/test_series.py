@@ -114,6 +114,13 @@ class TestIngest:
         with pytest.raises(DataError, match=r"^data\.csv line 3: row with missing fields$"):
             ingest_csv(make_csv(tmp_path, text))
 
+    def test_bad_value_named_by_its_own_row(self, tmp_path):
+        # a later row that ends before its name does not hide the faulty
+        # row's technology
+        text = "year,cost,production,technology\n1,1.0,1.0,A\n2,oops,2.0,A\n3,0.8,4.0,A\n4,0.7\n"
+        with pytest.raises(DataError, match=r"^A line 3: unparsable value \(.*'oops'"):
+            ingest_csv(make_csv(tmp_path, text, name="bad.csv"))
+
     @pytest.mark.parametrize(
         "value, message",
         [("x", r"A line 5: unparsable value \(.*'x'"), ("-1", r"A line 5: non-positive cost$")],

@@ -200,6 +200,19 @@ class TestApproxVariance:
         v20 = ma1_variance_approx(1.0, rho, 200, 400)
         assert v20 / v19 == pytest.approx(1.0, abs=5e-3)
 
+    def test_array_m_elementwise(self):
+        # one value per (tau, m) pair, each as its own scalar call gives it
+        taus, ms = np.array([1, 4, 7, 12, 20]), np.array([1, 2, 5, 39, 40])
+        expect = [ma1_variance_approx(0.7, 0.19, int(t), int(m)) for t, m in zip(taus, ms)]
+        np.testing.assert_array_equal(ma1_variance_approx(0.7, 0.19, taus, ms), expect)
+        np.testing.assert_array_equal(ma1_variance_approx(0.7, 0.19, 6, ms), [
+            ma1_variance_approx(0.7, 0.19, 6, int(m)) for m in ms
+        ])
+
+    def test_array_m_below_one_rejected(self):
+        with pytest.raises(ValueError, match="m must be at least 1"):
+            ma1_variance_approx(0.7, 0.19, 3, np.array([5, 0, 2]))
+
 
 class TestReductionChainAndMonotonicity:
     def test_full_chain_randomized(self):
