@@ -9,10 +9,12 @@ dependence of hindcast errors is handled.
 
 Randomness is counter-keyed: stream ``(seed, replicate, technology, role)``
 fully determines every draw, so a replicate is reproducible in isolation and
-does not depend on the order in which replicates run. A replicate draws each
-stream on its own and computes on all of its technologies at once, as the
-rows of (technology × year) matrices, so constructing the seeded generators
-is the largest part of generating it.
+does not depend on the order in which replicates run. A replicate hashes its
+stream keys in batches and draws each stream from one reused generator
+(``_streams``), and it computes on all of its technologies at once, as the
+rows of (technology × year) matrices. On the bundled 51-technology table the
+102 streams, draws included, take about 0.5 ms of the 1.2 ms a replicate's
+dataset takes.
 """
 
 from __future__ import annotations
@@ -39,6 +41,97 @@ def _rng(seed, *key) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=tuple(key)))
 
 
+# The constants of NumPy's SeedSequence hash and of the PCG64 step.
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK128 = (1 << 128) - 1
+
+
+def _hash_constants(const: int, mult: int, n: int) -> list[int]:
+    """``const`` and the ``n`` constants after it, each ``mult`` times the
+    one before, modulo 2**32."""
+    out = [const]
+    for _ in range(n):
+        out.append(out[-1] * mult & _MASK32)
+    return out
+
+
+# generate_state's 8 steps, one per 32-bit output word
+_STATE_CONSTANTS = np.array(_hash_constants(_INIT_B, _MULT_B, 8), dtype=np.uint32)
+
+
+def _hash(value, xor, mul):
+    """SeedSequence's ``hashmix`` of a word by two consecutive hash
+    constants, as masked Python ints or as uint32 arrays."""
+    value = (value ^ xor) * mul & _MASK32
+    return value ^ value >> 16
+
+
+def _mix(x, y):
+    """SeedSequence's ``mix`` of two words, as masked Python ints or as
+    uint32 arrays."""
+    r = (_MIX_L * x - _MIX_R * y) & _MASK32
+    return r ^ r >> 16
+
+
+def _streams(seed: int, keys):
+    """Yield the generator of stream ``(seed, *key)`` for each key in turn:
+    the draws of ``_rng(seed, *key)``, without building its ``SeedSequence``
+    and ``PCG64``.
+
+    This reproduces NumPy's ``SeedSequence(seed, spawn_key=key)`` (the
+    ``seed_seq`` hash of O'Neill's randutils: ``mix_entropy`` with a pool of
+    4 words, then ``generate_state(4, np.uint64)``) and the state
+    ``pcg64_set_seed`` gives ``PCG64``; ``TestStreams`` in
+    ``tests/test_surrogate.py`` pins both to NumPy's own classes. The
+    entropy is the seed's 32-bit words, zero-padded to the pool size, then
+    one word per key element, so every element must lie in [0, 2**32). The
+    seed's part of the hash is shared, so it is computed once; the key
+    columns are hashed as arrays, and all the keys' states are set on one
+    reused ``PCG64``. So a caller draws from a yielded generator before it
+    takes the next one.
+    """
+    seed = int(seed)
+    words = [seed >> shift & _MASK32 for shift in range(0, max(seed.bit_length(), 1), 32)]
+    words += [0] * (4 - len(words))
+    columns = np.array(keys, dtype=np.uint32)
+    # mix_entropy's hash steps take consecutive constants: 16 to fill and mix
+    # the pool, then 4 for each entropy word past it
+    seed_steps = 16 + 4 * (len(words) - 4)
+    consts = _hash_constants(_INIT_A, _MULT_A, seed_steps + 4 * columns.shape[1])
+    steps = zip(consts, consts[1:])
+    pool = [_hash(word, *next(steps)) for word in words[:4]]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], _hash(pool[src], *next(steps)))
+    for word in words[4:]:
+        for dst in range(4):
+            pool[dst] = _mix(pool[dst], _hash(word, *next(steps)))
+    key_consts = np.array(consts[seed_steps:], dtype=np.uint32)
+    h = _hash(columns[:, :, None], key_consts[:-1].reshape(-1, 4), key_consts[1:].reshape(-1, 4))
+    pool = np.array(pool, dtype=np.uint32)
+    for c in range(columns.shape[1]):
+        pool = _mix(pool, h[:, c])
+    state = _hash(np.tile(pool, 2), _STATE_CONSTANTS[:-1], _STATE_CONSTANTS[1:])
+    bitgen = np.random.PCG64(0)  # its seed is replaced before any draw
+    rng = np.random.Generator(bitgen)
+    for s_hi, s_lo, i_hi, i_lo in state.astype("<u4").view("<u8").tolist():
+        # pcg64_set_seed: two PCG steps from state 0
+        inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
+        s = ((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _MASK128
+        bitgen.state = {
+            "bit_generator": "PCG64",
+            "state": {"state": s, "inc": inc},
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        yield rng
+
+
 @dataclass(frozen=True)
 class SurrogateSpec:
     """Generator parameters for a synthetic dataset.
@@ -47,7 +140,7 @@ class SurrogateSpec:
     entry each) mimic a heterogeneous dataset. ``shared_production`` makes
     all technologies ride a single production path; ``corrected_experience``
     selects between the initial-stock construction used on real data and a
-    plain running sum of production.
+    plain running sum of production. ``seed`` is a non-negative integer.
     """
 
     n_tech: int
@@ -71,6 +164,9 @@ class SurrogateSpec:
             count = getattr(self, field)
             if not isinstance(count, (int, np.integer)) or count < 1:
                 raise ValueError(f"{field} must be a positive integer")
+        # a generator here would be shared by every stream, unkeyed
+        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
+            raise ValueError("seed must be a non-negative integer")
         for field in ("T", "g", "sigma_q", "omega", "sigma_eta", "rho"):
             val = getattr(self, field)
             if np.ndim(val) > 0 and len(np.asarray(val)) != self.n_tech:
@@ -177,8 +273,8 @@ def _production(seed, keys, T, g, sigma_q, conditioned: bool) -> np.ndarray:
     keeps its first draw, the unconditioned stream.
     """
     draws = np.zeros((len(keys), T.max() - 1))
-    for i, key in enumerate(keys):
-        draws[i, : T[i] - 1] = _rng(seed, *key).normal(0.0, sigma_q[i], T[i] - 1)
+    for i, rng in enumerate(_streams(seed, keys)):
+        draws[i, : T[i] - 1] = rng.normal(0.0, sigma_q[i], T[i] - 1)
     years = np.arange(draws.shape[1] + 1)
     # the padding is log production 0, so no exp overflows past a row's end
     production = np.exp(np.where(years < T[:, None], _log_production(draws, g), 0.0))
@@ -192,11 +288,14 @@ def make_dataset(spec: SurrogateSpec, replicate: int = 0) -> SeriesTable:
     """Generate one synthetic dataset (one replicate of the spec) as a
     :class:`SeriesTable` with experience built.
 
-    Each technology draws its production and cost from streams of its own.
+    Each technology draws its production and cost from streams of its own,
+    keyed ``(replicate, technology, role)``, so ``replicate`` must lie in
+    [0, 2**32). The ``2 n_tech`` stream keys are hashed in two batches (see
+    ``_streams``), and only a redrawn path builds a generator of its own.
     The paths are the rows of (technology × year) matrices, each formula is
     applied once per replicate, and every row adds its terms in the order a
-    single series would. So most of the time goes into constructing the
-    ``2 n_tech`` seeded generators, which fix the bytes.
+    single series would. On the bundled table the streams are about 40% of
+    the time and the matrix arithmetic and table checks the rest.
 
     With the corrected experience construction, production paths are
     conditioned on overall growth: the initial-stock correction needs an
@@ -208,6 +307,9 @@ def make_dataset(spec: SurrogateSpec, replicate: int = 0) -> SeriesTable:
     full length only, so a technology whose shorter stretch of it did not
     grow raises ``DataError``.
     """
+    # a stream key element is one 32-bit word of the seeding entropy
+    if not isinstance(replicate, (int, np.integer)) or not 0 <= replicate < 2**32:
+        raise ValueError("replicate must be an integer in [0, 2**32)")
     n = spec.n_tech
     T = np.broadcast_to(spec.T, n).astype(int)
     g, sigma_q, omega, sigma_eta, rho = (
@@ -230,8 +332,9 @@ def make_dataset(spec: SurrogateSpec, replicate: int = 0) -> SeriesTable:
         experience = np.cumsum(production, axis=1)
     sigma_u = sigma_eta / np.sqrt(1.0 + rho * rho)
     u = np.zeros(production.shape)
-    for j in range(n):
-        u[j, : T[j]] = _rng(spec.seed, replicate, j, _ROLE_COST).normal(0.0, sigma_u[j], T[j])
+    cost_keys = [(replicate, j, _ROLE_COST) for j in range(n)]
+    for j, rng in enumerate(_streams(spec.seed, cost_keys)):
+        u[j, : T[j]] = rng.normal(0.0, sigma_u[j], T[j])
     log_cost = _log_cost(np.diff(np.log(experience), axis=1), u, omega, rho)
     keep = np.arange(production.shape[1]) < T[:, None]
     years = np.broadcast_to(np.arange(1, production.shape[1] + 1), keep.shape)
@@ -253,9 +356,9 @@ def run_ensemble(spec: SurrogateSpec, pipeline) -> EnsembleResult:
 
     A replicate costs one ``make_dataset`` plus the pipeline. ``simulate``'s
     pipeline is ``hindcast.mse_curve``, which reads the window gather and
-    builds no error table. Generating the dataset is still most of a
-    replicate, and constructing its ``2 n_tech`` seeded generators is most of
-    that.
+    builds no error table. On the bundled table (m = 5, ``tau_max`` 20) a
+    replicate's ``make_dataset`` takes about 1.2 ms, of which its ``2 n_tech``
+    streams are about 0.5 ms, and its ``mse_curve`` about 0.6 ms.
     """
 
     def one(r: int) -> np.ndarray:

@@ -24,7 +24,7 @@ from expcurve import (
     write_csv,
 )
 import expcurve
-from expcurve import estimators, hindcast
+from expcurve import cli, estimators, hindcast, surrogate
 from expcurve.cli import main
 from expcurve.params_io import reference_params_path
 
@@ -286,6 +286,40 @@ class TestSimulateCommand:
         assert code == 1
         assert message in capsys.readouterr().err
         assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "options",
+        [["--ensembles", 2], ["--calibration", "--m", 5]],
+        ids=["bands", "calibration"],
+    )
+    def test_negative_seed_rejected_before_any_write(self, tmp_path, capsys, options):
+        out = tmp_path / "out"
+        code = run_cli(
+            "--output-dir", out, "--seed", -1, "simulate", "--n-tech", 2, "--periods", 10, *options
+        )
+        assert code == 1
+        assert capsys.readouterr().err == "error: seed must be a non-negative integer\n"
+        assert list(out.iterdir()) == []
+
+    def test_replicate_zero_built_once(self, tmp_path, monkeypatch):
+        # dataset.csv is replicate 0, which the ensemble has already built
+        built = []
+
+        def counted(spec, replicate=0):
+            built.append(replicate)
+            return make_dataset(spec, replicate)
+
+        monkeypatch.setattr(surrogate, "make_dataset", counted)
+        monkeypatch.setattr(cli, "make_dataset", counted)
+        for ensembles, replicates in ((4, [0, 1, 2, 3]), (0, [0])):
+            built.clear()
+            code = run_cli(
+                "--output-dir", tmp_path / str(ensembles), "--seed", 3, "simulate",
+                "--n-tech", 3, "--periods", 14, "--ensembles", ensembles, "--m", 5, "--tau-max", 5,
+            )
+            assert code == 0
+            assert built == replicates
+        assert (tmp_path / "4" / "dataset.csv").read_bytes() == (tmp_path / "0" / "dataset.csv").read_bytes()
 
     def test_shortest_usable_series(self, tmp_path):
         # m + 2 periods make one window with one forecast

@@ -3,6 +3,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 from scipy import stats
 
@@ -18,6 +20,7 @@ from expcurve import (
     run_ensemble,
     sigma_x_theory,
 )
+from expcurve import surrogate
 from expcurve.params_io import load_reference_params
 from expcurve.series import GROWTH_FLOOR
 
@@ -278,6 +281,22 @@ class TestMakeDataset:
         spec = SurrogateSpec(n_tech=np.int64(2), n_ensembles=np.int64(1), T=6)
         assert make_dataset(spec, 0).T.tolist() == [6, 6]
 
+    def test_seed_must_be_a_non_negative_integer(self):
+        # a generator would be shared by every stream, so the draws would
+        # depend on their order
+        for bad in (-1, 7.0, np.random.default_rng(7), None):
+            with pytest.raises(ValueError, match="^seed must be a non-negative integer$"):
+                SurrogateSpec(n_tech=2, seed=bad)
+        for good in (0, np.int64(7), 2**128 + 3):
+            assert SurrogateSpec(n_tech=2, seed=good).seed == good
+
+    def test_replicate_is_one_key_word(self):
+        spec = SurrogateSpec(n_tech=2, T=6, seed=2**64 + 1, n_ensembles=1)
+        for bad in (-1, 2**32, 1.0):
+            with pytest.raises(ValueError, match=re.escape("replicate must be an integer in [0, 2**32)")):
+                make_dataset(spec, bad)
+        assert TestMakeDatasetOracle.assert_same(spec, 2**32 - 1)
+
     def test_periods_checked_at_construction(self):
         with pytest.raises(ValueError, match="T must be integral"):
             SurrogateSpec(n_tech=1, T=50.7)
@@ -394,6 +413,60 @@ class TestMakeDatasetOracle:
         for seed in (7, 13):
             for r in (0, 3):
                 assert self.assert_same(_bundled_spec(seed=seed, **MODES[mode]), r)
+
+
+# seeds of one to five 32-bit words, and key elements at the word's edges
+STREAM_SEEDS = (0, 1, 7, 2**32 - 1, 2**32, 2**64 + 1, 2**128 + 3)
+KEY_ELEMENTS = (0, 1, 2**31, 2**32 - 1)
+
+
+class TestStreams:
+    """_streams yields, key by key, the generator NumPy builds from
+    SeedSequence(seed, spawn_key=key)."""
+
+    @staticmethod
+    def assert_numpy_streams(seed, keys):
+        for key, rng in zip(keys, surrogate._streams(seed, keys), strict=True):
+            want = np.random.PCG64(np.random.SeedSequence(seed, spawn_key=key))
+            assert rng.bit_generator.state == want.state
+            assert_array_equal(rng.normal(size=50), np.random.Generator(want).normal(size=50))
+
+    @pytest.mark.parametrize("seed", STREAM_SEEDS)
+    def test_matches_numpy(self, seed):
+        keys = [(a, b, c) for a in KEY_ELEMENTS for b in KEY_ELEMENTS for c in KEY_ELEMENTS]
+        self.assert_numpy_streams(seed, keys)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**160 - 1),
+        keys=st.lists(st.tuples(*[st.integers(0, 2**32 - 1)] * 3), min_size=1, max_size=6),
+    )
+    def test_matches_numpy_property(self, seed, keys):
+        self.assert_numpy_streams(seed, keys)
+
+    def test_make_dataset_builds_generators_for_redraws_only(self, monkeypatch):
+        # a stream's own generator (_rng with an integer seed) is built only
+        # for a redraw attempt, whose key has the attempt as a fourth element
+        built = []
+        rng = surrogate._rng
+
+        def counted(seed, *key):
+            if not isinstance(seed, np.random.Generator):
+                built.append(key)
+            return rng(seed, *key)
+
+        monkeypatch.setattr(surrogate, "_rng", counted)
+        total = 0
+        for mode in sorted(MODES):
+            spec = _bundled_spec(seed=7, **MODES[mode])
+            for r in (0, 3):
+                built.clear()
+                make_dataset(spec, r)
+                _, redraws = reference_dataset(spec, r)
+                assert len(built) == redraws
+                assert all(len(key) == 4 and key[0] == r for key in built)
+                total += redraws
+        assert total > 0  # the corrected mode redrew some paths
 
 
 class TestRunEnsemble:
