@@ -30,6 +30,27 @@ def _quote(value) -> str:
     return buf.getvalue()[: -len(",\r\n")]
 
 
+def _chunk_text(quoted, chunk) -> tuple[str, list]:
+    """One column's field of the row template and its values in one chunk.
+
+    Text comes quoted already, as ``quoted[chunk]``. In a float chunk in
+    which some value has the bits of the value in the row above (bits, not
+    values, so ``-0.0`` and ``0.0`` stay apart), each run of such values is
+    formatted once here and its text reused; other floats are formatted by
+    the template.
+    """
+    if quoted is not None:
+        return "{}", quoted[chunk].tolist()
+    if chunk.dtype.kind != "f":
+        return "{}", chunk.tolist()
+    bits = chunk.view(f"V{chunk.itemsize}")
+    starts = np.concatenate(([True], bits[1:] != bits[:-1]))
+    if starts.all():
+        return _FLOAT_FIELD, chunk.tolist()
+    text = np.array([_fmt(v) for v in chunk[starts].tolist()], dtype=object)
+    return "{}", text[np.cumsum(starts) - 1].tolist()
+
+
 def write_csv(path, header, *blocks) -> None:
     """Write ``header`` and the rows of each block of columns to ``path``.
 
@@ -37,25 +58,24 @@ def write_csv(path, header, *blocks) -> None:
     bytes are those ``csv.writer`` writes: minimal quoting, applied once per
     distinct text value, and ``\\r\\n`` line ends. Float columns get 17
     significant digits, so a round trip is exact. Each ``_CHUNK`` rows are
-    formatted with one row template and written with one call.
+    formatted with one row template and written with one call. Within a
+    chunk, a run of floats whose bits equal those of the float in the row
+    above is formatted once (``_chunk_text``); a float column with no such
+    repeat in the chunk is formatted by the template.
     """
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(",".join(map(_quote, header)) + "\r\n")
         for block in blocks:
-            fields, columns = [], []
+            columns = []
             for col in map(np.asarray, block):
-                fields.append(_FLOAT_FIELD if col.dtype.kind == "f" else "{}")
                 if col.dtype.kind in "USO":
                     values, col = np.unique(col, return_inverse=True)
                     columns.append((np.array([_quote(v) for v in values.tolist()], dtype=object), col))
                 else:
                     columns.append((None, col))
-            row = (",".join(fields) + "\r\n").format
             for lo in range(0, len(columns[0][1]), _CHUNK):
-                text = [
-                    (col[lo:lo + _CHUNK] if quoted is None else quoted[col[lo:lo + _CHUNK]]).tolist()
-                    for quoted, col in columns
-                ]
+                fields, text = zip(*(_chunk_text(q, col[lo:lo + _CHUNK]) for q, col in columns))
+                row = (",".join(fields) + "\r\n").format
                 fh.write("".join(map(row, *text)))
 
 

@@ -48,9 +48,9 @@ from .forecast import (
 )
 from .hindcast import (
     HindcastConfig,
-    _model_rows,
+    _model_slice,
+    _window_size,
     mse_curve,
-    read_errors_csv,
     run_hindcast,
     write_errors_csv,
 )
@@ -133,19 +133,32 @@ def cmd_hindcast(args) -> tuple[dict, dict, dict]:
 # ----------------------------------------------------------------- diagnose
 
 
+# The error CSV columns that `diagnose` reads; the others are not parsed.
+_DIAGNOSE_COLUMNS = {"model": str, "tau": np.int64, "A": float, "pooled_error": float}
+
+
 def cmd_diagnose(args) -> tuple[dict, dict, dict]:
-    errors = read_errors_csv(args.errors)
-    if not len(errors):
+    """ECDF, PIT and KS checks of the pooled errors of a hindcast CSV.
+
+    Reads only the ``model``, ``tau``, ``A`` and ``pooled_error`` columns,
+    so the other columns may be missing or hold anything. The window size
+    ``m`` of each row is recovered from ``tau`` and ``A`` and the moore and
+    wright rows must alternate, both checked as ``read_errors_csv`` checks
+    them; the Student reference takes ``m - 1`` degrees of freedom from the
+    most common ``m``.
+    """
+    errors = _csvio.read_csv(args.errors, _DIAGNOSE_COLUMNS, "error CSV")
+    if not len(errors["tau"]):
         raise DataError("error CSV has no rows")
     # the most common window size; a tie goes to the smaller one
-    sizes, counts = np.unique(errors.m, return_counts=True)
+    sizes, counts = np.unique(_window_size(errors["tau"], errors["A"]), return_counts=True)
     m = int(sizes[np.argmax(counts)])
     df = m - 1 if args.reference == "student" else None
 
     summary = [f"reference={args.reference}", f"df={df}", f"window_m={m}"]
     ecdf_blocks, pit_blocks = [], []
     for model in ("moore", "wright"):
-        vals = _model_rows(errors, model).pooled_error
+        vals = errors["pooled_error"][_model_slice(errors["model"], model)]
         finite = vals[np.isfinite(vals)]
         dropped = len(vals) - len(finite)
         if len(finite) < 2:

@@ -115,7 +115,8 @@ class HindcastTable:
 
     Each :class:`HindcastError` field (an ``errors.csv`` column or ``m``) is
     a NumPy array attribute of the same name, and every one is required, so
-    a table read back from its CSV equals the table that was written.
+    a table read back from its CSV equals the table that was written. Every
+    window size ``m`` is at least 2, as :class:`HindcastConfig` requires.
 
     ``len(table)``, ``table[i]`` and iteration give :class:`HindcastError`
     row views, so record-wise code and ``dataclasses.replace`` keep working;
@@ -137,6 +138,8 @@ class HindcastTable:
             setattr(self, name, col)
         if columns:
             raise TypeError(f"unknown column(s): {', '.join(columns)}")
+        if np.any(self.m < 2):
+            raise ValueError("window size m must be at least 2")
 
     def __len__(self) -> int:
         return len(self.tau)
@@ -167,17 +170,17 @@ class HindcastTable:
         return [getattr(self, name) for name in _FIELDS]
 
 
-def _model_rows(table: HindcastTable, model: str) -> HindcastTable:
-    """The rows of one model, as a zero-copy view of ``table``.
+def _model_slice(models: np.ndarray, model: str) -> slice:
+    """The rows of one model in a hindcast's ``model`` column.
 
     A hindcast writes its moore and wright rows alternately, and its error
     CSV keeps that order, so each model's rows are every second row. Raises
-    ``ValueError`` for a table that is not in that order.
+    ``ValueError`` for a column that is not in that order.
     """
     k = ("moore", "wright").index(model)
-    if not np.all(table.model[k::2] == model):
+    if not np.all(models[k::2] == model):
         raise ValueError(f"{model} rows are not every second row, as a hindcast writes them")
-    return table[k::2]
+    return slice(k, None, 2)
 
 
 class _Windows(NamedTuple):
@@ -363,8 +366,9 @@ def mse_curve(dataset: SeriesTable, config: HindcastConfig | None = None) -> np.
     where no finite error reaches a horizon.
 
     Row ``k`` holds, bit for bit, the means of
-    ``mse_by_horizon(_model_rows(run_hindcast(dataset, config), model))``,
-    and it warns as :func:`run_hindcast` does. It reads only the window
+    ``mse_by_horizon(table[_model_slice(table.model, model)])`` for
+    ``table = run_hindcast(dataset, config)``, and it warns as
+    :func:`run_hindcast` does. It reads only the window
     gather and builds no error table, so an ensemble statistic pays for
     nothing it does not read.
     """
@@ -426,24 +430,36 @@ def write_errors_csv(path, errors: HindcastTable) -> None:
 
     Floats have 17 significant digits, so :func:`read_errors_csv` gives them
     back exactly. Text gets ``csv``'s minimal quoting, lines end in
-    ``\\r\\n``, and rows are formatted and written 4,096 at a time.
+    ``\\r\\n``, and rows are formatted and written 4,096 at a time; in those
+    rows the per-window ``K_hat`` and ``sigma_eta_hat`` and each moore/wright
+    pair's ``A`` are formatted once per run of repeats.
     """
     _csvio.write_csv(path, ERROR_COLUMNS, [getattr(errors, name) for name in ERROR_COLUMNS])
 
 
-def read_errors_csv(path) -> HindcastTable:
-    """Read a hindcast error CSV back into a table, 4,096 rows at a time.
+def _window_size(tau: np.ndarray, A: np.ndarray) -> np.ndarray:
+    """Each row's window size ``m``, recovered from ``A = tau + tau**2 / m``
+    by rounding. Raises ``ValueError`` where no ``m`` of at least 2, the
+    smallest window :class:`HindcastConfig` allows, gives ``A``."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        m = np.rint(tau * tau / (A - tau))
+    if not np.all(np.isfinite(m) & (m >= 2)):
+        raise ValueError("error CSV: window size m cannot be recovered from tau and A")
+    return m.astype(np.int64)
 
-    Columns are found by header name. Raises ``ValueError`` for a missing
-    column, a row with missing fields, or a window size ``m`` that cannot be
-    recovered from ``A = tau + tau**2 / m``.
+
+def read_errors_csv(path) -> HindcastTable:
+    """Read a hindcast error CSV back into a whole table, 4,096 rows at a
+    time.
+
+    Columns are found by header name, and every ``ERROR_COLUMNS`` column is
+    parsed; ``m`` is recovered from ``tau`` and ``A`` (:func:`_window_size`).
+    Raises ``ValueError`` for a missing column, a row with missing fields, a
+    value that does not parse, or a window size ``m`` below 2 or not
+    recoverable. ``diagnose`` reads only the columns it uses, through the
+    codec and the same helpers.
     """
     columns = _csvio.read_csv(
         path, {name: _DTYPES.get(name, float) for name in ERROR_COLUMNS}, "error CSV"
     )
-    tau, A = columns["tau"], columns["A"]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        m = np.rint(tau * tau / (A - tau))
-    if not np.all(np.isfinite(m)):
-        raise ValueError("error CSV: window size m cannot be recovered from tau and A")
-    return HindcastTable(m=m.astype(np.int64), **columns)
+    return HindcastTable(m=_window_size(columns["tau"], columns["A"]), **columns)

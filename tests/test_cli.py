@@ -24,7 +24,7 @@ from expcurve import (
     write_csv,
 )
 import expcurve
-from expcurve import cli, estimators, hindcast, surrogate
+from expcurve import _csvio, cli, estimators, hindcast, surrogate
 from expcurve.cli import main
 from expcurve.params_io import reference_params_path
 
@@ -202,6 +202,103 @@ class TestDiagnoseCommand:
         for name in ("ecdf.csv", "pit.csv"):
             with open(out / name, newline="") as fh:
                 assert {r["model"] for r in csv.DictReader(fh)} == {"moore"}, name
+
+
+def rewrite_errors(src, dst, columns=None, edit=lambda i, row: None):
+    """Copy an error CSV with only ``columns`` (all, by default), in that
+    order; ``edit(i, row)`` may change data row ``i`` (from 1) first."""
+    with open(src, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    for i, row in enumerate(rows, 1):
+        edit(i, row)
+    columns = columns or list(rows[0])
+    with open(dst, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(columns)
+        writer.writerows([row.get(c, "x") for c in columns] for row in rows)
+    return dst
+
+
+class TestDiagnoseReads:
+    """``diagnose`` parses only ``model``, ``tau``, ``A`` and
+    ``pooled_error``; the other columns may be missing or hold anything."""
+
+    READ = ["model", "tau", "A", "pooled_error"]
+
+    @pytest.fixture
+    def errors(self, tmp_path):
+        assert run_cli("--output-dir", tmp_path, "hindcast", "--input", small_dataset(tmp_path)) == 0
+        return tmp_path / "errors.csv"
+
+    def outputs(self, tmp_path, errors, name):
+        out = tmp_path / name
+        assert run_cli("--output-dir", out, "diagnose", "--errors", errors) == 0
+        return {f: (out / f).read_bytes() for f in ("ecdf.csv", "pit.csv", "summary.txt")}
+
+    def test_read_columns_only(self, tmp_path, errors):
+        four = rewrite_errors(errors, tmp_path / "four.csv", ["pooled_error", "extra", "A", "model", "tau"])
+
+        def oops(i, row):
+            if i == 3:
+                row["K_hat"] = "oops"
+
+        unread_bad = rewrite_errors(errors, tmp_path / "oops.csv", edit=oops)
+        want = self.outputs(tmp_path, errors, "full")
+        assert self.outputs(tmp_path, four, "four") == want
+        assert self.outputs(tmp_path, unread_bad, "oops") == want
+
+    def test_missing_read_column_writes_nothing(self, tmp_path, capsys, errors):
+        columns = [c for c in hindcast.ERROR_COLUMNS if c != "A"]
+        errors = rewrite_errors(errors, tmp_path / "no_a.csv", columns)
+        out = tmp_path / "out"
+        assert run_cli("--output-dir", out, "diagnose", "--errors", errors) == 1
+        assert "error: error CSV missing column(s): A\n" == capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
+    def test_bad_read_value_names_its_row(self, tmp_path, capsys, errors):
+        def bad(i, row):
+            if i == 7:
+                row["pooled_error"] = "oops"
+
+        errors = rewrite_errors(errors, tmp_path / "bad.csv", edit=bad)
+        out = tmp_path / "out"
+        assert run_cli("--output-dir", out, "diagnose", "--errors", errors) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: error CSV: ") and "'oops'" in err and "at data row 7," in err
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("reference", ["student", "normal"])
+    def test_window_size_one_rejected(self, tmp_path, capsys, errors, reference):
+        # A = tau + tau**2 on every row gives m = 1, which no hindcast makes
+        def window_one(i, row):
+            tau = int(row["tau"])
+            row["A"] = str(tau + tau * tau)
+
+        errors = rewrite_errors(errors, tmp_path / "m1.csv", edit=window_one)
+        out = tmp_path / "out"
+        code = run_cli("--output-dir", out, "diagnose", "--errors", errors, "--reference", reference)
+        assert code == 1
+        assert "window size m cannot be recovered from tau and A" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
+    def test_asks_the_codec_for_the_read_columns(self, tmp_path, monkeypatch):
+        # a diagnose that parsed every column again would fail here; the
+        # outputs keep their pinned bytes
+        asked = []
+        read_csv = _csvio.read_csv
+
+        def recorder(path, columns, what):
+            asked.append((what, list(columns)))
+            return read_csv(path, columns, what)
+
+        monkeypatch.setattr(_csvio, "read_csv", recorder)
+        data = small_dataset(tmp_path, n_tech=3, T=20, seed=2016)
+        out = tmp_path / "out"
+        for argv in _golden_argvs("diagnose-student", data, out):
+            assert run_cli("--output-dir", out, *argv) == 0
+        assert [sorted(c) for what, c in asked if what == "error CSV"] == [sorted(self.READ)]
+        for name, digest in GOLDEN_OUTPUTS["diagnose-student"].items():
+            assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
 
 
 class TestSimulateCommand:

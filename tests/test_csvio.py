@@ -3,6 +3,7 @@
 import codecs
 import csv
 import io
+import struct
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from expcurve import (
     write_csv,
     write_errors_csv,
 )
+from expcurve import _csvio
 from expcurve._csvio import _CHUNK, _fmt
 from expcurve.estimators import full_sample_estimates
 from expcurve.hindcast import ERROR_COLUMNS
@@ -105,8 +107,10 @@ class TestReadErrorsCsv:
 
     def test_unrecoverable_window_size(self, tmp_path):
         zero_gap = self.ROW.replace(",2.8,", ",2,")  # A - tau = 0
-        with pytest.raises(ValueError, match="window size m cannot be recovered from tau and A"):
-            read_errors_csv(self.write(tmp_path, self.HEADER + self.ROW + zero_gap))
+        window_one = self.ROW.replace(",2.8,", ",6,")  # A = tau + tau**2, so m = 1
+        for bad in (zero_gap, window_one):
+            with pytest.raises(ValueError, match="window size m cannot be recovered from tau and A"):
+                read_errors_csv(self.write(tmp_path, self.HEADER + self.ROW + bad))
 
     def test_header_only_gives_empty_table(self, tmp_path):
         table = read_errors_csv(self.write(tmp_path, self.HEADER))
@@ -123,6 +127,24 @@ class TestReadErrorsCsv:
         table = read_errors_csv(self.write(tmp_path, text))
         assert len(table) == 4101
         assert set(table.tau.tolist()) == {2} and set(table.m.tolist()) == {5}
+
+
+class TestFloatRuns:
+    """A run of floats with equal bits is formatted once per chunk."""
+
+    @pytest.mark.parametrize("n, formatted", [(_CHUNK, 1), (2 * _CHUNK, 2)])
+    def test_a_run_is_formatted_once_per_chunk(self, tmp_path, monkeypatch, n, formatted):
+        calls = []
+
+        def counted(value):
+            calls.append(value)
+            return _fmt(value)
+
+        monkeypatch.setattr(_csvio, "_fmt", counted)
+        path = tmp_path / "runs.csv"
+        _csvio.write_csv(path, ["x"], [np.full(n, 0.1)])
+        assert calls == [0.1] * formatted
+        assert file_text(path) == csv_writer_text(["x"], [[_fmt(0.1)]] * n)
 
 
 class TestRoundTrips:
@@ -285,3 +307,70 @@ class TestSeriesRoundTripProperty:
                 assert_array_equal(b.years, ts.years)
                 assert_array_equal(bits(b.cost), bits(ts.cost))
                 assert_array_equal(bits(b.production), bits(ts.production))
+
+
+def float_bits(v: float) -> int:
+    return struct.unpack("<Q", struct.pack("<d", v))[0]
+
+
+NAN, NAN_PAYLOAD, NAN_NEGATIVE = 0x7FF8000000000000, 0x7FF8000000000001, 0xFFF8000000000000
+# Neighbours whose bits differ, three of them with the same text: a run
+# must end between them.
+TWINS = [
+    (float_bits(0.0), float_bits(-0.0)),
+    (NAN, NAN_PAYLOAD),
+    (NAN_PAYLOAD, NAN_NEGATIVE),
+    (float_bits(np.inf), float_bits(-np.inf)),
+]
+run_values = st.lists(
+    st.one_of(st.sampled_from(TWINS), st.floats().map(lambda v: (float_bits(v),))),
+    min_size=1, max_size=6,
+).map(lambda groups: [b for group in groups for b in group])
+
+
+@st.composite
+def column_blocks(draw):
+    """A header and zero to two blocks of float, int and text columns. A
+    ``runs`` column is piecewise constant, so its runs may cross a chunk
+    boundary; a ``distinct`` column has no two equal neighbours."""
+    kinds = draw(st.lists(st.sampled_from(("runs", "distinct", "int", "text")), min_size=1, max_size=5))
+    blocks = []
+    for _ in range(draw(st.integers(0, 2))):
+        n = draw(st.one_of(st.integers(0, 6), st.integers(_CHUNK - 2, _CHUNK + 2), st.just(2 * _CHUNK + 1)))
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        block = []
+        for kind in kinds:
+            if kind == "runs":
+                bits = draw(run_values)
+                cuts = draw(st.lists(st.integers(0, n), min_size=len(bits) - 1, max_size=len(bits) - 1))
+                lengths = np.diff([0, *sorted(cuts), n])
+                block.append(np.repeat(np.array(bits, dtype=np.uint64), lengths).view(float))
+            elif kind == "distinct":
+                block.append(rng.standard_normal(n))
+            elif kind == "int":
+                block.append(rng.integers(-3, 3, n))
+            else:
+                block.append(rng.choice(np.array(ODD_NAMES), n))
+        blocks.append(block)
+    return [f"c{i}" for i in range(len(kinds))], blocks
+
+
+class TestWriterProperty:
+    @settings(max_examples=60, deadline=None)
+    @given(column_blocks())
+    def test_bytes_are_csv_writer_bytes(self, tmp_path_factory, case):
+        header, blocks = case
+        path = tmp_path_factory.mktemp("w") / "out.csv"
+        _csvio.write_csv(path, header, *blocks)
+        rows = []
+        for block in blocks:
+            rows += zip(*(
+                [_fmt(v) for v in col.tolist()] if col.dtype.kind == "f" else col.tolist()
+                for col in block
+            ))
+        # line by line, so that a failure shows its first lines, not a diff
+        # of two long texts
+        got = file_text(path).split("\r\n")
+        want = csv_writer_text(header, rows).split("\r\n")
+        wrong = [(g, w) for g, w in zip(got, want) if g != w][:3]
+        assert len(got) == len(want) and not wrong, wrong

@@ -29,7 +29,7 @@ from expcurve import (
     wright_ma1_variance,
     write_errors_csv,
 )
-from expcurve.hindcast import ERROR_COLUMNS, _model_rows, mse_curve
+from expcurve.hindcast import ERROR_COLUMNS, _model_slice, mse_curve
 from expcurve.surrogate import _CALIBRATION_SPEC
 
 
@@ -299,7 +299,7 @@ class TestMseByHorizon:
 def table_curve(errs, tau_max):
     """The (model x horizon) mean squared normalized error read from an
     error table, ``nan`` where no error reaches a horizon."""
-    by_model = [mse_by_horizon(_model_rows(errs, model)) for model in ("moore", "wright")]
+    by_model = [mse_by_horizon(errs[_model_slice(errs.model, model)]) for model in ("moore", "wright")]
     return np.array([[by_tau.get(tau, (np.nan,))[0] for tau in range(1, tau_max + 1)] for by_tau in by_model])
 
 
@@ -432,17 +432,15 @@ class TestTable:
         assert [f.name for f in dataclasses.fields(HindcastError)] == [*ERROR_COLUMNS, "m"]
 
     def test_model_rows_are_strided_views(self):
-        from expcurve.hindcast import _model_rows
-
         errs = run_hindcast(surrogate(n_tech=2, T=9, seed=4), HindcastConfig(m=4, tau_max=3))
         for model in ("moore", "wright"):
-            rows = _model_rows(errs, model)
+            rows = errs[_model_slice(errs.model, model)]
             assert rows == errs[errs.model == model]
             assert np.shares_memory(rows.raw_error, errs.raw_error)
         swapped = errs[np.r_[1, 0, 2:len(errs)]]
         for model in ("moore", "wright"):
             with pytest.raises(ValueError, match="every second row"):
-                _model_rows(swapped, model)
+                _model_slice(swapped.model, model)
 
     def test_sub_tables(self):
         errs = run_hindcast(surrogate(n_tech=2, T=9, seed=4), HindcastConfig(m=4, tau_max=3))
@@ -459,6 +457,15 @@ class TestTable:
         del columns["m"]
         with pytest.raises(TypeError, match="missing column 'm'"):
             HindcastTable(**columns)
+
+    def test_window_size_below_two_rejected(self):
+        errs = run_hindcast(surrogate(T=9, seed=4), HindcastConfig(m=4))
+        columns = {f.name: getattr(errs, f.name) for f in dataclasses.fields(HindcastError)}
+        for bad in (1, 0):
+            m = errs.m.copy()
+            m[3] = bad
+            with pytest.raises(ValueError, match="^window size m must be at least 2$"):
+                HindcastTable(**columns | {"m": m})
 
 
 def _closed_form_count(T, m, tau_max):
