@@ -23,11 +23,12 @@ _fmt = _FLOAT_FIELD.format
 _csv_writer = csv.writer
 
 
-def _quote(value) -> str:
-    """``value`` as ``csv.writer`` writes it among other fields."""
+def _quote(value, lone: bool) -> str:
+    """``value`` as ``csv.writer`` writes it among other fields or, if
+    ``lone``, as the one field of its row, where an empty value is quoted."""
     buf = io.StringIO()
-    _csv_writer(buf).writerow((value, ""))  # a lone empty field would be quoted
-    return buf.getvalue()[: -len(",\r\n")]
+    _csv_writer(buf).writerow((value,) if lone else (value, ""))
+    return buf.getvalue()[: -len("\r\n") if lone else -len(",\r\n")]
 
 
 def _chunk_text(quoted, chunk) -> tuple[str, list]:
@@ -63,20 +64,30 @@ def write_csv(path, header, *blocks) -> None:
     above is formatted once (``_chunk_text``); a float column with no such
     repeat in the chunk is formatted by the template.
     """
+    lone = len(header) == 1
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(",".join(map(_quote, header)) + "\r\n")
+        fh.write(",".join(_quote(name, lone) for name in header) + "\r\n")
         for block in blocks:
             columns = []
             for col in map(np.asarray, block):
                 if col.dtype.kind in "USO":
                     values, col = np.unique(col, return_inverse=True)
-                    columns.append((np.array([_quote(v) for v in values.tolist()], dtype=object), col))
+                    columns.append((np.array([_quote(v, lone) for v in values.tolist()], dtype=object), col))
                 else:
                     columns.append((None, col))
             for lo in range(0, len(columns[0][1]), _CHUNK):
                 fields, text = zip(*(_chunk_text(q, col[lo:lo + _CHUNK]) for q, col in columns))
                 row = (",".join(fields) + "\r\n").format
                 fh.write("".join(map(row, *text)))
+
+
+class RowError(ValueError):
+    """A :func:`read_csv` fault in data row ``row`` (from 1 below the header):
+    a row that ends before a wanted column if ``short``, else a bad value."""
+
+    def __init__(self, message: str, row: int, short: bool):
+        super().__init__(message)
+        self.row, self.short = row, short
 
 
 def read_csv(path, columns: dict, what: str) -> dict[str, np.ndarray]:
@@ -86,9 +97,9 @@ def read_csv(path, columns: dict, what: str) -> dict[str, np.ndarray]:
     or ``float``); the header may hold other columns, in any order. Text
     columns come back as ``str`` arrays as wide as their longest value.
     Blank lines are skipped, and so is a UTF-8 byte-order mark. Raises
-    ``ValueError`` naming ``what`` for a missing column, a row that ends
-    before one of them, or a value that does not parse; the last two name
-    their data row, counted from 1 below the header.
+    ``ValueError`` naming ``what`` for a missing column, and its subclass
+    :class:`RowError`, which names the data row, for a row that ends before
+    one of them or a value that does not parse.
     """
     with open(path, newline="", encoding="utf-8-sig") as fh:
         header = next(csv.reader(fh), [])
@@ -111,15 +122,17 @@ def read_csv(path, columns: dict, what: str) -> dict[str, np.ndarray]:
                     )
             except ValueError as exc:
                 msg = str(exc)
-                row = re.search(r"at row (\d+)", msg)
-                if row is None:
+                rows = list(re.finditer(r"at row (\d+)", msg))
+                if not rows:
                     raise
+                row = rows[-1]  # NumPy's; a quoted value before it may hold "at row"
                 # in each block NumPy counts a short row from 1, a bad value from 0
                 short = msg.startswith("invalid column index")
-                at = f"at data row {done + int(row.group(1)) + (not short)}"
+                n = done + int(row.group(1)) + (not short)
+                at = f"at data row {n}"
                 if short:
-                    raise ValueError(f"{what} has a row with missing fields {at}") from None
-                raise ValueError(f"{what}: {msg[:row.start()]}{at}{msg[row.end():]}") from None
+                    raise RowError(f"{what} has a row with missing fields {at}", n, True) from None
+                raise RowError(f"{what}: {msg[:row.start()]}{at}{msg[row.end():]}", n, False) from None
             # copies, so that no block outlives its loop
             for name, kind in columns.items():
                 parts[name].append(block[name].astype(str) if kind is str else block[name].copy())

@@ -9,7 +9,6 @@ accumulated before the first observed year equals ``Q_first / g_d``.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, fields
 from functools import cached_property
 from pathlib import Path
@@ -264,14 +263,13 @@ def ingest_csv(path) -> SeriesTable:
     kinds = dict(zip(REQUIRED_COLUMNS, (str, np.int64, float, float)))
     try:
         columns = _csvio.read_csv(path, kinds, path.name)
-    except ValueError as exc:
-        row = re.search(r"at data row (\d+)", str(exc))
-        if row is None:
-            raise DataError(str(exc)) from None
-        line, fields = _csvio.row_line(path, int(row.group(1)))
+    except _csvio.RowError as exc:
+        line, fields = _csvio.row_line(path, exc.row)
         name = fields.get("technology", "").strip()  # a short row may end before its name
-        what = "row with missing fields" if "missing fields" in str(exc) else f"unparsable value ({exc})"
+        what = "row with missing fields" if exc.short else f"unparsable value ({exc})"
         raise DataError(f"{name or path.name} line {line}: {what}") from None
+    except ValueError as exc:
+        raise DataError(str(exc)) from None
     names = np.strings.strip(columns["technology"])
 
     # technologies in order of first appearance, each one's rows by year

@@ -35,12 +35,6 @@ _ROLE_COST = 1
 _ROLE_SHARED_PRODUCTION = 2
 
 
-def _rng(seed, *key) -> np.random.Generator:
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=tuple(key)))
-
-
 # The constants of NumPy's SeedSequence hash and of the PCG64 step.
 _MASK32 = 0xFFFFFFFF
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
@@ -79,13 +73,13 @@ def _mix(x, y):
 
 def _streams(seed: int, keys):
     """Yield the generator of stream ``(seed, *key)`` for each key in turn:
-    the draws of ``_rng(seed, *key)``, without building its ``SeedSequence``
-    and ``PCG64``.
+    the draws NumPy's ``SeedSequence(seed, spawn_key=key)`` seeds, without
+    building that ``SeedSequence`` or its ``PCG64``.
 
-    This reproduces NumPy's ``SeedSequence(seed, spawn_key=key)`` (the
-    ``seed_seq`` hash of O'Neill's randutils: ``mix_entropy`` with a pool of
-    4 words, then ``generate_state(4, np.uint64)``) and the state
-    ``pcg64_set_seed`` gives ``PCG64``; ``TestStreams`` in
+    This reproduces the ``SeedSequence`` hash (the ``seed_seq`` hash of
+    O'Neill's randutils: ``mix_entropy`` with a pool of 4 words, then
+    ``generate_state(4, np.uint64)``) and the state ``pcg64_set_seed`` gives
+    ``PCG64``; ``TestStreams`` in
     ``tests/test_surrogate.py`` pins both to NumPy's own classes. The
     entropy is the seed's 32-bit words, zero-padded to the pool size, then
     one word per key element, so every element must lie in [0, 2**32). The
@@ -220,7 +214,7 @@ def gen_log_production(T: int, g: float, sigma_q: float, seed) -> np.ndarray:
     """
     if T < 2:
         raise ValueError("need at least 2 periods")
-    a = _rng(seed).normal(0.0, sigma_q, T - 1)
+    a = np.random.default_rng(seed).normal(0.0, sigma_q, T - 1)
     return _log_production(a[None], np.array([float(g)]))[0]
 
 
@@ -246,22 +240,8 @@ def gen_cost(x_diffs, omega: float, sigma_eta: float, rho: float, seed) -> np.nd
         raise ValueError("rho must lie in [-1, 1]")
     x = np.asarray(x_diffs, dtype=float)
     sigma_u = sigma_eta / math.sqrt(1.0 + rho * rho)
-    u = _rng(seed).normal(0.0, sigma_u, len(x) + 1)
+    u = np.random.default_rng(seed).normal(0.0, sigma_u, len(x) + 1)
     return _log_cost(x[None], u[None], np.array([float(omega)]), np.array([float(rho)]))[0]
-
-
-def _redraw(seed, key, T, g, sigma_q) -> np.ndarray:
-    """A growing production path for the stream ``key``, whose first draw
-    did not grow, from the attempt-extended keys ``(*key, 1)``,
-    ``(*key, 2)``, ..., so the result is deterministic."""
-    for attempt in range(1, 1000):
-        q = gen_production(T, g, sigma_q, _rng(seed, *key, attempt))
-        if _discrete_growth(q[None], np.array([T]))[0] > GROWTH_FLOOR:
-            return q
-    raise DataError(
-        f"no growing production path found for stream {key} "
-        f"(g={g}, sigma_q={sigma_q}, T={T})"
-    )
 
 
 def _production(seed, keys, T, g, sigma_q, conditioned: bool) -> np.ndarray:
@@ -270,18 +250,29 @@ def _production(seed, keys, T, g, sigma_q, conditioned: bool) -> np.ndarray:
 
     ``conditioned`` redraws each path that fails the growth test of the
     initial-stock correction (see ``make_dataset``); a path that passes
-    keeps its first draw, the unconditioned stream.
+    keeps its first draw, the unconditioned stream. At redraw attempt ``k``
+    all paths still failing draw, in one batch, from streams ``(*key, k)``;
+    after 999 attempts the first path still failing raises ``DataError``.
     """
-    draws = np.zeros((len(keys), T.max() - 1))
-    for i, rng in enumerate(_streams(seed, keys)):
-        draws[i, : T[i] - 1] = rng.normal(0.0, sigma_q[i], T[i] - 1)
-    years = np.arange(draws.shape[1] + 1)
-    # the padding is log production 0, so no exp overflows past a row's end
-    production = np.exp(np.where(years < T[:, None], _log_production(draws, g), 0.0))
-    if conditioned:
-        for i in np.flatnonzero(~(_discrete_growth(production, T) > GROWTH_FLOOR)):
-            production[i, : T[i]] = _redraw(seed, keys[i], T[i], g[i], sigma_q[i])
-    return production
+    production = np.ones((len(keys), T.max()))
+    todo = np.arange(len(keys))
+    for attempt in range(1000):
+        batch = [(*keys[i], attempt) if attempt else keys[i] for i in todo]
+        draws = np.zeros((len(todo), T[todo].max() - 1))
+        for row, (i, rng) in enumerate(zip(todo, _streams(seed, batch))):
+            draws[row, : T[i] - 1] = rng.normal(0.0, sigma_q[i], T[i] - 1)
+        years = np.arange(draws.shape[1] + 1)
+        # the padding is log production 0, so no exp overflows past a row's end
+        paths = np.exp(np.where(years < T[todo, None], _log_production(draws, g[todo]), 0.0))
+        production[todo, : paths.shape[1]] = paths
+        todo = todo[~(_discrete_growth(paths, T[todo]) > GROWTH_FLOOR)]
+        if not (conditioned and len(todo)):
+            return production
+    i = todo[0]
+    raise DataError(
+        f"no growing production path found for stream {keys[i]} "
+        f"(g={g[i]}, sigma_q={sigma_q[i]}, T={T[i]})"
+    )
 
 
 def make_dataset(spec: SurrogateSpec, replicate: int = 0) -> SeriesTable:
@@ -291,7 +282,7 @@ def make_dataset(spec: SurrogateSpec, replicate: int = 0) -> SeriesTable:
     Each technology draws its production and cost from streams of its own,
     keyed ``(replicate, technology, role)``, so ``replicate`` must lie in
     [0, 2**32). The ``2 n_tech`` stream keys are hashed in two batches (see
-    ``_streams``), and only a redrawn path builds a generator of its own.
+    ``_streams``), and the redraws in one more batch per attempt.
     The paths are the rows of (technology × year) matrices, each formula is
     applied once per replicate, and every row adds its terms in the order a
     single series would. On the bundled table the streams are about 40% of
@@ -303,9 +294,9 @@ def make_dataset(spec: SurrogateSpec, replicate: int = 0) -> SeriesTable:
     ``build_experience`` applies to real data, and real datasets are
     implicitly selected the same way, since technologies whose production
     never grew cannot be corrected and are dropped. A path that fails the
-    test is redrawn (see ``_redraw``). A shared path is conditioned over its
-    full length only, so a technology whose shorter stretch of it did not
-    grow raises ``DataError``.
+    test is redrawn (see ``_production``). A shared path is conditioned over
+    its full length only, so a technology whose shorter stretch of it did
+    not grow raises ``DataError``.
     """
     # a stream key element is one 32-bit word of the seeding entropy
     if not isinstance(replicate, (int, np.integer)) or not 0 <= replicate < 2**32:
@@ -456,13 +447,10 @@ def run_calibration_study(
     if iid_windows:
         n_series = n_tech * _count_errors(periods, m)
         T_short = m + 2
-        q = gen_production(
-            T_short, spec.g, spec.sigma_q, _rng(seed, 0, 0, _ROLE_SHARED_PRODUCTION)
-        )
-        x = np.diff(np.log(np.cumsum(q)))  # m + 1 diffs
+        # m + 1 diffs of a one-technology dataset's shared path, stream (0, 0, 2)
+        x = np.diff(make_dataset(replace(spec, n_tech=1, T=T_short), 0).log_experience)
         xw, x_fut = x[:m], x[m:]
-        rng = _rng(seed, 0, 0, _ROLE_COST)
-        u = rng.normal(0.0, su_true, (n_series, T_short))
+        u = next(_streams(seed, [(0, 0, _ROLE_COST)])).normal(0.0, su_true, (n_series, T_short))
         e = u[:, 1:] + rho * u[:, :-1]
         yd = spec.omega * x + e
         sx2 = float(xw @ xw)

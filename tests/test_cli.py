@@ -57,6 +57,14 @@ class TestEstimate:
         assert code == 1
         assert "non-positive production" in capsys.readouterr().err
 
+    def test_value_that_reads_like_a_row_fault(self, tmp_path, capsys):
+        data = tmp_path / "data.csv"
+        data.write_text('technology,year,cost,production\nA,2000,1,1\nA,2001,"at row 7",1\n')
+        out = tmp_path / "out"
+        assert run_cli("--output-dir", out, "estimate", "--input", data) == 1
+        assert capsys.readouterr().err.startswith("error: A line 3: unparsable value (data.csv: ")
+        assert list(out.iterdir()) == []
+
     def test_no_rows_rejected_before_any_write(self, tmp_path, capsys):
         data = tmp_path / "data.csv"
         data.write_text("technology,year,cost,production\n")

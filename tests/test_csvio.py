@@ -374,3 +374,13 @@ class TestWriterProperty:
         want = csv_writer_text(header, rows).split("\r\n")
         wrong = [(g, w) for g, w in zip(got, want) if g != w][:3]
         assert len(got) == len(want) and not wrong, wrong
+
+    def test_lone_empty_text_is_quoted(self, tmp_path):
+        # csv.writer quotes the one field of a row when it is empty, so that
+        # the row is no blank line, which the reader would skip
+        path = tmp_path / "out.csv"
+        names = np.array(["a", "", "b,c", ""])
+        for header in ([""], ["name"]):
+            _csvio.write_csv(path, header, [names])
+            assert file_text(path) == csv_writer_text(header, [[v] for v in names.tolist()])
+        assert _csvio.read_csv(path, {"name": str}, "x")["name"].tolist() == names.tolist()

@@ -97,12 +97,16 @@ class TestIngest:
             (5004, 1, "1713", r"tech 6 line 5006: duplicate year 1713$"),
             (5599, 1, "1800", r"tech 6 line 5601: gap in years \(1798 -> 1800\)$"),
             (5005, slice(3, None), [], r"tech 0 line 5007: row with missing fields$"),
+            (5000, 2, '"at row 7"', r"tech 2 line 5002: unparsable value \(.*'at row 7'.* row 5001,"),
+            (5000, 2, '"missing fields"', r"tech 2 line 5002: unparsable value \(.*'missing fields'"),
         ],
-        ids=["unparsable", "cost", "production", "empty-name", "duplicate-year", "gap", "short-row"],
+        ids=["unparsable", "cost", "production", "empty-name", "duplicate-year", "gap", "short-row",
+             "value-reads-like-a-row", "value-reads-like-a-short-row"],
     )
     def test_error_carries_name_and_line(self, tmp_path, row, column, value, message):
         # 7 technologies of 800 years, one year of each after another: more
-        # rows than one parser block, with the fault in the second block
+        # rows than one parser block, with the fault in the second block; the
+        # faulty row and its kind come from the reader, not from its message
         rows = [[f"tech {r % 7}", str(1000 + r // 7), "1.5", "2.5"] for r in range(7 * 800)]
         rows[row][column] = value
         text = "technology,year,cost,production\n" + "".join(",".join(r) + "\n" for r in rows)

@@ -207,41 +207,54 @@ class TestMakeDataset:
         assert_allclose(plain.experience, np.cumsum(plain.production), rtol=1e-12)
         assert corrected.experience[0] > corrected.production[0]  # initial stock added
 
-    def test_experience_built_once_per_path(self, monkeypatch):
-        # one initial-stock correction over every technology's row, and a
-        # per-path production draw only for a path that failed the growth test
-        from expcurve import surrogate
+    def test_redraws_batched_through_streams(self, monkeypatch):
+        # one initial-stock correction over every technology's row, and one
+        # _streams call per redraw attempt, holding a key for each path still
+        # failing the growth test with the attempt as a fourth element
+        calls, built = [], []
+        streams, build = surrogate._streams, surrogate._corrected_experience
 
-        calls = {"experience": 0, "production": 0}
+        def recorded(seed, keys):
+            calls.append([tuple(key) for key in keys])
+            return streams(seed, keys)
 
-        def counted(name, fn):
-            def wrapped(*args):
-                calls[name] += 1
-                return fn(*args)
-            return wrapped
+        def counted(*args):
+            built.append(args)
+            return build(*args)
 
-        build, draw = surrogate._corrected_experience, surrogate.gen_production
-        monkeypatch.setattr(surrogate, "_corrected_experience", counted("experience", build))
-        monkeypatch.setattr(surrogate, "gen_production", counted("production", draw))
+        monkeypatch.setattr(surrogate, "_streams", recorded)
+        monkeypatch.setattr(surrogate, "_corrected_experience", counted)
         T = np.array([4, 9, 30, 30, 50, 12])
         for g in (0.1, np.array([-0.05, 0.1, -0.05, 0.02, 0.1, -0.02])):
-            calls.update(experience=0, production=0)
+            calls.clear()
+            built.clear()
             spec = SurrogateSpec(n_tech=6, T=T, g=g, sigma_q=0.1, seed=4, n_ensembles=1)
             ds = make_dataset(spec, 0)
             _, redraws = reference_dataset(spec, 0)
-            assert calls == {"experience": 1, "production": redraws}
+            attempts = [call for call in calls if len(call[0]) == 4]
+            assert sum(map(len, attempts)) == redraws
+            assert [{key[3] for key in call} for call in attempts] == [
+                {k} for k in range(1, len(attempts) + 1)
+            ]
+            assert len(built) == 1
             for ts in ds:
                 z = build([ts.name], ts.production[None], np.array([ts.T]))[0]
                 assert_array_equal(ts.experience, z)
-        assert redraws > 0  # the second spec redrew some paths
+        assert len(attempts) > 1  # the second spec redrew some paths twice or more
 
-    @pytest.mark.parametrize("g, T", [(-1.0, 6), (-8.0, 120)], ids=["shrinking", "underflowing"])
-    def test_redraws_exhausted(self, g, T):
+    @pytest.mark.parametrize(
+        "g0, g, T",
+        [(0.1, -1.0, 6), (0.1, -8.0, 120), (-1.0, -1.0, 6)],
+        ids=["shrinking", "underflowing", "both-shrinking"],
+    )
+    def test_redraws_exhausted(self, g0, g, T):
         # a path that never grows fails every attempt of its stream; one
-        # whose production underflows to 0 fails the test without a warning
-        spec = SurrogateSpec(n_tech=2, T=np.array([9, T]), g=np.array([0.1, g]),
+        # whose production underflows to 0 fails the test without a warning;
+        # of two such paths, the lower-index stream is named
+        spec = SurrogateSpec(n_tech=2, T=np.array([9, T]), g=np.array([g0, g]),
                              sigma_q=np.array([0.1, 0.0]), seed=3, n_ensembles=1)
-        message = f"no growing production path found for stream (2, 1, 0) (g={g}, sigma_q=0.0, T={T})"
+        j, g, sigma_q, T = (0, g0, 0.1, 9) if g0 < 0 else (1, g, 0.0, T)
+        message = f"no growing production path found for stream (2, {j}, 0) (g={g}, sigma_q={sigma_q}, T={T})"
         with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
             make_dataset(spec, 2)
 
@@ -444,29 +457,34 @@ class TestStreams:
     def test_matches_numpy_property(self, seed, keys):
         self.assert_numpy_streams(seed, keys)
 
-    def test_make_dataset_builds_generators_for_redraws_only(self, monkeypatch):
-        # a stream's own generator (_rng with an integer seed) is built only
-        # for a redraw attempt, whose key has the attempt as a fourth element
-        built = []
-        rng = surrogate._rng
+    def test_no_generator_built_per_stream(self, monkeypatch):
+        # every surrogate draw comes through _streams, whose one PCG64 per
+        # call serves all of its keys
+        def refused(*args, **kwargs):
+            raise AssertionError("a stream built its own generator")
 
-        def counted(seed, *key):
-            if not isinstance(seed, np.random.Generator):
-                built.append(key)
-            return rng(seed, *key)
+        calls, bitgens = [], []
+        streams, pcg64 = surrogate._streams, np.random.PCG64
 
-        monkeypatch.setattr(surrogate, "_rng", counted)
-        total = 0
+        def counted_streams(seed, keys):
+            calls.append(seed)
+            return streams(seed, keys)
+
+        def counted_pcg64(seed):
+            bitgens.append(seed)
+            return pcg64(seed)
+
+        monkeypatch.setattr(np.random, "SeedSequence", refused)
+        monkeypatch.setattr(np.random, "default_rng", refused)
+        monkeypatch.setattr(np.random, "PCG64", counted_pcg64)
+        monkeypatch.setattr(surrogate, "_streams", counted_streams)
         for mode in sorted(MODES):
             spec = _bundled_spec(seed=7, **MODES[mode])
             for r in (0, 3):
-                built.clear()
                 make_dataset(spec, r)
-                _, redraws = reference_dataset(spec, r)
-                assert len(built) == redraws
-                assert all(len(key) == 4 and key[0] == r for key in built)
-                total += redraws
-        assert total > 0  # the corrected mode redrew some paths
+        for iid_windows in (True, False):
+            run_calibration_study(5, iid_windows=iid_windows, n_tech=10, periods=20, seed=3)
+        assert len(bitgens) == len(calls) > 0
 
 
 class TestRunEnsemble:
