@@ -106,8 +106,9 @@ def read_csv(path, columns: dict, what: str) -> dict[str, np.ndarray]:
         missing = [name for name in columns if name not in header]
         if missing:
             raise ValueError(f"{what} missing column(s): {', '.join(missing)}")
-        # text is parsed into objects, then sized to its longest value
-        dtype = [(name, object if kind is str else kind) for name, kind in columns.items()]
+        # text is parsed into objects, then sized to its longest value; the
+        # fields are named by position, since NumPy renames an empty name
+        dtype = [(f"f{i}", object if k is str else k) for i, k in enumerate(columns.values())]
         usecols = [header.index(name) for name in columns]
         parts = {name: [] for name in columns}
         done = 0
@@ -134,8 +135,9 @@ def read_csv(path, columns: dict, what: str) -> dict[str, np.ndarray]:
                     raise RowError(f"{what} has a row with missing fields {at}", n, True) from None
                 raise RowError(f"{what}: {msg[:row.start()]}{at}{msg[row.end():]}", n, False) from None
             # copies, so that no block outlives its loop
-            for name, kind in columns.items():
-                parts[name].append(block[name].astype(str) if kind is str else block[name].copy())
+            for i, (name, kind) in enumerate(columns.items()):
+                col = block[f"f{i}"]
+                parts[name].append(col.astype(str) if kind is str else col.copy())
             done += len(block)
             if len(block) < _CHUNK:
                 break

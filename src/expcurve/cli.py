@@ -47,10 +47,11 @@ from .forecast import (
     forecast_wright,
 )
 from .hindcast import (
+    MODELS,
     HindcastConfig,
     _model_slice,
-    _window_size,
     mse_curve,
+    read_error_columns,
     run_hindcast,
     write_errors_csv,
 )
@@ -133,31 +134,26 @@ def cmd_hindcast(args) -> tuple[dict, dict, dict]:
 # ----------------------------------------------------------------- diagnose
 
 
-# The error CSV columns that `diagnose` reads; the others are not parsed.
-_DIAGNOSE_COLUMNS = {"model": str, "tau": np.int64, "A": float, "pooled_error": float}
-
-
 def cmd_diagnose(args) -> tuple[dict, dict, dict]:
     """ECDF, PIT and KS checks of the pooled errors of a hindcast CSV.
 
-    Reads only the ``model``, ``tau``, ``A`` and ``pooled_error`` columns,
-    so the other columns may be missing or hold anything. The window size
-    ``m`` of each row is recovered from ``tau`` and ``A`` and the moore and
-    wright rows must alternate, both checked as ``read_errors_csv`` checks
-    them; the Student reference takes ``m - 1`` degrees of freedom from the
-    most common ``m``.
+    Reads only the ``model``, ``tau``, ``A`` and ``pooled_error`` columns
+    and the window size ``m`` the reader recovers from ``tau`` and ``A``, so
+    the other columns may be missing or hold anything. The moore and wright
+    rows must alternate, as a hindcast writes them; the Student reference
+    takes ``m - 1`` degrees of freedom from the most common ``m``.
     """
-    errors = _csvio.read_csv(args.errors, _DIAGNOSE_COLUMNS, "error CSV")
+    errors = read_error_columns(args.errors, ("model", "tau", "A", "pooled_error"))
     if not len(errors["tau"]):
         raise DataError("error CSV has no rows")
     # the most common window size; a tie goes to the smaller one
-    sizes, counts = np.unique(_window_size(errors["tau"], errors["A"]), return_counts=True)
+    sizes, counts = np.unique(errors["m"], return_counts=True)
     m = int(sizes[np.argmax(counts)])
     df = m - 1 if args.reference == "student" else None
 
     summary = [f"reference={args.reference}", f"df={df}", f"window_m={m}"]
     ecdf_blocks, pit_blocks = [], []
-    for model in ("moore", "wright"):
+    for model in MODELS:
         vals = errors["pooled_error"][_model_slice(errors["model"], model)]
         finite = vals[np.isfinite(vals)]
         dropped = len(vals) - len(finite)
@@ -250,7 +246,7 @@ def cmd_simulate(args) -> tuple[dict, dict, dict]:
         # one row per model, one column per horizon; nan where no error reaches it
         result = run_ensemble(spec, statistic)
         grid = np.arange(1, cfg.tau_max + 1, dtype=float)
-        for k, model in enumerate(("moore", "wright")):
+        for k, model in enumerate(MODELS):
             bands[f"bands_{model}.csv"] = _csv(
                 ["grid", "stat_mean", "lo", "hi"],
                 [grid, result.mean[k], result.lower[k], result.upper[k]],

@@ -65,15 +65,16 @@ def _future_diffs(future_x_growth, horizons: int, fallback: float | None):
         future_x_growth = fallback
     if np.ndim(future_x_growth) == 0:
         r = float(future_x_growth)
-        if r <= 0.0:
-            raise ValueError("future experience growth must be positive")
+        if not 0.0 < r < math.inf:  # NaN fails too
+            raise ValueError("future experience growth must be positive and finite")
         return np.full(horizons, r), r
     fut = np.asarray(future_x_growth, dtype=float)
     if len(fut) < horizons:
         raise ValueError(f"future growth series shorter than horizon ({len(fut)} < {horizons})")
-    if np.any(fut[:horizons] <= 0.0):
-        raise ValueError("future experience growth must be positive")
-    return fut[:horizons], None
+    fut = fut[:horizons]
+    if not np.all((0.0 < fut) & (fut < math.inf)):
+        raise ValueError("future experience growth must be positive and finite")
+    return fut, None
 
 
 def forecast_wright(
@@ -95,7 +96,9 @@ def forecast_wright(
     """
     if horizons < 1:
         raise ValueError("need at least one horizon")
-    if params.sigma_eta < 0 or not math.isfinite(params.omega):
+    # NaN fails every test
+    finite = math.isfinite(params.omega) and math.isfinite(rho_star)
+    if not (0.0 <= params.sigma_eta < math.inf and finite):
         raise ValueError("degenerate parameters")
     past_x = np.diff(series.log_experience)
     m = len(past_x)
@@ -128,7 +131,8 @@ def forecast_moore(
     """Time-trend distributional forecast (unconditional on experience)."""
     if horizons < 1:
         raise ValueError("need at least one horizon")
-    if params.K < 0 or not math.isfinite(params.mu):
+    finite = math.isfinite(params.mu) and math.isfinite(theta_star)
+    if not (0.0 <= params.K < math.inf and finite):
         raise ValueError("degenerate parameters")
     m = series.T - 1
     taus = np.arange(1, horizons + 1)

@@ -48,6 +48,8 @@ ERROR_COLUMNS = (
     "pooled_error",
 )
 
+MODELS = ("moore", "wright")  # in the order a hindcast writes each error's rows
+
 
 @dataclass(frozen=True)
 class HindcastConfig:
@@ -177,7 +179,7 @@ def _model_slice(models: np.ndarray, model: str) -> slice:
     CSV keeps that order, so each model's rows are every second row. Raises
     ``ValueError`` for a column that is not in that order.
     """
-    k = ("moore", "wright").index(model)
+    k = MODELS.index(model)
     if not np.all(models[k::2] == model):
         raise ValueError(f"{model} rows are not every second row, as a hindcast writes them")
     return slice(k, None, 2)
@@ -284,7 +286,7 @@ def _error_table(dataset: SeriesTable, cfg: HindcastConfig, w: _Windows) -> Hind
         technology=per_row(dataset.names[w.series[win]]),
         origin_year=per_row(dataset.years[w.origin[win]]),
         tau=per_row(taus),
-        model=np.tile(np.array(["moore", "wright"]), n),
+        model=np.tile(np.array(MODELS), n),
         raw_error=per_model(e_m, e_w),
         K_hat=per_row(k_row),
         sigma_eta_hat=per_row(sig_eta[win]),
@@ -448,18 +450,20 @@ def _window_size(tau: np.ndarray, A: np.ndarray) -> np.ndarray:
     return m.astype(np.int64)
 
 
-def read_errors_csv(path) -> HindcastTable:
-    """Read a hindcast error CSV back into a whole table, 4,096 rows at a
-    time.
+def read_error_columns(path, names=ERROR_COLUMNS) -> dict[str, np.ndarray]:
+    """The ``names`` columns of a hindcast error CSV, ``tau`` and ``A``
+    always among them, found by header name and read 4,096 rows at a time,
+    plus each row's window size ``m`` (:func:`_window_size`). No other column
+    is parsed, so the others may be missing or hold anything. Raises
+    ``ValueError`` for a missing column, a row with missing fields, a value
+    that does not parse, or an ``m`` below 2 or not recoverable."""
+    wanted = (*names, "tau", "A")
+    columns = _csvio.read_csv(path, {n: _DTYPES.get(n, float) for n in wanted}, "error CSV")
+    columns["m"] = _window_size(columns["tau"], columns["A"])
+    return columns
 
-    Columns are found by header name, and every ``ERROR_COLUMNS`` column is
-    parsed; ``m`` is recovered from ``tau`` and ``A`` (:func:`_window_size`).
-    Raises ``ValueError`` for a missing column, a row with missing fields, a
-    value that does not parse, or a window size ``m`` below 2 or not
-    recoverable. ``diagnose`` reads only the columns it uses, through the
-    codec and the same helpers.
-    """
-    columns = _csvio.read_csv(
-        path, {name: _DTYPES.get(name, float) for name in ERROR_COLUMNS}, "error CSV"
-    )
-    return HindcastTable(m=_window_size(columns["tau"], columns["A"]), **columns)
+
+def read_errors_csv(path) -> HindcastTable:
+    """Read a hindcast error CSV back into a whole table: every
+    ``ERROR_COLUMNS`` column and ``m`` (:func:`read_error_columns`)."""
+    return HindcastTable(**read_error_columns(path))

@@ -506,6 +506,25 @@ class TestForecastCommand:
         assert capsys.readouterr().err == f"error: technology 'warp-drive' not found in {data}\n"
         assert list(out.iterdir()) == []
 
+    @pytest.mark.parametrize("growth", ["nan", "inf"])
+    def test_non_finite_future_growth_writes_nothing(self, tmp_path, capsys, growth):
+        out = tmp_path / "out"
+        argv = ["forecast", "--tech", "Photovoltaics", "--horizon", 3, "--future-growth", growth]
+        assert run_cli("--output-dir", out, *argv) == 1
+        assert capsys.readouterr().err == "error: future experience growth must be positive and finite\n"
+        assert list(out.iterdir()) == []
+
+    def test_non_finite_params_row_writes_nothing(self, tmp_path, capsys):
+        params = tmp_path / "p.csv"
+        params.write_text(
+            "technology,T,mu,K,g,sigma_q,r,sigma_x,omega,sigma_eta,rho\n"
+            "X,12,-0.05,nan,0.1,0.08,0.1,0.01,-0.5,inf,0.2\n"
+        )
+        out = tmp_path / "out"
+        assert run_cli("--output-dir", out, "forecast", "--params", params, "--tech", "X") == 1
+        assert capsys.readouterr().err == "error: degenerate parameters\n"
+        assert list(out.iterdir()) == []
+
     def test_params_row_with_missing_fields(self, tmp_path, capsys):
         params = tmp_path / "p.csv"
         params.write_text(

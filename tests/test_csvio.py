@@ -384,3 +384,16 @@ class TestWriterProperty:
             _csvio.write_csv(path, header, [names])
             assert file_text(path) == csv_writer_text(header, [[v] for v in names.tolist()])
         assert _csvio.read_csv(path, {"name": str}, "x")["name"].tolist() == names.tolist()
+
+    @pytest.mark.parametrize("header", [[""], ["", "x"], ["x", ""]])
+    def test_empty_header_name_round_trips(self, tmp_path, header):
+        # NumPy renames an empty structured-dtype field, so the reader names
+        # its fields by position
+        path = tmp_path / "out.csv"
+        values = {"": np.array(["a", "", "b,c"]), "x": np.array([0.5, -0.0, np.nan])}
+        _csvio.write_csv(path, header, [values[name] for name in header])
+        back = _csvio.read_csv(path, {name: {"": str, "x": float}[name] for name in header}, "x")
+        assert list(back) == header
+        assert back[""].tolist() == values[""].tolist()
+        if "x" in header:
+            assert_array_equal(bits(back["x"]), bits(values["x"]))

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -124,6 +125,41 @@ class TestForecastWright:
             forecast_wright(series, w, horizons=9, future_x_growth=fut)
         with pytest.raises(ValueError, match="positive"):
             forecast_wright(series, w, horizons=2, future_x_growth=[0.1, -0.2])
+
+
+class TestNonFiniteInputs:
+    """NaN and infinite inputs raise instead of reaching the forecast; NaN
+    fails every order comparison, so each check tests for what is valid."""
+
+    BAD = [math.nan, math.inf, -math.inf]
+
+    @pytest.mark.parametrize("bad", BAD)
+    def test_future_growth(self, bad):
+        _, series, w, _ = pv_setup()
+        for growth in (bad, [0.1, bad, 0.2]):
+            with pytest.raises(ValueError, match="^future experience growth must be positive and finite"):
+                forecast_wright(series, w, horizons=3, future_x_growth=growth)
+
+    def test_growth_past_the_horizon_is_not_read(self):
+        _, series, w, _ = pv_setup()
+        fc = forecast_wright(series, w, horizons=2, future_x_growth=[0.1, 0.2, math.nan])
+        assert np.all(np.isfinite(fc.mean_log_cost)) and np.all(np.isfinite(fc.var_exact))
+
+    @pytest.mark.parametrize("bad", BAD)
+    def test_wright_parameters(self, bad):
+        _, series, w, _ = pv_setup()
+        cases = [(replace(w, sigma_eta=bad), {}), (replace(w, omega=bad), {}), (w, {"rho_star": bad})]
+        for params, kwargs in cases:
+            with pytest.raises(ValueError, match="^degenerate parameters$"):
+                forecast_wright(series, params, horizons=3, **kwargs)
+
+    @pytest.mark.parametrize("bad", BAD)
+    def test_moore_parameters(self, bad):
+        _, series, _, mo = pv_setup()
+        cases = [(replace(mo, K=bad), {}), (replace(mo, mu=bad), {}), (mo, {"theta_star": bad})]
+        for params, kwargs in cases:
+            with pytest.raises(ValueError, match="^degenerate parameters$"):
+                forecast_moore(series, params, horizons=3, **kwargs)
 
 
 class TestForecastMoore:

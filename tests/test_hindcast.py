@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import hashlib
 import math
@@ -29,7 +30,7 @@ from expcurve import (
     wright_ma1_variance,
     write_errors_csv,
 )
-from expcurve.hindcast import ERROR_COLUMNS, _model_slice, mse_curve
+from expcurve.hindcast import ERROR_COLUMNS, _model_slice, mse_curve, read_error_columns
 from expcurve.surrogate import _CALIBRATION_SPEC
 
 
@@ -380,6 +381,60 @@ class TestCsvRoundTrip:
             assert a.raw_error == b.raw_error  # exact: 17 significant digits
             assert a.pooled_error == b.pooled_error
             assert a.A == b.A
+
+
+class TestReadErrorColumns:
+    """``read_error_columns`` is the one parse of an error CSV: any subset of
+    its columns reads as the same columns of ``read_errors_csv``."""
+
+    @pytest.fixture
+    def path(self, tmp_path):
+        # two window sizes in one file, as two hindcasts written one after the other
+        ds = surrogate(n_tech=2, T=12, seed=9)
+        parts = [run_hindcast(ds, HindcastConfig(m=m, tau_max=4)) for m in (4, 6)]
+        both = {n: np.concatenate([getattr(p, n) for p in parts]) for n in (*ERROR_COLUMNS, "m")}
+        path = tmp_path / "errors.csv"
+        write_errors_csv(path, HindcastTable(**both))
+        return path
+
+    @pytest.mark.parametrize("names", [
+        ERROR_COLUMNS,
+        ("model", "tau", "A", "pooled_error"),
+        ("pooled_error", "model"),
+        ("technology", "normalized_error", "origin_year"),
+        ("A",),
+        (),
+    ])
+    def test_columns_equal_the_whole_table(self, path, names):
+        whole = read_errors_csv(path)
+        columns = read_error_columns(path, names)
+        assert list(columns) == list(dict.fromkeys((*names, "tau", "A", "m")))
+        assert sorted(set(columns["m"].tolist())) == [4, 6]
+        for name, col in columns.items():
+            want = getattr(whole, name)
+            assert col.dtype == want.dtype and col.tobytes() == want.tobytes(), name
+
+    def test_missing_column(self, tmp_path):
+        path = tmp_path / "cut.csv"
+        path.write_text(",".join(c for c in ERROR_COLUMNS if c not in ("model", "A")) + "\n")
+        with pytest.raises(ValueError, match=r"^error CSV missing column\(s\): model, A$"):
+            read_error_columns(path, ("model", "tau", "A", "pooled_error"))
+        # tau and A are read whether or not they are named
+        with pytest.raises(ValueError, match=r"^error CSV missing column\(s\): A$"):
+            read_error_columns(path, ("pooled_error",))
+
+    def test_unread_columns_are_not_parsed(self, path, tmp_path):
+        with open(path, newline="") as fh:
+            rows = list(csv.reader(fh))
+        rows[3][ERROR_COLUMNS.index("K_hat")] = "oops"
+        bad = tmp_path / "bad.csv"
+        with open(bad, "w", newline="") as fh:
+            csv.writer(fh).writerows(rows)
+        names = ("model", "pooled_error")
+        got, want = read_error_columns(bad, names), read_error_columns(path, names)
+        assert all(got[n].tobytes() == want[n].tobytes() for n in want)
+        with pytest.raises(ValueError, match="'oops'.* at data row 3,"):
+            read_errors_csv(bad)
 
 
 # SHA-256 of errors.csv for surrogate(n_tech=3, T=20, seed=2016) at m=5,
