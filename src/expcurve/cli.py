@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import math
 import os
 import sys
 from pathlib import Path
@@ -277,6 +278,18 @@ def _forecast_columns(fc) -> dict:
     }
 
 
+# What a forecast needs of a parameter row: T and r build the series it
+# starts from, and K and sigma_eta are scales.
+_ROW_NEEDS = {
+    "T": (lambda v: v >= 3, "at least 3"),
+    "mu": (math.isfinite, "finite"),
+    "K": (lambda v: 0 <= v < math.inf, "finite and non-negative"),
+    "r": (lambda v: 0 < v < math.inf, "finite and positive"),
+    "omega": (math.isfinite, "finite"),
+    "sigma_eta": (lambda v: 0 <= v < math.inf, "finite and non-negative"),
+}
+
+
 def cmd_forecast(args) -> tuple[dict, dict, dict]:
     inputs = {}
     if args.input:
@@ -295,7 +308,11 @@ def cmd_forecast(args) -> tuple[dict, dict, dict]:
         if not len(rows):
             raise DataError(f"technology '{args.tech}' not found in parameter table")
         # a name given twice takes its last row
-        T, mu, K, r, omega, sigma_eta = rows[-1][["T", "mu", "K", "r", "omega", "sigma_eta"]].item()
+        values = dict(zip(_ROW_NEEDS, rows[-1][list(_ROW_NEEDS)].item()))
+        for name, (meets, need) in _ROW_NEEDS.items():
+            if not meets(values[name]):
+                raise DataError(f"parameter row of '{args.tech}': {name} is {values[name]}, not {need}")
+        T, mu, K, r, omega, sigma_eta = values.values()
         series = constant_growth_series(args.tech, T=T, r=r, mu=mu)
         wparams = WrightParams(omega=omega, sigma_eta=sigma_eta, m=T - 1)
         mparams = MooreParams(mu=mu, K=K, m=T - 1)

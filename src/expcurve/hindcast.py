@@ -431,10 +431,9 @@ def write_errors_csv(path, errors: HindcastTable) -> None:
     ``ERROR_COLUMNS`` order.
 
     Floats have 17 significant digits, so :func:`read_errors_csv` gives them
-    back exactly. Text gets ``csv``'s minimal quoting, lines end in
-    ``\\r\\n``, and rows are formatted and written 4,096 at a time; in those
-    rows the per-window ``K_hat`` and ``sigma_eta_hat`` and each moore/wright
-    pair's ``A`` are formatted once per run of repeats.
+    back exactly; the codec's NumPy kernel formats them, a block of rows at
+    a time. Text gets ``csv``'s minimal quoting and lines end in
+    ``\\r\\n``.
     """
     _csvio.write_csv(path, ERROR_COLUMNS, [getattr(errors, name) for name in ERROR_COLUMNS])
 

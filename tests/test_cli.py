@@ -522,7 +522,33 @@ class TestForecastCommand:
         )
         out = tmp_path / "out"
         assert run_cli("--output-dir", out, "forecast", "--params", params, "--tech", "X") == 1
-        assert capsys.readouterr().err == "error: degenerate parameters\n"
+        err = "error: parameter row of 'X': K is nan, not finite and non-negative\n"
+        assert capsys.readouterr().err == err
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("name, value, need", [
+        ("T", "2", "at least 3"),
+        ("mu", "nan", "finite"),
+        ("K", "-0.1", "finite and non-negative"),
+        ("r", "0", "finite and positive"),
+        ("r", "-inf", "finite and positive"),
+        ("omega", "inf", "finite"),
+        ("sigma_eta", "nan", "finite and non-negative"),
+    ])
+    def test_bad_params_row_names_the_parameter(self, tmp_path, capsys, name, value, need):
+        # unchecked, mu = nan would fail in the synthetic series the forecast
+        # builds, with an error naming a series that is in no file
+        header = "technology,T,mu,K,g,sigma_q,r,sigma_x,omega,sigma_eta,rho"
+        values = "Photovoltaics,12,-0.05,0.1,0.1,0.08,0.1,0.01,-0.5,0.2,0.2"
+        row = dict(zip(header.split(","), values.split(",")))
+        row[name] = value
+        params = tmp_path / "p.csv"
+        params.write_text(header + "\n" + ",".join(row.values()) + "\n")
+        out = tmp_path / "out"
+        assert run_cli("--output-dir", out, "forecast", "--params", params, "--tech", "Photovoltaics") == 1
+        shown = float(value) if name != "T" else int(value)
+        err = f"error: parameter row of 'Photovoltaics': {name} is {shown}, not {need}\n"
+        assert capsys.readouterr().err == err
         assert list(out.iterdir()) == []
 
     def test_params_row_with_missing_fields(self, tmp_path, capsys):

@@ -4,6 +4,8 @@ import codecs
 import csv
 import io
 import struct
+import warnings
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -129,22 +131,100 @@ class TestReadErrorsCsv:
         assert set(table.tau.tolist()) == {2} and set(table.m.tolist()) == {5}
 
 
-class TestFloatRuns:
-    """A run of floats with equal bits is formatted once per chunk."""
+def kernel_text(values) -> list[str]:
+    """The writer's text of each of ``values``, in which 0xFF marks the
+    bytes of a row that are no part of its text."""
+    rows = _csvio._float_text(np.asarray(values, dtype=float))
+    return [bytes(row).replace(b"\xff", b"").decode() for row in rows]
 
-    @pytest.mark.parametrize("n, formatted", [(_CHUNK, 1), (2 * _CHUNK, 2)])
-    def test_a_run_is_formatted_once_per_chunk(self, tmp_path, monkeypatch, n, formatted):
+
+def is_tie(value: float) -> bool:
+    """Whether 17 significant digits of ``value`` fall on an exact tie: its
+    exact decimal expansion has 18 significant digits, the last a 5."""
+    digits = Decimal(value).normalize().as_tuple().digits
+    return len(digits) == 18 and digits[-1] == 5
+
+
+class TestFloatFallback:
+    """``_fmt`` formats exactly the floats outside the kernel's range, finite
+    magnitudes in ``[1e-4, 1e16)``, and those on an exact tie, once each."""
+
+    @pytest.mark.parametrize("n", [_CHUNK, 2 * _CHUNK])
+    def test_fmt_formats_exactly_the_values_outside_the_kernel(self, tmp_path, monkeypatch, n):
         calls = []
 
         def counted(value):
             calls.append(value)
             return _fmt(value)
 
+        rng = np.random.default_rng(n)
+        x = rng.choice([-1.0, 1.0], n) * np.exp(rng.uniform(np.log(1e-6), np.log(1e20), n))
+        x[rng.choice(n, 6, replace=False)] = [0.0, -0.0, np.nan, np.inf, 1e15 + 0.25, 5e-324]
+        y = np.repeat(x[: n // 4], 4)  # each value four times
         monkeypatch.setattr(_csvio, "_fmt", counted)
-        path = tmp_path / "runs.csv"
-        _csvio.write_csv(path, ["x"], [np.full(n, 0.1)])
-        assert calls == [0.1] * formatted
-        assert file_text(path) == csv_writer_text(["x"], [[_fmt(0.1)]] * n)
+        path = tmp_path / "x.csv"
+        _csvio.write_csv(path, ["x", "y"], [x, y])
+        fallback = [
+            v for v in x.tolist() + y.tolist()
+            if not (1e-4 <= abs(v) < 1e16) or is_tie(v)
+        ]
+        assert sorted(map(float_bits, calls)) == sorted(map(float_bits, fallback))
+        assert 0 < len(calls) < n
+        rows = zip(map(_fmt, x.tolist()), map(_fmt, y.tolist()))
+        assert file_text(path) == csv_writer_text(["x", "y"], rows)
+
+
+class TestFloatKernel:
+    """The kernel's text is ``_fmt``'s, byte for byte."""
+
+    EDGES = [
+        1e-4, np.nextafter(1e-4, 0), 1e16, np.nextafter(1e16, 0),
+        # in the kernel's range no double rounds up to a power of ten at 17
+        # digits; 1e-14, which lies just below 10**-14, does outside it
+        1e-14, 0.1, 0.01, 0.001, np.nextafter(0.001, 0), np.nextafter(10.0, 0), 10.0, 1e15,
+        0.3, -0.3, 1e15 + 0.25, -(1e15 + 0.25), 123456789012345.67, 0.5, 2.5,
+        0.0, -0.0, np.inf, -np.inf, 5e-324, -2.2250738585072014e-308, 1e308,
+        -1.3118095100000001e140,
+    ]
+    NANS = [0x7FF8000000000000, 0x7FF8000000000001, 0xFFF8000000000000, 0x7FF0000000000001]
+
+    def test_named_edges(self):
+        values = np.array(self.EDGES + [np.array(b, np.uint64).view(float) for b in self.NANS])
+        assert kernel_text(values) == [_fmt(v) for v in values.tolist()]
+        assert is_tie(1e15 + 0.25) and not is_tie(0.3)
+
+    def test_every_exponent_and_sign(self):
+        # a value with each digit count, at each exponent of the kernel's range
+        values = np.outer(10.0 ** np.arange(-4, 16), [1.0, 1.5, 1.25, 1.0000000000000002, 9.87654321])
+        values = np.concatenate([values.ravel(), -values.ravel()])
+        assert kernel_text(values) == [_fmt(v) for v in values.tolist()]
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.floats(), min_size=1, max_size=40))
+    def test_floats(self, values):
+        assert kernel_text(values) == [_fmt(v) for v in values]
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=40))
+    def test_bit_patterns(self, patterns):
+        values = np.array(patterns, dtype=np.uint64).view(float)
+        assert kernel_text(values) == [_fmt(v) for v in values.tolist()]
+
+    def test_special_values_raise_no_warning(self, tmp_path):
+        # the tier-1 run turns every RuntimeWarning into an error
+        path = tmp_path / "x.csv"
+        values = np.array([np.nan, np.inf, -np.inf, 1e308, 5e-324, -0.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _csvio.write_csv(path, ["x"], [values])
+        assert file_text(path) == csv_writer_text(["x"], [[_fmt(v)] for v in values.tolist()])
+
+    def test_widest_fallback_among_kernel_texts(self, tmp_path):
+        path = tmp_path / "x.csv"
+        values = np.array([0.5, -1.3118095100000001e140, -0.00012345678901234567, 3.0])
+        _csvio.write_csv(path, ["x", "n"], [values, np.arange(4)])
+        rows = [[_fmt(v), i] for i, v in enumerate(values.tolist())]
+        assert file_text(path) == csv_writer_text(["x", "n"], rows)
 
 
 class TestRoundTrips:
@@ -314,8 +394,7 @@ def float_bits(v: float) -> int:
 
 
 NAN, NAN_PAYLOAD, NAN_NEGATIVE = 0x7FF8000000000000, 0x7FF8000000000001, 0xFFF8000000000000
-# Neighbours whose bits differ, three of them with the same text: a run
-# must end between them.
+# Neighbours whose bits differ, three of them with the same text.
 TWINS = [
     (float_bits(0.0), float_bits(-0.0)),
     (NAN, NAN_PAYLOAD),
@@ -332,8 +411,11 @@ run_values = st.lists(
 def column_blocks(draw):
     """A header and zero to two blocks of float, int and text columns. A
     ``runs`` column is piecewise constant, so its runs may cross a chunk
-    boundary; a ``distinct`` column has no two equal neighbours."""
-    kinds = draw(st.lists(st.sampled_from(("runs", "distinct", "int", "text")), min_size=1, max_size=5))
+    boundary; a ``distinct`` column has no two equal neighbours; a ``wide``
+    column has both signs and magnitudes from 1e-6 to 1e20, in and out of
+    the kernel's range."""
+    kinds = st.sampled_from(("runs", "distinct", "wide", "int", "text"))
+    kinds = draw(st.lists(kinds, min_size=1, max_size=5))
     blocks = []
     for _ in range(draw(st.integers(0, 2))):
         n = draw(st.one_of(st.integers(0, 6), st.integers(_CHUNK - 2, _CHUNK + 2), st.just(2 * _CHUNK + 1)))
@@ -347,6 +429,8 @@ def column_blocks(draw):
                 block.append(np.repeat(np.array(bits, dtype=np.uint64), lengths).view(float))
             elif kind == "distinct":
                 block.append(rng.standard_normal(n))
+            elif kind == "wide":
+                block.append(rng.choice([-1.0, 1.0], n) * np.exp(rng.uniform(np.log(1e-6), np.log(1e20), n)))
             elif kind == "int":
                 block.append(rng.integers(-3, 3, n))
             else:
@@ -384,6 +468,15 @@ class TestWriterProperty:
             _csvio.write_csv(path, header, [names])
             assert file_text(path) == csv_writer_text(header, [[v] for v in names.tolist()])
         assert _csvio.read_csv(path, {"name": str}, "x")["name"].tolist() == names.tolist()
+
+    def test_text_is_read_as_str_of_any_str_type(self, tmp_path):
+        path = tmp_path / "out.csv"
+        _csvio.write_csv(path, ["name"], [np.array(["ab", "c"])])
+        for kind in (str, np.str_, "U1"):
+            assert _csvio.read_csv(path, {"name": kind}, "x")["name"].tolist() == ["ab", "c"]
+        for kind in (bytes, np.bytes_, np.void):
+            with pytest.raises(ValueError, match="^x: column 'name' asked for as .*; text is read as str$"):
+                _csvio.read_csv(path, {"name": kind}, "x")
 
     @pytest.mark.parametrize("header", [[""], ["", "x"], ["x", ""]])
     def test_empty_header_name_round_trips(self, tmp_path, header):
