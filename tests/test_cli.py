@@ -407,11 +407,12 @@ class TestSimulateCommand:
         assert list(out.iterdir()) == []
 
     def test_replicate_zero_built_once(self, tmp_path, monkeypatch):
-        # dataset.csv is replicate 0, which the ensemble has already built
+        # dataset.csv is replicate 0, which the ensemble has already built;
+        # every replicate counts, whether built alone or in a block
         built = []
 
         def counted(spec, replicate=0):
-            built.append(replicate)
+            built.extend([replicate] if np.ndim(replicate) == 0 else replicate)
             return make_dataset(spec, replicate)
 
         monkeypatch.setattr(surrogate, "make_dataset", counted)

@@ -305,9 +305,10 @@ class TestMakeDataset:
 
     def test_replicate_is_one_key_word(self):
         spec = SurrogateSpec(n_tech=2, T=6, seed=2**64 + 1, n_ensembles=1)
-        for bad in (-1, 2**32, 1.0):
+        for bad in (-1, 2**32, 1.0, [0, 2**32], [-1], [0, 1.0], [[0]]):
             with pytest.raises(ValueError, match=re.escape("replicate must be an integer in [0, 2**32)")):
                 make_dataset(spec, bad)
+        assert make_dataset(spec, []) == []
         assert TestMakeDatasetOracle.assert_same(spec, 2**32 - 1)
 
     def test_periods_checked_at_construction(self):
@@ -485,6 +486,86 @@ class TestStreams:
         for iid_windows in (True, False):
             run_calibration_study(5, iid_windows=iid_windows, n_tech=10, periods=20, seed=3)
         assert len(bitgens) == len(calls) > 0
+
+    @pytest.mark.parametrize("scale", [0.0, 5e-324, 1e-310, 0.07, 2.5])
+    def test_normal_is_scaled_standard_normal(self, scale):
+        # make_dataset fills each stream's row with standard normals and
+        # scales the block once, which has normal's bytes only while normal
+        # is loc + scale * z element by element
+        want = np.random.Generator(np.random.PCG64(2016)).normal(0.0, scale, 1000)
+        z = np.empty(1000)
+        np.random.Generator(np.random.PCG64(2016)).standard_normal(out=z)
+        assert (0.0 + scale * z).tobytes() == want.tobytes()
+
+
+def assert_same_tables(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.names.tolist() == b.names.tolist() and a.T.tolist() == b.T.tolist()
+        for column in ("years", "cost", "production", "experience"):
+            assert getattr(a, column).tobytes() == getattr(b, column).tobytes()
+
+
+class TestBlocks:
+    """A sequence of replicates is built as one block, with the tables each
+    replicate gives alone."""
+
+    @pytest.mark.parametrize("mode", sorted(MODES))
+    @pytest.mark.parametrize("name", sorted(TestMakeDatasetOracle.SPECS))
+    def test_sequence_equals_replicates_alone(self, name, mode):
+        spec = SurrogateSpec(**TestMakeDatasetOracle.SPECS[name], seed=7, n_ensembles=1, **MODES[mode])
+        built = 0
+        for block in ([3], [0, 1, 5], range(6), np.arange(2, 9)[::-1]):
+            try:
+                want = [make_dataset(spec, r) for r in block]
+            except DataError:
+                with pytest.raises(DataError):
+                    make_dataset(spec, block)
+                continue
+            assert_same_tables(make_dataset(spec, block), want)
+            built += 1
+        # the redraw spec's shared path shrinks over some technology's stretch
+        assert built > 0 or (name, mode) == ("redraws", "shared")
+
+    @pytest.mark.parametrize("mode", sorted(MODES))
+    def test_ensemble_builds_blocks(self, mode, monkeypatch):
+        # 40 series of up to 100 years: blocks of four replicates, the last
+        # of two, and the pipeline sees each replicate's table in order
+        spec = SurrogateSpec(n_tech=40, T=np.arange(61, 101), g=0.05, sigma_q=0.1, seed=3,
+                             n_ensembles=10, **MODES[mode])
+        build, blocks, seen = make_dataset, [], []
+
+        def recorded(spec, replicate=0):
+            blocks.append(list(replicate))
+            return build(spec, replicate)
+
+        monkeypatch.setattr(surrogate, "make_dataset", recorded)
+        run_ensemble(spec, lambda ds: seen.append(ds) or [0.0])
+        assert blocks == [[0, 1, 2, 3], [4, 5, 6, 7], [8, 9]]
+        assert_same_tables(seen, [build(spec, r) for r in range(10)])
+
+    def test_failed_block_built_again_one_at_a_time(self):
+        # the shared path of replicate 2 does not grow over tech001's
+        # stretch, and the pipeline fails on replicate 1 of the same block:
+        # the replicates are built again one at a time, so replicate 1 fails
+        spec = SurrogateSpec(n_tech=3, T=np.array([30, 5, 30]), g=0.02, sigma_q=0.3, seed=15,
+                             n_ensembles=6, shared_production=True)
+        make_dataset(spec, [0, 1])
+        for block in (2, range(6)):
+            with pytest.raises(DataError, match="^tech001: zero production growth rate"):
+                make_dataset(spec, block)
+        seen = []
+
+        def pipeline(ds):
+            seen.append(ds)
+            if len(seen) == 2:
+                raise KeyError("boom")
+            return [0.0]
+
+        with pytest.raises(RuntimeError, match=r"^pipeline failed on replicate 1 ") as exc:
+            run_ensemble(spec, pipeline)
+        assert isinstance(exc.value.__cause__, KeyError)
+        assert_same_tables(seen, make_dataset(spec, [0, 1]))
 
 
 class TestRunEnsemble:
