@@ -15,7 +15,6 @@ from .series import (
     SeriesTable,
     TechSeries,
     build_experience,
-    estimate_discrete_growth,
     growth_stats,
     ingest_csv,
     write_csv,
@@ -27,7 +26,6 @@ from .estimators import (
     fit_wright,
     fit_wright_ma1,
     full_sample_estimates,
-    ma1_loglik,
     pool_rho,
 )
 from .variance import (
@@ -53,9 +51,7 @@ from .surrogate import (
     CalibrationResult,
     EnsembleResult,
     SurrogateSpec,
-    gen_cost,
     gen_log_production,
-    gen_production,
     make_dataset,
     run_calibration_study,
     run_ensemble,
@@ -64,7 +60,6 @@ from .diagnostics import (
     DistCheck,
     ecdf_vs_reference,
     ks_critical_value,
-    ks_statistic,
     pit,
     sahal_check,
     tanh_check,

@@ -55,7 +55,7 @@ class DistCheck:
         return np.arange(1, n + 1) / n
 
 
-def ks_statistic(sorted_sample: np.ndarray, cdf_values: np.ndarray) -> float:
+def _ks_statistic(sorted_sample: np.ndarray, cdf_values: np.ndarray) -> float:
     """Sup distance between the empirical CDF of a sorted sample and a
     reference CDF evaluated at the sample points."""
     n = len(sorted_sample)
@@ -86,7 +86,7 @@ def ecdf_vs_reference(sample, reference: str = "normal", df=None) -> DistCheck:
         reference=reference,
         df=df,
         ref_cdf=cdf,
-        ks_stat=ks_statistic(s, cdf),
+        ks_stat=_ks_statistic(s, cdf),
     )
 
 

@@ -180,18 +180,6 @@ def _innovation_profiles(y, x, rhos, lengths):
     return loglik, omega, sigma_u2
 
 
-def ma1_loglik(diffs: DiffSeries, omega: float, rho: float, sigma_u: float) -> float:
-    """Exact Gaussian log-likelihood at an arbitrary parameter point."""
-    if sigma_u <= 0.0:
-        raise ValueError("sigma_u must be positive")
-    e = diffs.y - omega * diffs.x
-    m = diffs.m
-    rhos = np.array([[rho]], dtype=float)
-    quad, _, _, logdet = _innovation_sums(e[None], diffs.x[None], rhos, np.array([m]))
-    s2 = sigma_u * sigma_u
-    return -0.5 * (m * math.log(2.0 * math.pi * s2) + logdet.item() + quad.item() / s2)
-
-
 def fit_wright_ma1(diffs: DiffSeries | Sequence[DiffSeries]) -> WrightParams | list[WrightParams]:
     """Maximum-likelihood fit of the MA(1) experience-curve model.
 

@@ -304,20 +304,6 @@ def write_csv(path, dataset: SeriesTable) -> None:
     ])
 
 
-def estimate_discrete_growth(production) -> float:
-    """Discrete annual production growth from first and last observation.
-
-    ``g_d = exp(log(Q_last / Q_first) / (T - 1)) - 1``. A value at or below
-    :data:`GROWTH_FLOOR` is unusable for the initial-stock correction.
-    """
-    q = np.asarray(production, dtype=float)
-    if len(q) < 2:
-        raise DataError("need at least 2 production observations")
-    if q[0] <= 0 or q[-1] <= 0:
-        raise DataError("non-positive production at the series ends")
-    return float(_discrete_growth(q[None], np.array([len(q)]))[0])
-
-
 def _discrete_growth(production: np.ndarray, T: np.ndarray) -> np.ndarray:
     """``g_d`` of each row of a (series × year) production matrix whose row
     ``i`` holds a series of ``T[i]`` years, then padding."""
@@ -374,5 +360,5 @@ def growth_stats(series: TechSeries) -> GrowthStats:
         sigma_q=float(dlq.std(ddof=1)),
         r=float(dlz.mean()),
         sigma_x=float(dlz.std(ddof=1)),
-        g_d=estimate_discrete_growth(series.production),
+        g_d=float(_discrete_growth(series.production[None], np.array([series.T]))[0]),
     )

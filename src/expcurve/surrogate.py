@@ -224,32 +224,6 @@ def gen_log_production(T: int, g: float, sigma_q: float, seed) -> np.ndarray:
     return _log_production(a[None], np.array([float(g)]))[0]
 
 
-def gen_production(T: int, g: float, sigma_q: float, seed) -> np.ndarray:
-    """Geometric random walk: ``Q_t = exp(g t + sum_{j<=t} a_j)``, ``Q_0 = 1``.
-
-    ``seed`` may be an integer or a ``numpy.random.Generator``. Same seed,
-    same series.
-    """
-    return np.exp(gen_log_production(T, g, sigma_q, seed))
-
-
-def gen_cost(x_diffs, omega: float, sigma_eta: float, rho: float, seed) -> np.ndarray:
-    """Log-cost path driven by experience changes with MA(1) noise.
-
-    Each change is ``omega * x + u_t + rho * u_{t-1}`` with
-    ``sigma_u = sigma_eta / sqrt(1 + rho**2)``, so the marginal residual
-    scale is ``sigma_eta`` from the first step (the pre-sample innovation is
-    drawn from the stationary law, no startup transient). Returns the level
-    series starting at 0, one element longer than ``x_diffs``.
-    """
-    if not abs(rho) <= 1.0:
-        raise ValueError("rho must lie in [-1, 1]")
-    x = np.asarray(x_diffs, dtype=float)
-    sigma_u = sigma_eta / math.sqrt(1.0 + rho * rho)
-    u = np.random.default_rng(seed).normal(0.0, sigma_u, len(x) + 1)
-    return _log_cost(x[None], u[None], np.array([float(omega)]), np.array([float(rho)]))[0]
-
-
 def _normals(seed, keys, lengths, scale) -> np.ndarray:
     """Rows of normal draws, padded with zeros: row ``i`` holds the
     ``lengths[i]`` values ``Generator.normal(0.0, scale[i], lengths[i])``

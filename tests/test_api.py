@@ -8,10 +8,73 @@ import expcurve
 from expcurve import variance
 
 
+# The public names, sorted. Adding or removing one is a deliberate change
+# to the API, so it shows as a diff here.
+PUBLIC_API = (
+    "CalibrationResult",
+    "DataError",
+    "DiffSeries",
+    "DistCheck",
+    "DistForecast",
+    "EnsembleResult",
+    "GrowthStats",
+    "HindcastConfig",
+    "HindcastError",
+    "HindcastTable",
+    "MooreParams",
+    "SeriesTable",
+    "SurrogateSpec",
+    "TechSeries",
+    "WrightParams",
+    "__version__",
+    "a_factor",
+    "build_experience",
+    "compare_forecasts",
+    "constant_growth_series",
+    "ecdf_vs_reference",
+    "fit_moore",
+    "fit_wright",
+    "fit_wright_ma1",
+    "forecast_moore",
+    "forecast_wright",
+    "full_sample_estimates",
+    "gen_log_production",
+    "growth_stats",
+    "ingest_csv",
+    "ks_critical_value",
+    "load_reference_params",
+    "ma1_variance_approx",
+    "ma1_variance_constant_x",
+    "make_dataset",
+    "moore_variance",
+    "mse_by_horizon",
+    "pit",
+    "pool_rho",
+    "pooled_errors",
+    "read_errors_csv",
+    "read_params_csv",
+    "run_calibration_study",
+    "run_ensemble",
+    "run_hindcast",
+    "sahal_check",
+    "sigma_x_theory",
+    "tanh_check",
+    "wright_ma1_variance",
+    "wright_variance",
+    "write_csv",
+    "write_errors_csv",
+    "write_params_csv",
+)
+
+
 @pytest.mark.parametrize("module", [expcurve, variance], ids=lambda m: m.__name__)
 def test_all_names_resolve(module):
     missing = [name for name in module.__all__ if not hasattr(module, name)]
     assert missing == []
+
+
+def test_public_api_is_pinned():
+    assert tuple(sorted(expcurve.__all__)) == PUBLIC_API
 
 
 def test_diagnostics_does_not_load_surrogate():

@@ -439,6 +439,25 @@ def column_blocks(draw):
     return [f"c{i}" for i in range(len(kinds))], blocks
 
 
+class TestDistinctText:
+    @pytest.mark.parametrize("shape", ["run-free", "run-heavy", "mixed", "empty"])
+    @pytest.mark.parametrize("kind", ["text", "int"])
+    def test_equals_plain_unique(self, shape, kind):
+        values = np.array(["wright", "moore", "a,b", "Ünï"]) if kind == "text" else np.array([7, -3, 0, 12])
+        order = {
+            "run-free": np.tile([0, 1, 2, 1, 3], 40),
+            "run-heavy": np.repeat([3, 0, 2, 0, 1], [50, 70, 1, 30, 49]),
+            "mixed": np.r_[np.repeat([1, 2], 60), np.tile([0, 3], 40), [1], np.repeat(2, 19)],
+            "empty": np.array([], dtype=int),
+        }[shape]
+        col = values[order]
+        table, index = _csvio._distinct_text(col, False)
+        unique, inverse = np.unique(col, return_inverse=True)
+        assert_array_equal(index, inverse)
+        want = [(_csvio._quote(v, False) if kind == "text" else str(v)).encode() for v in unique.tolist()]
+        assert [row.tobytes().rstrip(b"\xff") for row in table] == want
+
+
 class TestWriterProperty:
     @settings(max_examples=60, deadline=None)
     @given(column_blocks())

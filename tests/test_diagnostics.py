@@ -8,7 +8,6 @@ from scipy import stats
 from expcurve import (
     ecdf_vs_reference,
     ks_critical_value,
-    ks_statistic,
     pit,
     sahal_check,
     tanh_check,

@@ -14,7 +14,6 @@ from expcurve import (
     fit_wright_ma1,
     full_sample_estimates,
     load_reference_params,
-    ma1_loglik,
     pool_rho,
 )
 
@@ -26,6 +25,25 @@ def ma1_diffs(rng, m, omega, sigma_eta, rho, x=None):
     u = rng.normal(0, su, m + 1)
     y = omega * x + u[1:] + rho * u[:-1]
     return DiffSeries(y=y, x=x)
+
+
+def ma1_covariance(m, rho):
+    """The dense tridiagonal covariance of ``m`` MA(1) terms with unit
+    innovation variance."""
+    cov = np.zeros((m, m))
+    np.fill_diagonal(cov, 1 + rho**2)
+    idx = np.arange(m - 1)
+    cov[idx, idx + 1] = cov[idx + 1, idx] = rho
+    return cov
+
+
+def dense_loglik(d, omega, rho, sigma_u):
+    """Exact Gaussian log-likelihood of the MA(1) regression at an arbitrary
+    parameter point, from the dense covariance."""
+    cov = sigma_u**2 * ma1_covariance(d.m, rho)
+    e = d.y - omega * d.x
+    sign, logdet = np.linalg.slogdet(cov)
+    return -0.5 * (d.m * math.log(2 * math.pi) + logdet + e @ np.linalg.solve(cov, e))
 
 
 class TestFitWright:
@@ -146,7 +164,7 @@ class TestFitWrightMa1:
             d = ma1_diffs(rng, 30, omega=-0.3, sigma_eta=0.1, rho=0.5)
             f = fit_wright_ma1(d)
             ols = fit_wright(d)
-            ll_ols = ma1_loglik(d, ols.omega, 0.0, ols.sigma_eta)
+            ll_ols = dense_loglik(d, ols.omega, 0.0, ols.sigma_eta)
             assert f.loglik >= ll_ols - 1e-9
 
     def test_loglik_field_matches_evaluator(self):
@@ -154,7 +172,7 @@ class TestFitWrightMa1:
         d = ma1_diffs(rng, 40, omega=-0.3, sigma_eta=0.1, rho=0.3)
         f = fit_wright_ma1(d)
         assert f.loglik == pytest.approx(
-            ma1_loglik(d, f.omega, f.rho, f.sigma_u), rel=1e-10
+            dense_loglik(d, f.omega, f.rho, f.sigma_u), rel=1e-10
         )
 
 
@@ -167,10 +185,7 @@ class TestMa1ProfileAgainstDenseGls:
         d = ma1_diffs(rng, m, omega=-0.4, sigma_eta=0.12, rho=rho)
         ll, omega, su2 = _innovation_profiles(d.y[None], d.x[None], np.array([rho]), np.array([m]))
         # oracle: explicit generalized least squares with the dense covariance
-        cov = np.zeros((m, m))
-        np.fill_diagonal(cov, 1 + rho**2)
-        idx = np.arange(m - 1)
-        cov[idx, idx + 1] = cov[idx + 1, idx] = rho
+        cov = ma1_covariance(m, rho)
         ci_x = np.linalg.solve(cov, d.x)
         omega_gls = (ci_x @ d.y) / (ci_x @ d.x)
         resid = d.y - omega_gls * d.x
@@ -204,18 +219,24 @@ class TestMa1ProfileAgainstDenseGls:
 
 class TestMa1Loglik:
     def test_matches_dense_gaussian(self):
-        # oracle: build the tridiagonal covariance and evaluate the density
+        # oracle: the whitened sums and log-determinant of the recursion are
+        # the quadratic forms and log-determinant of the dense covariance
+        from expcurve.estimators import _innovation_sums
+
         rng = np.random.default_rng(5)
         m, omega, rho, su = 7, -0.25, 0.45, 0.08
         d = ma1_diffs(rng, m, omega=omega, sigma_eta=su * math.sqrt(1 + rho**2), rho=rho)
         e = d.y - omega * d.x
-        cov = np.zeros((m, m))
-        np.fill_diagonal(cov, su**2 * (1 + rho**2))
-        idx = np.arange(m - 1)
-        cov[idx, idx + 1] = cov[idx + 1, idx] = su**2 * rho
-        sign, logdet = np.linalg.slogdet(cov)
-        dense = -0.5 * (m * math.log(2 * math.pi) + logdet + e @ np.linalg.solve(cov, e))
-        assert ma1_loglik(d, omega, rho, su) == pytest.approx(dense, rel=1e-12)
+        syy, sxy, sxx, logdet = _innovation_sums(e[None], d.x[None], np.array([[rho]]), np.array([m]))
+        cov = ma1_covariance(m, rho)
+        sign, dense_logdet = np.linalg.slogdet(cov)
+        assert syy.item() == pytest.approx(e @ np.linalg.solve(cov, e), rel=1e-12)
+        assert sxy.item() == pytest.approx(d.x @ np.linalg.solve(cov, e), rel=1e-12)
+        assert sxx.item() == pytest.approx(d.x @ np.linalg.solve(cov, d.x), rel=1e-12)
+        assert logdet.item() == pytest.approx(dense_logdet, rel=1e-12)
+        # and assembled at the scale su, the Gaussian density
+        ll = -0.5 * (m * math.log(2 * math.pi * su**2) + logdet.item() + syy.item() / su**2)
+        assert ll == pytest.approx(dense_loglik(d, omega, rho, su), rel=1e-12)
 
 
 @st.composite

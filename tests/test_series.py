@@ -10,11 +10,11 @@ from expcurve import (
     SeriesTable,
     TechSeries,
     build_experience,
-    estimate_discrete_growth,
     growth_stats,
     ingest_csv,
     write_csv,
 )
+from expcurve.series import GROWTH_FLOOR, _discrete_growth
 
 
 def built(ts):
@@ -207,21 +207,28 @@ class TestTechSeries:
             TechSeries("x", [1, 2, 3, 4], **values)
 
 
+def discrete_growth(production):
+    q = np.asarray(production, dtype=float)
+    return _discrete_growth(q[None], np.array([len(q)]))[0]
+
+
 class TestDiscreteGrowth:
     def test_doubling(self):
-        assert estimate_discrete_growth([1, 2, 4]) == pytest.approx(1.0, abs=1e-12)
+        assert discrete_growth([1, 2, 4]) == pytest.approx(1.0, abs=1e-12)
 
     def test_flat_series_flagged(self):
-        g = estimate_discrete_growth([5, 5, 5])
+        g = discrete_growth([5, 5, 5])
         assert g == pytest.approx(0.0, abs=1e-15)
+        assert not g > GROWTH_FLOOR
 
     def test_exact_geometric(self):
-        assert estimate_discrete_growth([1, 1.1, 1.21]) == pytest.approx(0.1, abs=1e-12)
+        assert discrete_growth([1, 1.1, 1.21]) == pytest.approx(0.1, abs=1e-12)
 
     def test_uses_only_endpoints(self):
-        assert estimate_discrete_growth([1, 100, 0.01, 4]) == pytest.approx(
-            4 ** (1 / 3) - 1, rel=1e-12
-        )
+        q = [1, 100, 0.01, 4]
+        assert discrete_growth(q) == pytest.approx(4 ** (1 / 3) - 1, rel=1e-12)
+        ts = built(TechSeries("A", [0, 1, 2, 3], [1.0, 0.9, 0.8, 0.7], q))
+        assert growth_stats(ts).g_d == discrete_growth(q)
 
 
 class TestBuildExperience:

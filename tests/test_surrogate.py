@@ -11,9 +11,7 @@ from scipy import stats
 from expcurve import (
     DataError,
     SurrogateSpec,
-    gen_cost,
     gen_log_production,
-    gen_production,
     growth_stats,
     make_dataset,
     run_calibration_study,
@@ -98,14 +96,22 @@ def reference_dataset(spec, replicate):
     return (names, lengths, *columns), redraws
 
 
+def first_years(table, n):
+    """Each series' first ``n`` years of cost and of production, as rows."""
+    at = np.cumsum(table.T) - table.T
+    years = at[:, None] + np.arange(n)
+    return table.cost[years], table.production[years]
+
+
 class TestGenProduction:
     def test_deterministic(self):
-        a = gen_production(30, 0.1, 0.1, 42)
-        b = gen_production(30, 0.1, 0.1, 42)
-        assert_allclose(a, b, rtol=0)
+        a = gen_log_production(30, 0.1, 0.1, 42)
+        b = gen_log_production(30, 0.1, 0.1, 42)
+        assert_array_equal(a, b)
 
     def test_zero_volatility_exact_exponential(self):
-        q = gen_production(10, 0.07, 0.0, 0)
+        table = make_dataset(SurrogateSpec(n_tech=3, T=10, g=0.07, sigma_q=0.0, n_ensembles=1))
+        _, q = first_years(table, 10)
         assert_allclose(np.diff(np.log(q)), 0.07, rtol=1e-12)
 
     def test_drift_matches(self):
@@ -115,29 +121,32 @@ class TestGenProduction:
         assert d.std(ddof=1) == pytest.approx(0.1, abs=0.003)
 
     def test_starts_at_one(self):
-        assert gen_production(5, 0.2, 0.3, 1)[0] == 1.0
+        draws = np.random.default_rng(1).normal(0.0, 0.3, (3, 4))
+        assert_array_equal(surrogate._log_production(draws, np.full(3, 0.2))[:, 0], 0.0)
+        table = make_dataset(SurrogateSpec(n_tech=5, T=[4, 9, 5, 12, 6], g=0.2, sigma_q=0.3, n_ensembles=1))
+        _, q = first_years(table, 1)
+        assert_array_equal(q, 1.0)
 
 
 class TestGenCost:
     def test_noise_free_linear_in_x(self):
         x = np.array([0.1, 0.2, 0.15])
-        y = gen_cost(x, omega=-0.3, sigma_eta=0.0, rho=0.9, seed=0)
+        y = surrogate._log_cost(x[None], np.zeros((1, 4)), np.array([-0.3]), np.array([0.9]))[0]
+        assert y[0] == 0.0
         assert_allclose(np.diff(y), -0.3 * x, atol=1e-15)
 
     def test_marginal_residual_scale_stationary(self):
         # first-step residual already has the full marginal scale
-        firsts = np.array(
-            [
-                gen_cost([0.0], omega=0.0, sigma_eta=0.2, rho=0.8, seed=s)[1]
-                for s in range(4000)
-            ]
-        )
+        spec = SurrogateSpec(n_tech=4000, T=4, omega=0.0, sigma_eta=0.2, rho=0.8, n_ensembles=1)
+        cost, _ = first_years(make_dataset(spec), 2)
+        firsts = np.log(cost[:, 1] / cost[:, 0])
         assert firsts.std() == pytest.approx(0.2, rel=0.05)
 
     def test_lag1_autocorrelation(self):
-        x = np.zeros(100_000)
+        x = np.zeros((1, 100_000))
         for rho, expect in ((0.0, 0.0), (0.6, 0.6 / 1.36)):
-            y = gen_cost(x, omega=0.0, sigma_eta=0.1, rho=rho, seed=9)
+            u = np.random.default_rng(9).normal(0.0, 0.1 / math.sqrt(1 + rho * rho), (1, 100_001))
+            y = surrogate._log_cost(x, u, np.array([0.0]), np.array([rho]))[0]
             e = np.diff(y)
             ac = np.corrcoef(e[:-1], e[1:])[0, 1]
             assert ac == pytest.approx(expect, abs=0.01)
