@@ -11,11 +11,11 @@ Randomness is counter-keyed: stream ``(seed, replicate, technology, role)``
 fully determines every draw, so a replicate is reproducible in isolation and
 does not depend on the order in which replicates run, nor on which others
 are built with it. Replicates are built in blocks: a block hashes its
-stream keys in batches, draws each stream from one reused generator
+stream keys in batches, gives each stream a ``PCG64`` of its own
 (``_streams``), and computes on all of its replicates' technologies at once,
 as the rows of (path × year) matrices. On the bundled 51-technology table a
-replicate's dataset takes about 1.1 ms in a block of four, against 1.6 ms
-alone, and its 102 streams about 0.4 ms of that.
+replicate's dataset takes about 0.9 ms in a block of four, against 1.1 ms
+alone, and its 102 streams, with their draws, about 0.5 ms of that.
 """
 
 from __future__ import annotations
@@ -41,95 +41,79 @@ _ROLE_SHARED_PRODUCTION = 2
 _BLOCK_CELLS = 2**14
 
 
-# The constants of NumPy's SeedSequence hash and of the PCG64 step.
+# The constants of NumPy's SeedSequence hash.
 _MASK32 = 0xFFFFFFFF
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MASK128 = (1 << 128) - 1
 
 
-def _hash_constants(const: int, mult: int, n: int) -> list[int]:
+def _hash_constants(const: int, mult: int, n: int) -> np.ndarray:
     """``const`` and the ``n`` constants after it, each ``mult`` times the
     one before, modulo 2**32."""
     out = [const]
     for _ in range(n):
         out.append(out[-1] * mult & _MASK32)
-    return out
+    return np.array(out, dtype=np.uint32)
 
 
 # generate_state's 8 steps, one per 32-bit output word
-_STATE_CONSTANTS = np.array(_hash_constants(_INIT_B, _MULT_B, 8), dtype=np.uint32)
+_STATE_CONSTANTS = _hash_constants(_INIT_B, _MULT_B, 8)
 
 
 def _hash(value, xor, mul):
-    """SeedSequence's ``hashmix`` of a word by two consecutive hash
-    constants, as masked Python ints or as uint32 arrays."""
-    value = (value ^ xor) * mul & _MASK32
+    """SeedSequence's ``hashmix`` of uint32 words by two consecutive hash
+    constants."""
+    value = (value ^ xor) * mul
     return value ^ value >> 16
 
 
 def _mix(x, y):
-    """SeedSequence's ``mix`` of two words, as masked Python ints or as
-    uint32 arrays."""
-    r = (_MIX_L * x - _MIX_R * y) & _MASK32
+    """SeedSequence's ``mix`` of two uint32 words."""
+    r = _MIX_L * x - _MIX_R * y
     return r ^ r >> 16
+
+
+class _State:
+    """A stream's four ``uint64`` state words, which ``PCG64`` takes from
+    ``generate_state``. ``_streams`` makes it an ``ISeedSequence`` at its
+    first call, so importing this module does not load ``numpy.random``."""
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.words
 
 
 def _streams(seed: int, keys):
     """Yield the generator of stream ``(seed, *key)`` for each key in turn:
-    the draws NumPy's ``SeedSequence(seed, spawn_key=key)`` seeds, without
-    building that ``SeedSequence`` or its ``PCG64``.
+    the draws NumPy's ``SeedSequence(seed, spawn_key=key)`` seeds, each key
+    with a ``PCG64`` of its own, so they may be drawn from in any order.
 
-    This reproduces the ``SeedSequence`` hash (the ``seed_seq`` hash of
-    O'Neill's randutils: ``mix_entropy`` with a pool of 4 words, then
-    ``generate_state(4, np.uint64)``) and the state ``pcg64_set_seed`` gives
-    ``PCG64``; ``TestStreams`` in
-    ``tests/test_surrogate.py`` pins both to NumPy's own classes. The
-    entropy is the seed's 32-bit words, zero-padded to the pool size, then
-    one word per key element, so every element must lie in [0, 2**32). The
-    seed's part of the hash is shared, so it is computed once; the key
-    columns are hashed as arrays, and all the keys' states are set on one
-    reused ``PCG64``. So a caller draws from a yielded generator before it
-    takes the next one.
+    The seed's pool comes from ``SeedSequence(seed)``. The rest of the hash
+    (``mix_entropy`` of one more entropy word per key element, so each must
+    lie in [0, 2**32), then ``generate_state(4, np.uint64)``) is done here
+    for all the keys at once, as arrays. ``TestStreams`` in
+    ``tests/test_surrogate.py`` pins the generators to NumPy's own.
     """
+    from numpy.random.bit_generator import ISeedSequence
+
+    ISeedSequence.register(_State)  # a no-op once registered
     seed = int(seed)
-    words = [seed >> shift & _MASK32 for shift in range(0, max(seed.bit_length(), 1), 32)]
-    words += [0] * (4 - len(words))
     columns = np.array(keys, dtype=np.uint32)
     # mix_entropy's hash steps take consecutive constants: 16 to fill and mix
-    # the pool, then 4 for each entropy word past it
-    seed_steps = 16 + 4 * (len(words) - 4)
-    consts = _hash_constants(_INIT_A, _MULT_A, seed_steps + 4 * columns.shape[1])
-    steps = zip(consts, consts[1:])
-    pool = [_hash(word, *next(steps)) for word in words[:4]]
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                pool[dst] = _mix(pool[dst], _hash(pool[src], *next(steps)))
-    for word in words[4:]:
-        for dst in range(4):
-            pool[dst] = _mix(pool[dst], _hash(word, *next(steps)))
-    key_consts = np.array(consts[seed_steps:], dtype=np.uint32)
-    h = _hash(columns[:, :, None], key_consts[:-1].reshape(-1, 4), key_consts[1:].reshape(-1, 4))
-    pool = np.array(pool, dtype=np.uint32)
+    # the pool, 4 for each seed word past it, then 4 for each key word
+    seed_steps = 16 + 4 * max(-(-seed.bit_length() // 32) - 4, 0)
+    consts = _hash_constants(_INIT_A, _MULT_A, seed_steps + 4 * columns.shape[1])[seed_steps:]
+    h = _hash(columns[:, :, None], consts[:-1].reshape(-1, 4), consts[1:].reshape(-1, 4))
+    pool = np.random.SeedSequence(seed).pool
     for c in range(columns.shape[1]):
         pool = _mix(pool, h[:, c])
     state = _hash(np.tile(pool, 2), _STATE_CONSTANTS[:-1], _STATE_CONSTANTS[1:])
-    bitgen = np.random.PCG64(0)  # its seed is replaced before any draw
-    rng = np.random.Generator(bitgen)
-    for s_hi, s_lo, i_hi, i_lo in state.astype("<u4").view("<u8").tolist():
-        # pcg64_set_seed: two PCG steps from state 0
-        inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
-        s = ((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _MASK128
-        bitgen.state = {
-            "bit_generator": "PCG64",
-            "state": {"state": s, "inc": inc},
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
-        yield rng
+    # generate_state's own conversion of 8 uint32 words to 4 uint64
+    for words in state.astype("<u4").view("<u8").astype(np.uint64):
+        yield np.random.Generator(np.random.PCG64(_State(words)))
 
 
 @dataclass(frozen=True)
@@ -359,8 +343,8 @@ def run_ensemble(spec: SurrogateSpec, pipeline) -> EnsembleResult:
     the replicate it would name built alone. ``simulate``'s pipeline is
     ``hindcast.mse_curve``, which reads the window gather and builds no
     error table. On the bundled table (m = 5, ``tau_max`` 20) blocks hold
-    four replicates, and a replicate's dataset takes about 1.1 ms and its
-    ``mse_curve`` about 0.6 ms.
+    four replicates, and a replicate's dataset takes about 0.9 ms and its
+    ``mse_curve`` about 0.5 ms.
     """
 
     def one(r: int, dataset) -> np.ndarray:

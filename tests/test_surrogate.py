@@ -439,7 +439,7 @@ class TestMakeDatasetOracle:
 
 
 # seeds of one to five 32-bit words, and key elements at the word's edges
-STREAM_SEEDS = (0, 1, 7, 2**32 - 1, 2**32, 2**64 + 1, 2**128 + 3)
+STREAM_SEEDS = (0, 1, 7, 2**32 - 1, 2**32, 2**64 + 1, 2**128 - 1, 2**128, 2**128 + 3)
 KEY_ELEMENTS = (0, 1, 2**31, 2**32 - 1)
 
 
@@ -452,6 +452,11 @@ class TestStreams:
         for key, rng in zip(keys, surrogate._streams(seed, keys), strict=True):
             want = np.random.PCG64(np.random.SeedSequence(seed, spawn_key=key))
             assert rng.bit_generator.state == want.state
+            assert_array_equal(rng.normal(size=50), np.random.Generator(want).normal(size=50))
+        # each generator is its own: all of them taken first, then drawn from
+        rngs = list(surrogate._streams(seed, keys))
+        for key, rng in zip(keys, rngs, strict=True):
+            want = np.random.PCG64(np.random.SeedSequence(seed, spawn_key=key))
             assert_array_equal(rng.normal(size=50), np.random.Generator(want).normal(size=50))
 
     @pytest.mark.parametrize("seed", STREAM_SEEDS)
@@ -467,25 +472,32 @@ class TestStreams:
     def test_matches_numpy_property(self, seed, keys):
         self.assert_numpy_streams(seed, keys)
 
-    def test_no_generator_built_per_stream(self, monkeypatch):
-        # every surrogate draw comes through _streams, whose one PCG64 per
-        # call serves all of its keys
+    def test_one_seed_sequence_per_call_and_pcg64_per_key(self, monkeypatch):
+        # every surrogate draw comes through _streams, which takes the
+        # seed's pool from one SeedSequence per call and gives each key a
+        # PCG64 of its own, seeded from the key's state words
         def refused(*args, **kwargs):
-            raise AssertionError("a stream built its own generator")
+            raise AssertionError("a stream was drawn from default_rng")
 
-        calls, bitgens = [], []
-        streams, pcg64 = surrogate._streams, np.random.PCG64
+        sizes, seed_seqs, bitgens = [], [], []
+        streams, seed_sequence, pcg64 = surrogate._streams, np.random.SeedSequence, np.random.PCG64
 
-        def counted_streams(seed, keys):
-            calls.append(seed)
-            return streams(seed, keys)
+        def counted_streams(seed, batch):
+            sizes.append(len(batch))
+            return streams(seed, batch)
+
+        def counted_seed_sequence(*args, **kwargs):
+            assert "spawn_key" not in kwargs and len(args) == 1
+            seed_seqs.append(args)
+            return seed_sequence(*args, **kwargs)
 
         def counted_pcg64(seed):
+            assert isinstance(seed, surrogate._State)
             bitgens.append(seed)
             return pcg64(seed)
 
-        monkeypatch.setattr(np.random, "SeedSequence", refused)
         monkeypatch.setattr(np.random, "default_rng", refused)
+        monkeypatch.setattr(np.random, "SeedSequence", counted_seed_sequence)
         monkeypatch.setattr(np.random, "PCG64", counted_pcg64)
         monkeypatch.setattr(surrogate, "_streams", counted_streams)
         for mode in sorted(MODES):
@@ -494,7 +506,8 @@ class TestStreams:
                 make_dataset(spec, r)
         for iid_windows in (True, False):
             run_calibration_study(5, iid_windows=iid_windows, n_tech=10, periods=20, seed=3)
-        assert len(bitgens) == len(calls) > 0
+        assert len(seed_seqs) == len(sizes) > 0
+        assert len(bitgens) == sum(sizes)
 
     @pytest.mark.parametrize("scale", [0.0, 5e-324, 1e-310, 0.07, 2.5])
     def test_normal_is_scaled_standard_normal(self, scale):
