@@ -7,12 +7,13 @@ studies), ``forecast`` (distributional forecasts for one technology).
 
 A command only computes: it returns its outputs (file name to writer, in
 write order), its options and its input files. :func:`main` does every write.
-It creates ``--output-dir``, runs the command and, only once the command has
-returned, writes each output atomically (temp file, then rename), then a
-``<command>_manifest.txt``, then one line naming the files. So a run that
-fails writes nothing, and a run that succeeds writes its files, then its
-manifest. The manifest records the command, the seed, the package version,
-the options and a SHA-256 of each input file, hashed before any output is
+It creates ``--output-dir``, runs the command, writes each output and then a
+``<command>_manifest.txt`` to a temp file and, only once every write has
+succeeded, renames them into place, the manifest last. So a run that fails
+to compute or write removes its temp files and leaves ``--output-dir`` as it
+was (empty if it was created); only a failed rename can leave part of a run.
+The manifest records the command, the seed, the package version, the
+options and a SHA-256 of each input file, hashed before any output is
 written. The options are the parsed namespace less the entries in
 ``_NOT_OPTIONS``: the command and the seed, ``--threads`` (accepted, with no
 effect) and ``--output-dir``, and the file inputs. A command adds what it
@@ -421,17 +422,22 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     out = Path(args.output_dir)
+    temps = []
     try:
         out.mkdir(parents=True, exist_ok=True)
         outputs, options, inputs = args.func(args)
         outputs[f"{args.command}_manifest.txt"] = _text(_manifest(args, options, inputs))
         for name, writer in outputs.items():
-            tmp = out / (name + ".tmp")
-            writer(tmp)
+            temps.append(out / (name + ".tmp"))
+            writer(temps[-1])
+        for name, tmp in zip(outputs, temps):  # the manifest last
             os.replace(tmp, out / name)
     except (DataError, ValueError, OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        for tmp in temps:  # what a failure left unrenamed
+            tmp.unlink(missing_ok=True)
     print(f"wrote {', '.join(outputs)} to {out}")
     return 0
 

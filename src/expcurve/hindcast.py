@@ -260,47 +260,46 @@ def _windows(dataset: SeriesTable, cfg: HindcastConfig) -> _Windows:
 def _error_table(dataset: SeriesTable, cfg: HindcastConfig, w: _Windows) -> HindcastTable:
     """The table of a gather's errors: a moore row, then a wright row, for
     each error."""
-    m, rho = cfg.m, cfg.rho
-    win, taus, e_m, e_w = w.win, w.tau, w.e_moore, w.e_wright
-    sig_eta = np.sqrt(w.sig_eta2)
-    su2 = w.sig_eta2 * (1.0 / (1.0 + rho * rho))
-    a = a_factor(taus, m)
-
-    n = len(taus)
-    k_row = w.k_hat[win]
-    norm_w = _normalized(e_w, k_row)
-    norm_m = _normalized(e_m, k_row)
-    pooled_m = np.divide(e_m, k_row * np.sqrt(a), out=np.full(n, np.nan), where=k_row > 0.0)
-    pooled_w = np.full(n, np.nan)
-    pos = sig_eta[win] > 0.0
-    v_pool = ma1_variance_constant_x(np.sqrt(su2[win[pos]]), rho, taus[pos], m)
-    pooled_w[pos] = e_w[pos] / np.sqrt(v_pool)
-
-    def per_model(moore, wright):
-        return np.stack([moore, wright], axis=1).ravel()
+    m, rho, win, n = cfg.m, cfg.rho, w.win, len(w.tau)
 
     def per_row(values):
         return np.repeat(values, 2)
 
+    columns = dict(
+        tau=per_row(w.tau),
+        raw_error=np.stack([w.e_moore, w.e_wright], axis=1).ravel(),
+        K_hat=per_row(w.k_hat[win]),
+        A=per_row(a_factor(w.tau, m)),
+        m=np.full(2 * n, m),
+    )
+    # sigma_u unrooted, unlike pooled_errors' (last bits differ): ROADMAP item 4
+    su = per_row(np.sqrt(w.sig_eta2 * (1.0 / (1.0 + rho * rho)))[win])
     return HindcastTable(
         technology=per_row(dataset.names[w.series[win]]),
         origin_year=per_row(dataset.years[w.origin[win]]),
-        tau=per_row(taus),
         model=np.tile(np.array(MODELS), n),
-        raw_error=per_model(e_m, e_w),
-        K_hat=per_row(k_row),
-        sigma_eta_hat=per_row(sig_eta[win]),
-        A=per_row(a),
-        normalized_error=per_model(norm_m, norm_w),
-        pooled_error=per_model(pooled_m, pooled_w),
-        m=np.full(2 * n, m),
+        sigma_eta_hat=per_row(np.sqrt(w.sig_eta2)[win]),
+        normalized_error=_normalized(columns["raw_error"], columns["K_hat"]),
+        pooled_error=_pooled(np.tile([True, False], n), su, rho, **columns),
+        **columns,
     )
 
 
-def _normalized(errors: np.ndarray, k_row: np.ndarray) -> np.ndarray:
-    """Errors divided by their window's random-walk scale ``K_hat``; ``nan``
-    where the window's scale is zero."""
-    return np.divide(errors, k_row, out=np.full(len(errors), np.nan), where=k_row > 0.0)
+def _normalized(values: np.ndarray, scale: np.ndarray) -> np.ndarray:
+    """``values / scale``, and ``nan`` where the scale is not positive: the
+    module's one safe division."""
+    return np.divide(values, scale, out=np.full(len(values), np.nan), where=scale > 0.0)
+
+
+def _pooled(moore, su, rho, *, raw_error, K_hat, A, tau, m) -> np.ndarray:
+    """Errors divided by their forecast-error scale, so all horizons pool: a
+    random-walk (``moore``) row by ``K_hat * sqrt(A)``, any other by the root
+    of the constant-growth MA(1) variance at its ``su``, ``rho``, ``tau`` and
+    ``m``; ``nan`` where the scale is zero."""
+    scale = K_hat * np.sqrt(A)
+    ec = ~moore
+    scale[ec] = np.sqrt(ma1_variance_constant_x(su[ec], rho, tau[ec], m[ec]))
+    return _normalized(raw_error, scale)
 
 
 def _gather(dataset: SeriesTable, cfg: HindcastConfig) -> _Windows | None:
@@ -358,7 +357,7 @@ def _horizon_mse(taus: np.ndarray, vals: np.ndarray, tau_max: int = 0):
     # bincount adds in row order, as a running sum per horizon would
     sums = np.bincount(taus, weights=vals * vals, minlength=tau_max + 1)
     counts = np.bincount(taus, minlength=tau_max + 1)
-    return np.divide(sums, counts, out=np.full(len(counts), np.nan), where=counts > 0), counts
+    return _normalized(sums, counts), counts
 
 
 def mse_curve(dataset: SeriesTable, config: HindcastConfig | None = None) -> np.ndarray:
@@ -414,16 +413,10 @@ def pooled_errors(errors: HindcastTable, config: HindcastConfig | None = None) -
     different ``rho`` re-pools an existing run without re-running it.
     """
     cfg = config or HindcastConfig()
-    out = np.full(len(errors), np.nan)
-    moore = errors.model == "moore"
-    rw = moore & (errors.K_hat > 0.0)
-    out[rw] = errors.raw_error[rw] / (errors.K_hat[rw] * np.sqrt(errors.A[rw]))
-    ec = ~moore & (errors.sigma_eta_hat > 0.0)
-    if ec.any():
-        su = errors.sigma_eta_hat[ec] / math.sqrt(1.0 + cfg.rho * cfg.rho)
-        v = ma1_variance_constant_x(su, cfg.rho, errors.tau[ec], errors.m[ec])
-        out[ec] = errors.raw_error[ec] / np.sqrt(v)
-    return out
+    # sigma_u rooted, unlike run_hindcast's (last bits differ): ROADMAP item 4
+    su = errors.sigma_eta_hat / math.sqrt(1.0 + cfg.rho * cfg.rho)
+    columns = {name: getattr(errors, name) for name in ("raw_error", "K_hat", "A", "tau", "m")}
+    return _pooled(errors.model == "moore", su, cfg.rho, **columns)
 
 
 def write_errors_csv(path, errors: HindcastTable) -> None:

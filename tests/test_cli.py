@@ -86,6 +86,34 @@ class TestEstimate:
         assert f"input.data.sha256={read}\n" in (out / "estimate_manifest.txt").read_text()
         assert capsys.readouterr().out == f"wrote params.csv, series.csv, estimate_manifest.txt to {out}\n"
 
+    @pytest.mark.parametrize("earlier", [False, True], ids=["fresh", "earlier-run"])
+    def test_failed_write_leaves_the_directory_as_it_was(self, tmp_path, monkeypatch, capsys, earlier):
+        # series.csv's write fails after params.csv's succeeded: no output
+        # is renamed into place and no temp file is left
+        data = small_dataset(tmp_path)
+        out = tmp_path / "out"
+        before = {}
+        if earlier:  # from other data, so each output's bytes would change
+            (tmp_path / "other").mkdir()
+            other = small_dataset(tmp_path / "other", seed=9)
+            assert run_cli("--output-dir", out, "estimate", "--input", other, "--emit-series") == 0
+            before = {p.name: p.read_bytes() for p in out.iterdir()}
+        write_csv, calls = _csvio.write_csv, []
+
+        def full_disk_on_second_write(path, *args):
+            calls.append(path)
+            if len(calls) == 2:
+                Path(path).write_text("technology,year\n")  # a partial file
+                raise OSError(28, "No space left on device")
+            write_csv(path, *args)
+
+        monkeypatch.setattr(_csvio, "write_csv", full_disk_on_second_write)
+        capsys.readouterr()
+        assert run_cli("--output-dir", out, "estimate", "--input", data, "--emit-series") == 1
+        assert "No space left on device" in capsys.readouterr().err
+        assert [p.name for p in calls] == ["params.csv.tmp", "series.csv.tmp"]
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
 
 class TestHindcastCommand:
     def test_counts_match_library(self, tmp_path):

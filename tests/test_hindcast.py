@@ -242,6 +242,18 @@ class TestNormalizationFields:
         recomputed = pooled_errors(errs, cfg)
         assert_allclose(recomputed, [e.pooled_error for e in errs], rtol=1e-12)
 
+    def test_pooled_errors_match_the_column(self):
+        # one pooling kernel: moore rows agree bit for bit, and wright rows
+        # differ only by the two sigma_u formulas, in the last bits (ROADMAP
+        # item 4 makes them one, and this check bit-equality)
+        cfg = HindcastConfig(m=5, tau_max=None, rho=0.19)
+        errs = run_hindcast(surrogate(n_tech=8, T=30, seed=2), cfg)
+        recomputed = pooled_errors(errs, cfg)
+        moore = _model_slice(errs.model, "moore")
+        assert_array_equal(recomputed[moore], errs.pooled_error[moore])
+        wright = _model_slice(errs.model, "wright")
+        assert_allclose(recomputed[wright], errs.pooled_error[wright], rtol=2e-15)
+
     def test_pooled_errors_alternative_rho(self):
         ds = surrogate(T=14, seed=3)
         errs = run_hindcast(ds, HindcastConfig(m=5, rho=0.19))
@@ -268,6 +280,8 @@ class TestNormalizationFields:
         assert len(errs) > 0
         assert all(math.isnan(e.normalized_error) for e in errs)
         assert all(e.raw_error == pytest.approx(0.0, abs=1e-12) for e in errs)
+        assert np.isnan(errs.pooled_error).all()
+        assert np.isnan(pooled_errors(errs, HindcastConfig(m=5))).all()
 
 
 class TestMseByHorizon:

@@ -1,0 +1,21 @@
+import re
+import warnings
+from pathlib import Path
+
+from expcurve.cli import main
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_quick_tour_runs(tmp_path, monkeypatch):
+    # the README's python block reads data.csv from the working directory
+    argv = ["--output-dir", tmp_path, "simulate", "--n-tech", 4, "--periods", 25, "--ensembles", 0]
+    assert main([str(a) for a in argv]) == 0
+    (tmp_path / "dataset.csv").rename(tmp_path / "data.csv")
+    (block,) = re.findall(r"```python\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
+    monkeypatch.chdir(tmp_path)
+    namespace = {}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        exec(compile(block, str(README), "exec"), namespace)
+    assert "sigma_x_theory" in namespace  # its last statement ran
