@@ -17,8 +17,8 @@ candidate ``rho``, so the search is a deterministic one-dimensional grid
 plus golden-section refinement. The recursion is written once and runs on a
 stack of series of any mix of lengths, so a whole dataset is fit in
 lockstep: one grid pass, then one batched step per golden-section iteration
-for the series still searching. Each series sees the same arithmetic as when
-fit alone, so its estimate is bit-identical either way.
+until every series has converged. Each series sees the same arithmetic as
+when fit alone, so its estimate is bit-identical either way.
 """
 
 from __future__ import annotations
@@ -191,10 +191,10 @@ def fit_wright_ma1(diffs: DiffSeries | Sequence[DiffSeries]) -> WrightParams | l
     ``diffs`` is one :class:`DiffSeries` (returns :class:`WrightParams`) or a
     sequence of them (returns a list in the same order). A sequence is fit
     in lockstep: the grid stage and every golden-section step run as one
-    batch over all series still searching, each series stopping when its
-    own bracket is narrower than ``1e-10``. Every series goes through the
-    same arithmetic as when fit alone, so the estimates do not depend on
-    what else is in the batch; one series is a batch of one.
+    batch over all the series, each series stopping when its own bracket is
+    narrower than ``1e-10``. Every series goes through the same arithmetic
+    as when fit alone, so the estimates do not depend on what else is in the
+    batch; one series is a batch of one.
 
     Requires ``m >= 4``; shorter windows leave the likelihood too flat in
     ``rho`` for the estimate to mean anything. Raises ``RuntimeError`` if a
@@ -240,12 +240,11 @@ def fit_wright_ma1(diffs: DiffSeries | Sequence[DiffSeries]) -> WrightParams | l
         c[left] = b[left] - _GOLDEN * (b[left] - a[left])
         a[right], c[right], fc[right] = c[right], d[right], fd[right]
         d[right] = a[right] + _GOLDEN * (b[right] - a[right])
-        # one new point per searching series: c on the left, d on the right
-        val, _, _ = _innovation_profiles(
-            y[active], x[active], np.where(lower, c, d)[active, None], lengths[active]
-        )
-        fc[left] = -val[lower[active], 0]
-        fd[right] = -val[~lower[active], 0]
+        # one new point a series, c on the left and d on the right; the rows
+        # that have stopped searching are evaluated too and their values left
+        val, _, _ = _innovation_profiles(y, x, np.where(lower, c, d)[:, None], lengths)
+        fc[left] = -val[left, 0]
+        fd[right] = -val[right, 0]
     else:
         k = int(np.flatnonzero(active)[0])
         raise RuntimeError(

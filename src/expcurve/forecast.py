@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .estimators import RHO_STAR, THETA_STAR, MooreParams, WrightParams
-from .series import TechSeries
+from .series import DataError, TechSeries
 from .variance import _ma1_unit_variance, ma1_variance_approx, ma1_variance_constant_x
 
 
@@ -180,17 +180,24 @@ def constant_growth_series(
     accumulation identity holds. Useful for forecasting from published
     parameter estimates when the underlying series is not available: slopes
     and band widths are meaningful, absolute levels are not. ``T < 3`` or
-    ``r <= 0`` breaks the series' data contract (``DataError``).
+    ``r <= 0`` breaks the series' data contract, and so does a cost,
+    production or experience level too large for a float (``DataError``).
     """
     base_year = T if base_year is None else base_year
     t = np.arange(T)
-    z = np.exp(r * t)
-    q = z * (math.exp(r) - 1.0)
-    y = y_last + mu * (t - (T - 1))
+    with np.errstate(over="ignore"):
+        z = np.exp(r * t)
+        try:
+            q = z * (math.exp(r) - 1.0)
+        except OverflowError:
+            q = np.full(T, math.inf)
+        cost = np.exp(y_last + mu * (t - (T - 1)))
+    if any(np.isinf(v).any() for v in (z, q, cost)):
+        raise DataError(f"{name}: constant growth (r={r}, mu={mu}) overflows a float within {T} periods")
     return TechSeries(
         name=name,
         years=np.arange(base_year - T + 1, base_year + 1),
-        cost=np.exp(y),
+        cost=cost,
         production=q,
         experience=z,
     )

@@ -396,11 +396,6 @@ class CalibrationResult:
         return self.check.ks_stat
 
 
-def _count_errors(T: int, m: int) -> int:
-    k = T - 1 - m
-    return k * (k + 1) // 2
-
-
 # The calibration study's generator; run_calibration_study sets n_tech, T
 # and seed.
 _CALIBRATION_SPEC = SurrogateSpec(
@@ -440,6 +435,10 @@ def run_calibration_study(
     independent minimal series of ``m + 2`` periods, one single-step error
     each, removing the overlapping-window dependence. Either way ``periods``
     must be at least ``m + 2``.
+
+    Each design yields its raw errors, their unit-innovation MA(1) variance
+    and the estimated innovation variance; one normalization then divides
+    them by the scale of the reference.
     """
     if variance not in ("estimated", "true"):
         raise ValueError("variance must be 'estimated' or 'true'")
@@ -451,43 +450,32 @@ def run_calibration_study(
     su_true = spec.sigma_eta / math.sqrt(1.0 + rho * rho)
 
     if iid_windows:
-        n_series = n_tech * _count_errors(periods, m)
-        T_short = m + 2
+        k = periods - 1 - m  # the forecast origins of one overlapping series
+        n_series, T_short = n_tech * (k * (k + 1) // 2), m + 2
         # m + 1 diffs of a one-technology dataset's shared path, stream (0, 0, 2)
         x = np.diff(make_dataset(replace(spec, n_tech=1, T=T_short), 0).log_experience)
         xw, x_fut = x[:m], x[m:]
-        u = next(_streams(seed, [(0, 0, _ROLE_COST)])).normal(0.0, su_true, (n_series, T_short))
+        u = _normals(seed, [(0, 0, _ROLE_COST)], np.array([n_series * T_short]), np.array([su_true]))
+        u = u.reshape(n_series, T_short)
         e = u[:, 1:] + rho * u[:, :-1]
         yd = spec.omega * x + e
-        sx2 = float(xw @ xw)
-        omega_hat = (yd[:, :m] @ xw) / sx2
+        omega_hat = (yd[:, :m] @ xw) / float(xw @ xw)
         raw = (spec.omega - omega_hat) * x_fut[0] + e[:, m]
-        kernel = wright_ma1_variance(1.0, rho, xw, x_fut)
-        if variance == "true":
-            norm = raw / math.sqrt(kernel * su_true * su_true)
-        else:
-            resid = yd[:, :m] - omega_hat[:, None] * xw
-            sig_eta_hat2 = (resid * resid).sum(axis=1) / (m - 1)
-            su_hat2 = sig_eta_hat2 / (1.0 + rho * rho)
-            norm = raw / np.sqrt(kernel * su_hat2)
+        resid = yd[:, :m] - omega_hat[:, None] * xw
+        su_hat2 = (resid * resid).sum(axis=1) / (m - 1) / (1.0 + rho * rho)
+        unit = true_unit = wright_ma1_variance(1.0, rho, xw, x_fut)
     else:
         w = _windows(make_dataset(spec, 0), cfg)
         raw = w.e_wright
-        su2 = w.sig_eta2 * (1.0 / (1.0 + rho * rho))
-        v_est = su2[w.win] * _ma1_unit_variance(rho, w.xw[w.win], w.fsum, w.tau)
-        if variance == "estimated":
-            norm = raw / np.sqrt(v_est)
-        else:
-            # The variance is linear in sigma_u^2; rescale the per-window
-            # value to the true innovation scale.
-            sig_eta_hat2 = np.sqrt(w.sig_eta2[w.win]) ** 2
-            su_hat2 = sig_eta_hat2 / (1.0 + rho * rho)
-            norm = raw / np.sqrt(v_est / su_hat2 * su_true * su_true)
+        su_hat2 = (w.sig_eta2 * (1.0 / (1.0 + rho * rho)))[w.win]
+        unit = _ma1_unit_variance(rho, w.xw[w.win], w.fsum, w.tau)
+        # `unit` in all but its last bits; ROADMAP item 4 deletes this line
+        true_unit = su_hat2 * unit / (np.sqrt(w.sig_eta2[w.win]) ** 2 / (1.0 + rho * rho))
 
     if variance == "estimated":
-        reference, df = "student", m - 1
+        norm, reference, df = raw / np.sqrt(unit * su_hat2), "student", m - 1
     else:
-        reference, df = "normal", None
+        norm, reference, df = raw / np.sqrt(true_unit * su_true * su_true), "normal", None
     check = ecdf_vs_reference(norm, reference, df=df)
     return CalibrationResult(
         normalized=norm,

@@ -580,6 +580,26 @@ class TestForecastCommand:
         assert capsys.readouterr().err == err
         assert list(out.iterdir()) == []
 
+    @pytest.mark.parametrize("r, mu", [("1000", "-0.121"), ("20", "-0.121"), ("0.318", "-1000")])
+    def test_overflowing_params_row_is_one_error(self, tmp_path, capsys, r, mu):
+        # finite and positive, but the synthetic series overflows a float
+        params = tmp_path / "p.csv"
+        params.write_text(
+            "technology,T,mu,K,g,sigma_q,r,sigma_x,omega,sigma_eta,rho\n"
+            f"Photovoltaics,41,{mu},0.153,0.315,0.202,{r},0.133,-0.380,0.145,-0.019\n"
+        )
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "forecast_wright.csv").write_text("kept\n")
+        code = run_cli("--output-dir", out, "forecast", "--params", params, "--tech", "Photovoltaics")
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: Photovoltaics: constant growth")
+        assert captured.err.count("\n") == 1 and "overflows a float" in captured.err
+        assert [p.name for p in out.iterdir()] == ["forecast_wright.csv"]
+        assert (out / "forecast_wright.csv").read_text() == "kept\n"
+
     def test_params_row_with_missing_fields(self, tmp_path, capsys):
         params = tmp_path / "p.csv"
         params.write_text(
@@ -724,6 +744,20 @@ GOLDEN_OUTPUTS = {
         "summary.txt": "29ec30450fe8dbc9001199657fa09de3210f70d2706b745a8e07206dfd7dcb61",
         "simulate_manifest.txt": "a575b50115ebff60f1d89e97bb354d9c3a03e99ba4da7d91e9795631afae94b4",
     },
+    # the two calibration branches the runs above leave out, captured before
+    # the four branches shared one normalization
+    "simulate-calibration-iid-true": {
+        "calibration_ecdf.csv": "68b2b2c78361e4fda7fa2fc23cb9612b9ddc085bb9d961ea10217193407808b7",
+        "calibration_pit.csv": "f14a8e3954d71f9d2cc0c089188877b3d9d98a1fc930850108cdba861ff5345a",
+        "summary.txt": "d37eeb0e1f93952d78dafcc24ceb5d4193be0f823893c13fc64396342ae237a9",
+        "simulate_manifest.txt": "2cd86f2bb373cb1ff6ddd3aa7cd59b23ab7c1296d81d8b871a249ff868724308",
+    },
+    "simulate-calibration-overlapping-estimated": {
+        "calibration_ecdf.csv": "0aa8df933c3cb82eebfb58d44e9b3beab7915ecb5246354758cdce01df07eff1",
+        "calibration_pit.csv": "3e728673563452e783756210d2897b76293823781e94ea69f575e8185a3fe80c",
+        "summary.txt": "a4311ced26b5ce15ae24c11bb93b36fa517cfcfde0ad203b0c667cbeac0a949e",
+        "simulate_manifest.txt": "9865e061324b086e41f9533787e2297395ebfb7379dc37c165242034329b1ba4",
+    },
 }
 
 
@@ -772,6 +806,13 @@ def _golden_argvs(run, data, out):
         "simulate-calibration-options": [
             ["--seed", 5, "simulate", "--calibration", "--m", 4, "--variance", "true",
              "--n-tech", 6, "--periods", 12, "--g", 0.3, "--ensembles", 3, "--rho-star", 0.25]
+        ],
+        "simulate-calibration-iid-true": [
+            ["--seed", 2016, "simulate", "--calibration", "--iid-windows", "--variance", "true",
+             "--n-tech", 10, "--periods", 20]
+        ],
+        "simulate-calibration-overlapping-estimated": [
+            ["--seed", 2016, "simulate", "--calibration", "--n-tech", 6, "--periods", 14]
         ],
     }[run]
 

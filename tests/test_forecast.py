@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from expcurve import (
+    DataError,
     DiffSeries,
     MooreParams,
     WrightParams,
@@ -46,6 +48,16 @@ class TestConstantGrowthSeries:
         ts = constant_growth_series("c", T=8, r=0.1, mu=-0.05, base_year=2020, y_last=1.5)
         assert ts.years[-1] == 2020
         assert ts.log_cost[-1] == pytest.approx(1.5, rel=1e-12)
+
+    # Photovoltaics' row (T = 41) with one value raised until a level
+    # overflows: r = 1000 overflows exp(r) itself, r = 20 the later
+    # production and experience, and mu = -1000 the early costs
+    @pytest.mark.parametrize("r, mu", [(1000.0, -0.121), (20.0, -0.121), (0.318, -1000.0)])
+    def test_overflow_is_one_data_error(self, r, mu):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataError, match=r"^Photovoltaics: constant growth .* overflows a float"):
+                constant_growth_series("Photovoltaics", T=41, r=r, mu=mu)
 
 
 class TestForecastWright:
