@@ -317,18 +317,22 @@ def cmd_forecast(args) -> tuple[dict, dict, dict]:
         series = constant_growth_series(args.tech, T=T, r=r, mu=mu)
         wparams = WrightParams(omega=omega, sigma_eta=sigma_eta, m=T - 1)
         mparams = MooreParams(mu=mu, K=K, m=T - 1)
-    fw = forecast_wright(
-        series,
-        wparams,
-        horizons=args.horizon,
-        future_x_growth=args.future_growth,
-        rho_star=args.rho_star,
-    )
-    fm = forecast_moore(series, mparams, horizons=args.horizon, theta_star=args.theta_star)
     outputs = {}
-    for name, fc in (("forecast_wright.csv", fw), ("forecast_moore.csv", fm)):
-        columns = _forecast_columns(fc)
-        outputs[name] = _csv(list(columns), columns.values())
+    # finite parameters can still overflow a float; such a run is refused
+    with np.errstate(over="ignore", invalid="ignore"):
+        fw = forecast_wright(
+            series,
+            wparams,
+            horizons=args.horizon,
+            future_x_growth=args.future_growth,
+            rho_star=args.rho_star,
+        )
+        fm = forecast_moore(series, mparams, horizons=args.horizon, theta_star=args.theta_star)
+        for name, fc in (("forecast_wright.csv", fw), ("forecast_moore.csv", fm)):
+            columns = _forecast_columns(fc)
+            if not all(np.isfinite(c).all() for c in columns.values()):
+                raise DataError(f"{args.tech}: the {fc.model} forecast overflows a float")
+            outputs[name] = _csv(list(columns), columns.values())
     comp = compare_forecasts(fw, fm)
     outputs["comparison.csv"] = _csv(
         ["tau", "mean_diff_wright_minus_moore", "band_width_ratio"],

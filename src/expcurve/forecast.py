@@ -58,23 +58,16 @@ class DistForecast:
         return np.exp(self.mean_log_cost)
 
 
-def _future_diffs(future_x_growth, horizons: int, fallback: float | None):
-    if future_x_growth is None:
-        if fallback is None:
-            raise ValueError("no future experience growth available")
-        future_x_growth = fallback
-    if np.ndim(future_x_growth) == 0:
-        r = float(future_x_growth)
-        if not 0.0 < r < math.inf:  # NaN fails too
-            raise ValueError("future experience growth must be positive and finite")
-        return np.full(horizons, r), r
-    fut = np.asarray(future_x_growth, dtype=float)
+def _future_diffs(future_x_growth, horizons: int, fallback: float):
+    rate = fallback if future_x_growth is None else future_x_growth
+    r = float(rate) if np.ndim(rate) == 0 else None  # a constant rate is reported
+    fut = np.full(horizons, r) if r is not None else np.asarray(rate, dtype=float)
     if len(fut) < horizons:
         raise ValueError(f"future growth series shorter than horizon ({len(fut)} < {horizons})")
     fut = fut[:horizons]
-    if not np.all((0.0 < fut) & (fut < math.inf)):
+    if not np.all((0.0 < fut) & (fut < math.inf)):  # NaN fails too
         raise ValueError("future experience growth must be positive and finite")
-    return fut, None
+    return fut, r
 
 
 def forecast_wright(
@@ -155,13 +148,18 @@ def compare_forecasts(a: DistForecast, b: DistForecast) -> np.ndarray:
     """Per-horizon mean difference and band-width ratio of two forecasts.
 
     Rows are ``(tau, mean_a - mean_b, width_a / width_b)`` where width is the
-    log-space band width (proportional to the exact standard deviation).
+    log-space band width (proportional to the exact standard deviation). The
+    ratio is ``inf`` where ``b``'s exact variance is zero and ``a``'s is not
+    (``b``'s band collapses to its mean path) or where ``b``'s is so much
+    smaller that the quotient overflows, and ``nan`` where both are zero;
+    neither warns.
     """
     if a.base_year != b.base_year:
         raise ValueError("forecasts anchored at different base years")
     if len(a.horizons) != len(b.horizons) or np.any(a.horizons != b.horizons):
         raise ValueError("forecasts on different horizon grids")
-    ratio = np.sqrt(a.var_exact / b.var_exact)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        ratio = np.sqrt(a.var_exact / b.var_exact)
     return np.column_stack([a.horizons, a.mean_log_cost - b.mean_log_cost, ratio])
 
 
@@ -181,7 +179,8 @@ def constant_growth_series(
     parameter estimates when the underlying series is not available: slopes
     and band widths are meaningful, absolute levels are not. ``T < 3`` or
     ``r <= 0`` breaks the series' data contract, and so does a cost,
-    production or experience level too large for a float (``DataError``).
+    production or experience level too large for a float or, for ``r > 0``,
+    one that rounds to zero (``DataError``).
     """
     base_year = T if base_year is None else base_year
     t = np.arange(T)
@@ -192,8 +191,12 @@ def constant_growth_series(
         except OverflowError:
             q = np.full(T, math.inf)
         cost = np.exp(y_last + mu * (t - (T - 1)))
+    growth = f"{name}: constant growth (r={r}, mu={mu})"
     if any(np.isinf(v).any() for v in (z, q, cost)):
-        raise DataError(f"{name}: constant growth (r={r}, mu={mu}) overflows a float within {T} periods")
+        raise DataError(f"{growth} overflows a float within {T} periods")
+    # exp(r) - 1 is 0 for r below about 1e-16, and early costs round to 0
+    if r > 0 and not (np.all(q > 0) and np.all(cost > 0)):
+        raise DataError(f"{growth} underflows a float within {T} periods")
     return TechSeries(
         name=name,
         years=np.arange(base_year - T + 1, base_year + 1),

@@ -213,22 +213,29 @@ class _Windows(NamedTuple):
 
 
 def _windows(dataset: SeriesTable, cfg: HindcastConfig) -> _Windows:
-    """Gather every window and error of the dataset.
+    """Gather every window and error of the dataset, the module's one gather.
+
+    Warns once for each series too short for one window plus one forecast
+    (it has no window) and once for the windows with zero residual scale
+    (their normalized errors are ``nan``); each warning points at the caller
+    of the public function. A dataset with no window gives empty arrays.
 
     Every window and future path is gathered by index from the table's log
     cost and log experience columns. Window ``w`` ends at origin ``o[w]`` of
     its series and holds the differences ``o - m .. o - 1``: row ``w`` of an
-    ``(n_windows, m)`` matrix (a series too short for one window plus one
-    forecast has none). Its future paths are row ``w`` of an ``(n_windows,
-    h_max)`` matrix, horizon ``h`` in column ``h - 1``. One mask keeps the
-    horizons each window reaches (and ``tau_max`` allows); the entries it
-    drops are read from other series or clipped at the end and never reach a
-    result. Future sums are a row-wise cumulative sum, so every sum adds the
+    ``(n_windows, m)`` matrix. Its future paths are row ``w`` of an
+    ``(n_windows, h_max)`` matrix, horizon ``h`` in column ``h - 1``. One
+    mask keeps the horizons each window reaches (and ``tau_max`` allows); the
+    entries it drops are read from other series or clipped at the end and
+    never reach a result. Future sums are a row-wise cumulative sum, so every sum adds the
     same terms in the same order as a per-window loop would. The window fits
     are the library's own kernel, applied to all windows at once.
     """
     m = cfg.m
     T, y = dataset.T, dataset.log_cost
+    short = T < m + 2
+    for name, t in zip(dataset.names[short].tolist(), T[short].tolist()):
+        warnings.warn(f"{name}: too short for m={m} (T={t}); skipped", stacklevel=3)
     dy = np.diff(y)
     dx = np.diff(dataset.log_experience)
     n_win = np.maximum(T - 1 - m, 0)
@@ -245,7 +252,7 @@ def _windows(dataset: SeriesTable, cfg: HindcastConfig) -> _Windows:
     n_tau = T[sid] - 1 - o
     if cfg.tau_max is not None:
         n_tau = np.minimum(n_tau, cfg.tau_max)
-    h = np.arange(1, n_tau.max() + 1)
+    h = np.arange(1, n_tau.max(initial=0) + 1)
     keep = h <= n_tau[:, None]
     ahead = at[:, None] + h
     fsum = np.cumsum(dx.take(ahead - 1, mode="clip"), axis=1)[keep]
@@ -254,7 +261,15 @@ def _windows(dataset: SeriesTable, cfg: HindcastConfig) -> _Windows:
     taus = col + 1
     e_m = actual - mu[win] * taus
     e_w = actual - omega[win] * fsum
-    return _Windows(sid, at, xw, sig_eta2, np.sqrt(k2), win, taus, fsum, e_m, e_w)
+    k_hat = np.sqrt(k2)
+    zero_scale = np.count_nonzero(~(k_hat > 0.0))
+    if zero_scale:
+        warnings.warn(
+            f"{zero_scale} window(s) had zero residual scale; their normalized "
+            "errors are recorded as nan",
+            stacklevel=3,
+        )
+    return _Windows(sid, at, xw, sig_eta2, k_hat, win, taus, fsum, e_m, e_w)
 
 
 def _error_table(dataset: SeriesTable, cfg: HindcastConfig, w: _Windows) -> HindcastTable:
@@ -302,38 +317,15 @@ def _pooled(moore, su, rho, *, raw_error, K_hat, A, tau, m) -> np.ndarray:
     return _normalized(raw_error, scale)
 
 
-def _gather(dataset: SeriesTable, cfg: HindcastConfig) -> _Windows | None:
-    """The gather of :func:`run_hindcast` and :func:`mse_curve`, with their
-    warnings.
-
-    Warns once for each series too short for one window plus one forecast
-    (it is skipped) and once for the windows with zero residual scale (their
-    normalized errors are ``nan``); each warning points at the caller of the
-    public function. Returns ``None`` when every series is too short.
-    """
-    short = dataset.T < cfg.m + 2
-    for name, T in zip(dataset.names[short].tolist(), dataset.T[short].tolist()):
-        warnings.warn(f"{name}: too short for m={cfg.m} (T={T}); skipped", stacklevel=3)
-    if short.all():
-        return None
-    windows = _windows(dataset, cfg)
-    zero_scale = np.count_nonzero(~(windows.k_hat > 0.0))
-    if zero_scale:
-        warnings.warn(
-            f"{zero_scale} window(s) had zero residual scale; their normalized "
-            "errors are recorded as nan",
-            stacklevel=3,
-        )
-    return windows
-
-
 def run_hindcast(dataset: SeriesTable, config: HindcastConfig | None = None) -> HindcastTable:
     """Run the rolling-origin procedure over a :class:`SeriesTable` with
     experience built, and return every error with the columns of
     ``errors.csv``.
 
-    Series too short for one window plus one forecast are skipped with a
-    warning, not an error. All windows of the dataset are computed in one
+    Series too short for one window plus one forecast are skipped, not an
+    error (a dataset of only such series gives an empty table), and the
+    gather, :func:`_windows`, warns for each and for the windows with zero
+    residual scale. All windows of the dataset are computed in one
     vectorized pass in the calling thread; the CLI's ``--threads`` flag is
     accepted and has no effect, because a thread pool made the pass slower.
     Row order is (technology, origin, horizon, model), with technologies in
@@ -341,10 +333,7 @@ def run_hindcast(dataset: SeriesTable, config: HindcastConfig | None = None) -> 
     normalized error calls :func:`mse_curve`, which builds no table.
     """
     cfg = config or HindcastConfig()
-    windows = _gather(dataset, cfg)
-    if windows is None:
-        return HindcastTable(**{name: () for name in _FIELDS})
-    return _error_table(dataset, cfg, windows)
+    return _error_table(dataset, cfg, _windows(dataset, cfg))
 
 
 def _horizon_mse(taus: np.ndarray, vals: np.ndarray, tau_max: int = 0):
@@ -363,21 +352,19 @@ def _horizon_mse(taus: np.ndarray, vals: np.ndarray, tau_max: int = 0):
 def mse_curve(dataset: SeriesTable, config: HindcastConfig | None = None) -> np.ndarray:
     """Mean squared normalized error per model and horizon of a hindcast of
     ``dataset``: row 0 for moore, row 1 for wright, column ``tau - 1`` for
-    horizons 1 .. ``tau_max`` (the longest reach when uncapped), ``nan``
-    where no finite error reaches a horizon.
+    horizons 1 .. ``tau_max`` (the longest reach when uncapped, so none
+    without a window), ``nan`` where no finite error reaches a horizon.
 
     Row ``k`` holds, bit for bit, the means of
     ``mse_by_horizon(table[_model_slice(table.model, model)])`` for
     ``table = run_hindcast(dataset, config)``, and it warns as
-    :func:`run_hindcast` does. It reads only the window
-    gather and builds no error table, so an ensemble statistic pays for
-    nothing it does not read.
+    :func:`run_hindcast` does, because the warnings come from the gather,
+    :func:`_windows`. It reads only that gather and builds no error table,
+    so an ensemble statistic pays for nothing it does not read.
     """
     cfg = config or HindcastConfig()
-    w = _gather(dataset, cfg)
-    if w is None:
-        return np.full((2, cfg.tau_max or 0), np.nan)
-    tau_max = cfg.tau_max or int(w.tau.max())
+    w = _windows(dataset, cfg)
+    tau_max = cfg.tau_max or int(w.tau.max(initial=0))
     k_row = w.k_hat[w.win]
     return np.stack([
         _horizon_mse(w.tau, _normalized(e, k_row), tau_max)[0][1:] for e in (w.e_moore, w.e_wright)

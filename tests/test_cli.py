@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -31,6 +32,23 @@ from expcurve.params_io import reference_params_path
 
 def run_cli(*args):
     return main([str(a) for a in args])
+
+
+# the bundled Photovoltaics row
+PV_ROW = {
+    "technology": "Photovoltaics", "T": "41", "mu": "-0.121", "K": "0.153", "g": "0.315",
+    "sigma_q": "0.202", "r": "0.318", "sigma_x": "0.133", "omega": "-0.380", "sigma_eta": "0.145",
+    "rho": "-0.019",
+}
+
+
+def pv_forecast_args(tmp_path, **edit):
+    """The ``forecast`` arguments of a parameter table holding ``PV_ROW``
+    with ``edit`` applied."""
+    row = PV_ROW | edit
+    params = tmp_path / "params.csv"
+    params.write_text(",".join(row) + "\n" + ",".join(row.values()) + "\n")
+    return ("forecast", "--params", params, "--tech", "Photovoltaics")
 
 
 def small_dataset(tmp_path, n_tech=3, T=14, seed=5):
@@ -599,6 +617,60 @@ class TestForecastCommand:
         assert captured.err.count("\n") == 1 and "overflows a float" in captured.err
         assert [p.name for p in out.iterdir()] == ["forecast_wright.csv"]
         assert (out / "forecast_wright.csv").read_text() == "kept\n"
+
+    # Photovoltaics' bundled row with one or two fields edited: each value
+    # passes the row checks, and the forecast overflows a float
+    @pytest.mark.parametrize("edit, model", [
+        ({"K": "1e300"}, "moore"), ({"sigma_eta": "1e200"}, "wright"), ({"omega": "1e308"}, "wright"),
+    ])
+    def test_overflowing_forecast_is_one_error(self, tmp_path, capsys, edit, model):
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "comparison.csv").write_text("kept\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run_cli("--output-dir", out, *pv_forecast_args(tmp_path, **edit))
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: Photovoltaics: the {model} forecast overflows a float\n"
+        assert [p.name for p in out.iterdir()] == ["comparison.csv"]
+        assert (out / "comparison.csv").read_text() == "kept\n"
+
+    # a zero scale collapses a band: the width ratio is inf where only the
+    # moore band collapses and nan where both do; digests captured before
+    # the ratio stopped warning
+    @pytest.mark.parametrize("edit, digests", [
+        ({"K": "0"}, {
+            "forecast_wright.csv": "a99ec22f7ac1c8d924d4e64d764d5670c3ef41c027c1d566db570ccabc5eaf01",
+            "forecast_moore.csv": "824127316e8d66a343c49f8fd54a1ad830b7c0f6272f252396c4c59c21fe06d0",
+            "comparison.csv": "9f8d1f0185a489417b44233f2794e0e06984f6e110d2e234cdbb2085ccc63bd7",
+        }),
+        ({"K": "0", "sigma_eta": "0"}, {
+            "forecast_wright.csv": "1f3e2d7d68d79a4e0f73a3b150406a00bf70d36c694684a5cc74b1e32512b43a",
+            "forecast_moore.csv": "824127316e8d66a343c49f8fd54a1ad830b7c0f6272f252396c4c59c21fe06d0",
+            "comparison.csv": "074a9868bd8dc4782bb5e22e4e6d2e83dac83762cfa4766effb9d3c7f09b662d",
+        }),
+    ])
+    def test_zero_scale_rows_keep_their_bytes(self, tmp_path, capsys, edit, digests):
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli("--output-dir", out, *pv_forecast_args(tmp_path, **edit)) == 0
+        assert capsys.readouterr().err == ""
+        for name, digest in digests.items():
+            assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
+
+    @pytest.mark.parametrize("edit", [{"mu": "1000"}, {"r": "1e-300"}, {"r": "1e-17"}])
+    def test_underflowing_params_row_names_the_underflow(self, tmp_path, capsys, edit):
+        # the early costs, or exp(r) - 1 and so every production value, round to 0
+        out = tmp_path / "out"
+        assert run_cli("--output-dir", out, *pv_forecast_args(tmp_path, **edit)) == 1
+        row = PV_ROW | edit
+        r, mu = float(row["r"]), float(row["mu"])
+        err = f"error: Photovoltaics: constant growth (r={r}, mu={mu}) underflows a float within 41 periods\n"
+        assert capsys.readouterr().err == err
+        assert list(out.iterdir()) == []
 
     def test_params_row_with_missing_fields(self, tmp_path, capsys):
         params = tmp_path / "p.csv"

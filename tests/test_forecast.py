@@ -59,6 +59,16 @@ class TestConstantGrowthSeries:
             with pytest.raises(DataError, match=r"^Photovoltaics: constant growth .* overflows a float"):
                 constant_growth_series("Photovoltaics", T=41, r=r, mu=mu)
 
+    # Photovoltaics' row with a level that rounds to zero: mu = 1000 makes
+    # the early costs exp(1000 (t - 40)) zero, and r = 1e-300 or 1e-17 makes
+    # exp(r) - 1, and so every production value, zero
+    @pytest.mark.parametrize("r, mu", [(0.318, 1000.0), (1e-300, -0.121), (1e-17, -0.121)])
+    def test_underflow_is_one_data_error(self, r, mu):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataError, match=r"^Photovoltaics: constant growth .* underflows a float"):
+                constant_growth_series("Photovoltaics", T=41, r=r, mu=mu)
+
 
 class TestForecastWright:
     def test_pv_slope(self):
@@ -233,6 +243,17 @@ class TestCompare:
             / np.asarray(ma1_variance_approx(mo.K, theta, np.arange(1, 13), 40))
         )
         assert_allclose(ratios, w.sigma_eta / mo.K, rtol=1e-12)
+
+    def test_zero_variance_ratios_without_warning(self):
+        _, series, w, mo = pv_setup()
+        flat_moore = forecast_moore(series, replace(mo, K=0.0), horizons=4)
+        flat_wright = forecast_wright(series, replace(w, sigma_eta=0.0), horizons=4)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            only_b = compare_forecasts(forecast_wright(series, w, horizons=4), flat_moore)
+            both = compare_forecasts(flat_wright, flat_moore)
+        assert np.all(only_b[:, 2] == math.inf)
+        assert np.all(np.isnan(both[:, 2]))
 
     def test_mismatched_grids_rejected(self):
         _, series, w, mo = pv_setup()

@@ -30,6 +30,7 @@ from expcurve import (
     wright_ma1_variance,
     write_errors_csv,
 )
+from expcurve import hindcast
 from expcurve.hindcast import ERROR_COLUMNS, _model_slice, mse_curve, read_error_columns
 from expcurve.surrogate import _CALIBRATION_SPEC
 
@@ -90,11 +91,17 @@ class TestBookkeeping:
             expect = sum(min(tau_max, T - t) for t in range(m + 1, T))
             assert sum(1 for e in errs if e.model == "wright") == expect
 
-    def test_too_short_series_skipped_with_notice(self):
-        ds = surrogate(T=6)
-        with pytest.warns(UserWarning, match="too short"):
+    def test_too_short_series_skipped_with_notice(self, tmp_path):
+        ds = surrogate(n_tech=3, T=6)
+        with pytest.warns(UserWarning, match="too short") as record:
             errs = run_hindcast(ds, HindcastConfig(m=5))
+        assert [str(w.message) for w in record] == [
+            f"tech00{i}: too short for m=5 (T=6); skipped" for i in range(3)
+        ]
         assert len(errs) == 0
+        assert errs == HindcastTable(**{n: () for n in hindcast._FIELDS})
+        write_errors_csv(tmp_path / "errors.csv", errs)
+        assert (tmp_path / "errors.csv").read_bytes() == (",".join(ERROR_COLUMNS) + "\r\n").encode()
 
     def test_deterministic_order_and_threads(self):
         ds = surrogate(n_tech=4, T=15, seed=3)
@@ -372,6 +379,10 @@ class TestMseCurve:
         with pytest.warns(UserWarning, match="too short"):
             curve = mse_curve(surrogate(T=6), HindcastConfig(m=5, tau_max=3))
         assert curve.shape == (2, 3) and np.all(np.isnan(curve))
+        # uncapped, the longest reach is no horizon at all
+        with pytest.warns(UserWarning, match="too short"):
+            curve = mse_curve(surrogate(T=6), HindcastConfig(m=5, tau_max=None))
+        assert curve.shape == (2, 0)
 
     def test_uncapped_horizons(self):
         ds = surrogate(n_tech=2, T=15, seed=2)

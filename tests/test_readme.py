@@ -1,4 +1,5 @@
 import re
+import shlex
 import warnings
 from pathlib import Path
 
@@ -19,3 +20,14 @@ def test_quick_tour_runs(tmp_path, monkeypatch):
         warnings.simplefilter("error")
         exec(compile(block, str(README), "exec"), namespace)
     assert "sigma_x_theory" in namespace  # its last statement ran
+
+
+def test_cli_block_runs(tmp_path, monkeypatch, capsys):
+    # the README's shell examples, in order, in one working directory
+    blocks = re.findall(r"```bash\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
+    commands = [line for block in blocks for line in block.splitlines() if line.startswith("expcurve ")]
+    assert commands
+    monkeypatch.chdir(tmp_path)
+    for command in commands:
+        assert main(shlex.split(command)[1:]) == 0, command
+    assert capsys.readouterr().err == ""
