@@ -1,7 +1,9 @@
 """The package's one CSV writer and its one CSV reader, both column-wise:
 the reader works ``_CHUNK`` rows at a time and the writer about ``_CHUNK``
 fields, so that neither holds more than a block of Python objects or text.
-Series, parameter and error tables are all written and read here.
+Series, parameter and error tables are all written and read here. The
+writer lays out each column as a byte matrix of rows by bytes, one field
+per row, padded with 0xFF, and joins the columns' matrices into lines.
 
 The writer formats floats as ``_fmt`` does, 17 significant digits, in NumPy
 with no Python call per value. For a finite ``|x|`` in ``[1e-4, 1e16)``,
@@ -12,7 +14,9 @@ an exact double) and rounds it to 17 digits. A table of 4-digit groups
 spells the digits out, and masks chosen by exponent and sign put in the
 point and the sign. Zeros, non-finite values, magnitudes that ``.17g``
 writes with an exponent and values whose rounding is an exact tie go
-through ``_fmt``, which stays the one definition of the format."""
+through ``_fmt``, which stays the one definition of the format; their
+texts hold no NUL byte, so each NUL that pads one to the row's width
+becomes 0xFF."""
 
 from __future__ import annotations
 
@@ -64,8 +68,7 @@ def _layout_tables():
     last nonzero digit or, if that is in the integer part, before the point.
     By group, as three words each: the bytes that stay and the bytes that
     move (all ones), and the point and sign. By group and then index of the
-    last nonzero digit (0 to 16): the bytes outside the text (0xFF). By
-    length (0 to 24): the bytes past the end of a text at byte 0 (0xFF).
+    last nonzero digit (0 to 16): the bytes outside the text (0xFF).
     """
     group = np.arange(40)[:, None, None]
     k, neg = group // 2 - 4, group % 2
@@ -77,13 +80,12 @@ def _layout_tables():
     stay, move = (at < point) & ~sign, at > point
     marks = np.where(at == point, ord("."), np.where(sign, ord("-"), 0))
     drop = (at < start - neg) | (at >= end)
-    past = at >= np.arange(_WIDTH + 1)[:, None]
-    masks = stay * 0xFF, move * 0xFF, marks, drop * 0xFF, past * 0xFF
+    masks = stay * 0xFF, move * 0xFF, marks, drop * 0xFF
     words = [np.asarray(a, np.uint8).view(_WORD) for a in masks]
-    return *(w[:, 0] for w in words[:3]), words[3].reshape(-1, 3), words[4]
+    return *(w[:, 0] for w in words[:3]), words[3].reshape(-1, 3)
 
 
-_STAY, _MOVE, _MARKS, _DROP, _PAST = _layout_tables()
+_STAY, _MOVE, _MARKS, _DROP = _layout_tables()
 
 
 def _split(a):
@@ -152,11 +154,12 @@ def _float_text(x):
     last = [_LAST[i].take(g) for i, g in enumerate(groups)]
     last = np.maximum(np.maximum(last[0], last[1]), np.maximum(last[2], last[3]))
     text |= _DROP.take(group * 17 + last, axis=0)
+    text = text.view(np.uint8)
     slow = np.flatnonzero(~kernel | tie)
-    fallback = [_fmt(value) for value in x[slow].tolist()]
-    text[slow] = np.array(fallback, dtype=f"S{_WIDTH}").view(_WORD).reshape(-1, 3)
-    text[slow] |= _PAST.take([len(t) for t in fallback], axis=0)
-    return text.view(np.uint8)
+    fallback = np.array([_fmt(value) for value in x[slow].tolist()], dtype=f"S{_WIDTH}")
+    fallback = fallback.view(np.uint8).reshape(-1, _WIDTH)
+    text[slow] = np.where(fallback, fallback, 0xFF)
+    return text
 
 
 def _quote(value, lone: bool) -> str:
@@ -192,18 +195,13 @@ def _distinct_text(col, lone: bool):
 
 
 def _lines(fields) -> bytes:
-    """The CSV lines whose fields are given, a run of columns at a time, as
-    byte matrices of rows by columns by bytes, in which 0xFF, a byte that
-    UTF-8 never uses, marks a byte that is no part of the text."""
-    widths = [text.shape[1] * (text.shape[2] + 1) for text in fields]
-    lines = np.empty((len(fields[0]), sum(widths) + 1), np.uint8)
-    at = 0
-    for text, width in zip(fields, widths):
-        rows, columns, size = text.shape
-        into = lines[:, at:at + width].reshape(rows, columns, size + 1)
-        into[:, :, :size] = text
-        into[:, :, size] = ord(",")
-        at += width
+    """The CSV lines whose fields are given as one byte matrix of rows by
+    bytes per column, in which 0xFF, a byte that UTF-8 never uses, marks a
+    byte that is no part of the text."""
+    ends = np.cumsum([text.shape[1] + 1 for text in fields]) - 1
+    lines = np.full((len(fields[0]), ends[-1] + 2), ord(","), np.uint8)
+    for text, end in zip(fields, ends):
+        lines[:, end - text.shape[1]:end] = text
     lines[:, -2:] = np.frombuffer(b"\r\n", np.uint8)
     return lines.tobytes().translate(None, b"\xff")
 
@@ -215,37 +213,24 @@ def write_csv(path, header, *blocks) -> None:
     bytes are those ``csv.writer`` writes: minimal quoting and ``\\r\\n``
     line ends. Float columns get 17 significant digits (``_fmt``), so a round
     trip is exact. Each distinct text and integer value is formatted once
-    per block. The rows are formatted about ``_CHUNK`` fields at a time, all
-    their floats in one call of the kernel, and written as one byte matrix.
+    per block. The rows are formatted about ``_CHUNK`` fields at a time, one
+    byte matrix per column: the chunk's float columns are stacked and go
+    through the kernel in one call, float column ``j`` being its block ``j``.
     """
     lone = len(header) == 1
     with open(path, "wb") as fh:
         fh.write((",".join(_quote(name, lone) for name in header) + "\r\n").encode("utf-8"))
         for block in blocks:
             block = [np.asarray(col) for col in block]
-            floats = [col for col in block if col.dtype.kind == "f"]
-            # a run of float columns is one slice of the kernel's output
-            layout, at = [], 0
-            for col in block:
-                if col.dtype.kind != "f":
-                    layout.append(_distinct_text(col, lone))
-                    continue
-                if layout and isinstance(layout[-1], slice):
-                    layout[-1] = slice(layout[-1].start, at + 1)
-                else:
-                    layout.append(slice(at, at + 1))
-                at += 1
+            texts = {j: _distinct_text(col, lone) for j, col in enumerate(block) if col.dtype.kind != "f"}
+            floats = [j for j in range(len(block)) if j not in texts]
             rows = max(_CHUNK // len(block), 1)
             for lo in range(0, len(block[0]), rows):
+                fields = {j: table.take(index[lo:lo + rows], axis=0) for j, (table, index) in texts.items()}
                 if floats:
-                    chunk = np.stack([col[lo:lo + rows] for col in floats], axis=1, dtype=np.float64)
-                    text = _float_text(chunk.ravel()).reshape(*chunk.shape, _WIDTH)
-                fields = [
-                    text[:, part] if isinstance(part, slice)
-                    else part[0].take(part[1][lo:lo + rows], axis=0)[:, None]
-                    for part in layout
-                ]
-                fh.write(_lines(fields))
+                    chunk = np.stack([block[j][lo:lo + rows] for j in floats], dtype=np.float64)
+                    fields.update(zip(floats, _float_text(chunk.ravel()).reshape(*chunk.shape, _WIDTH)))
+                fh.write(_lines([fields[j] for j in range(len(block))]))
 
 
 class RowError(ValueError):

@@ -318,7 +318,8 @@ def cmd_forecast(args) -> tuple[dict, dict, dict]:
         wparams = WrightParams(omega=omega, sigma_eta=sigma_eta, m=T - 1)
         mparams = MooreParams(mu=mu, K=K, m=T - 1)
     outputs = {}
-    # finite parameters can still overflow a float; such a run is refused
+    # finite parameters can still overflow a float, and a positive scale can
+    # square to a variance below the normal floats; such a run is refused
     with np.errstate(over="ignore", invalid="ignore"):
         fw = forecast_wright(
             series,
@@ -328,10 +329,14 @@ def cmd_forecast(args) -> tuple[dict, dict, dict]:
             rho_star=args.rho_star,
         )
         fm = forecast_moore(series, mparams, horizons=args.horizon, theta_star=args.theta_star)
-        for name, fc in (("forecast_wright.csv", fw), ("forecast_moore.csv", fm)):
+        for name, fc, scale in (
+            ("forecast_wright.csv", fw, wparams.sigma_eta), ("forecast_moore.csv", fm, mparams.K),
+        ):
             columns = _forecast_columns(fc)
             if not all(np.isfinite(c).all() for c in columns.values()):
                 raise DataError(f"{args.tech}: the {fc.model} forecast overflows a float")
+            if scale > 0 and not np.all(fc.var_exact >= np.finfo(float).tiny):
+                raise DataError(f"{args.tech}: the {fc.model} forecast variance underflows a float")
             outputs[name] = _csv(list(columns), columns.values())
     comp = compare_forecasts(fw, fm)
     outputs["comparison.csv"] = _csv(

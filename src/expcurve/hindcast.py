@@ -35,19 +35,6 @@ from .estimators import RHO_STAR, _window_fits
 from .series import SeriesTable
 from .variance import a_factor, ma1_variance_constant_x
 
-ERROR_COLUMNS = (
-    "technology",
-    "origin_year",
-    "tau",
-    "model",
-    "raw_error",
-    "K_hat",
-    "sigma_eta_hat",
-    "A",
-    "normalized_error",
-    "pooled_error",
-)
-
 MODELS = ("moore", "wright")  # in the order a hindcast writes each error's rows
 
 
@@ -104,6 +91,7 @@ class HindcastError:
 
 
 _FIELDS = tuple(f.name for f in fields(HindcastError))
+ERROR_COLUMNS = tuple(name for name in _FIELDS if name != "m")
 _DTYPES = {"technology": str, "model": str, "origin_year": np.int64, "tau": np.int64, "m": np.int64}
 
 

@@ -321,6 +321,16 @@ class TestDiagnoseReads:
         assert err.startswith("error: error CSV: ") and "'oops'" in err and "at data row 7," in err
         assert list(out.iterdir()) == []
 
+    def test_rows_out_of_model_order_rejected(self, tmp_path, capsys, errors):
+        # swapping the first two data rows breaks the moore/wright alternation
+        header, first, second, *rest = errors.read_bytes().splitlines(keepends=True)
+        swapped = tmp_path / "swapped.csv"
+        swapped.write_bytes(b"".join([header, second, first, *rest]))
+        out = tmp_path / "out"
+        assert run_cli("--output-dir", out, "diagnose", "--errors", swapped) == 1
+        assert capsys.readouterr().err == "error: moore rows are not every second row, as a hindcast writes them\n"
+        assert list(out.iterdir()) == []
+
     @pytest.mark.parametrize("reference", ["student", "normal"])
     def test_window_size_one_rejected(self, tmp_path, capsys, errors, reference):
         # A = tau + tau**2 on every row gives m = 1, which no hindcast makes
@@ -660,6 +670,26 @@ class TestForecastCommand:
         assert capsys.readouterr().err == ""
         for name, digest in digests.items():
             assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
+
+    # a positive scale whose exact variance is 0 (1e-170 squares to 0) or
+    # subnormal (1e-160) would collapse the band as a zero scale does
+    @pytest.mark.parametrize("edit, model", [
+        ({"K": "1e-170"}, "moore"), ({"K": "1e-160"}, "moore"),
+        ({"sigma_eta": "1e-170"}, "wright"), ({"sigma_eta": "1e-160"}, "wright"),
+    ])
+    def test_underflowing_variance_is_one_error(self, tmp_path, capsys, edit, model):
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "comparison.csv").write_text("kept\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run_cli("--output-dir", out, *pv_forecast_args(tmp_path, **edit), "--horizon", 2)
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: Photovoltaics: the {model} forecast variance underflows a float\n"
+        assert [p.name for p in out.iterdir()] == ["comparison.csv"]
+        assert (out / "comparison.csv").read_text() == "kept\n"
 
     @pytest.mark.parametrize("edit", [{"mu": "1000"}, {"r": "1e-300"}, {"r": "1e-17"}])
     def test_underflowing_params_row_names_the_underflow(self, tmp_path, capsys, edit):
