@@ -165,7 +165,7 @@ def cmd_diagnose(args) -> tuple[dict, dict, dict]:
         check = ecdf_vs_reference(finite, args.reference, df=df)
         models = np.full(len(finite), model)
         ecdf_blocks.append([models, check.sample, check.ecdf, check.ref_cdf])
-        pit_blocks.append([models, check.pit_values])
+        pit_blocks.append([models, check.ref_cdf])
         summary.append(
             f"{model}: n={len(finite)} dropped_nan={dropped} "
             f"ks={check.ks_stat:.6f} ks_critical_1pct={ks_critical_value(len(finite)):.6f}"

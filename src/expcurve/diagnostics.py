@@ -37,17 +37,12 @@ def _reference_cdf(reference: str, df=None):
 
 @dataclass(frozen=True)
 class DistCheck:
-    """Sorted sample with reference CDF values and the KS distance."""
+    """Sorted sample, the reference CDF at each value (the PIT in sorted
+    order; :func:`pit` keeps sample order) and the KS distance."""
 
     sample: np.ndarray
-    reference: str
-    df: float | None
     ref_cdf: np.ndarray
     ks_stat: float
-
-    @property
-    def pit_values(self) -> np.ndarray:
-        return self.ref_cdf
 
     @property
     def ecdf(self) -> np.ndarray:
@@ -81,13 +76,7 @@ def ecdf_vs_reference(sample, reference: str = "normal", df=None) -> DistCheck:
     if not np.all(np.isfinite(s)):
         raise ValueError("sample contains non-finite values")
     cdf = _reference_cdf(reference, df)(s)
-    return DistCheck(
-        sample=s,
-        reference=reference,
-        df=df,
-        ref_cdf=cdf,
-        ks_stat=_ks_statistic(s, cdf),
-    )
+    return DistCheck(sample=s, ref_cdf=cdf, ks_stat=_ks_statistic(s, cdf))
 
 
 def pit(sample, reference: str = "normal", df=None) -> np.ndarray:

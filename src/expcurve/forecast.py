@@ -38,7 +38,6 @@ class DistForecast:
     mean_log_cost: np.ndarray
     var_exact: np.ndarray
     var_simple: np.ndarray
-    assumed_future_r: float | None = None
 
     @property
     def years(self) -> np.ndarray:
@@ -58,16 +57,22 @@ class DistForecast:
         return np.exp(self.mean_log_cost)
 
 
-def _future_diffs(future_x_growth, horizons: int, fallback: float):
-    rate = fallback if future_x_growth is None else future_x_growth
-    r = float(rate) if np.ndim(rate) == 0 else None  # a constant rate is reported
-    fut = np.full(horizons, r) if r is not None else np.asarray(rate, dtype=float)
+def _future_diffs(future_x_growth, horizons: int, fallback: float) -> np.ndarray:
+    rate = np.asarray(fallback if future_x_growth is None else future_x_growth, dtype=float)
+    fut = np.full(horizons, rate) if rate.ndim == 0 else rate
     if len(fut) < horizons:
         raise ValueError(f"future growth series shorter than horizon ({len(fut)} < {horizons})")
     fut = fut[:horizons]
     if not np.all((0.0 < fut) & (fut < math.inf)):  # NaN fails too
         raise ValueError("future experience growth must be positive and finite")
-    return fut, r
+    return fut
+
+
+def _fit_window(series: TechSeries, m: int) -> int:
+    """The fit's window ``m``, which must lie within the series' changes."""
+    if not 1 <= m <= series.T - 1:
+        raise ValueError(f"{series.name}: window m={m} is not in [1, {series.T - 1}]")
+    return m
 
 
 def forecast_wright(
@@ -80,12 +85,14 @@ def forecast_wright(
     """Experience-conditional distributional forecast.
 
     Future experience grows at ``future_x_growth`` per year (scalar or
-    per-year series; defaults to the series' mean past growth, i.e. the past
-    trend continued without variance). The exact variance uses the realized
-    past experience changes; the simplified variance is the large-horizon
-    approximation, which assumes they were constant and also drops the
-    ``-2 rho (1 + A/m)`` share of the variance, so it overstates the exact
-    variance by a wide margin at horizons of a few years.
+    per-year series; defaults to the mean of all the series' past changes,
+    i.e. the past trend continued without variance). The variances take the
+    fit's window ``params.m``, which must lie in ``[1, series.T - 1]``: the
+    exact one uses the last ``params.m`` realized experience changes; the
+    simplified one is the large-horizon approximation, which assumes they
+    were constant and also drops the ``-2 rho (1 + A/m)`` share of the
+    variance, so it overstates the exact variance by a wide margin at
+    horizons of a few years.
     """
     if horizons < 1:
         raise ValueError("need at least one horizon")
@@ -93,16 +100,16 @@ def forecast_wright(
     finite = math.isfinite(params.omega) and math.isfinite(rho_star)
     if not (0.0 <= params.sigma_eta < math.inf and finite):
         raise ValueError("degenerate parameters")
+    m = _fit_window(series, params.m)
     past_x = np.diff(series.log_experience)
-    m = len(past_x)
-    fut, r_assumed = _future_diffs(future_x_growth, horizons, float(past_x.mean()))
+    fut = _future_diffs(future_x_growth, horizons, float(past_x.mean()))
     taus = np.arange(1, horizons + 1)
     y_last = float(series.log_cost[-1])
     mean = y_last + params.omega * np.cumsum(fut)
     sigma_u = params.sigma_eta / math.sqrt(1.0 + rho_star * rho_star)
     # summed per horizon, not by cumsum, so each value equals wright_ma1_variance's
     fsum = np.array([fut[:t].sum() for t in taus])
-    var_exact = sigma_u * sigma_u * _ma1_unit_variance(rho_star, past_x, fsum, taus)
+    var_exact = sigma_u * sigma_u * _ma1_unit_variance(rho_star, past_x[-m:], fsum, taus)
     var_simple = ma1_variance_approx(params.sigma_eta, rho_star, taus, m)
     return DistForecast(
         model="wright",
@@ -111,7 +118,6 @@ def forecast_wright(
         mean_log_cost=mean,
         var_exact=var_exact,
         var_simple=np.asarray(var_simple),
-        assumed_future_r=r_assumed,
     )
 
 
@@ -121,13 +127,15 @@ def forecast_moore(
     horizons: int,
     theta_star: float = THETA_STAR,
 ) -> DistForecast:
-    """Time-trend distributional forecast (unconditional on experience)."""
+    """Time-trend distributional forecast (unconditional on experience).
+    The variances take the fit's window ``params.m``, which must lie in
+    ``[1, series.T - 1]``."""
     if horizons < 1:
         raise ValueError("need at least one horizon")
     finite = math.isfinite(params.mu) and math.isfinite(theta_star)
     if not (0.0 <= params.K < math.inf and finite):
         raise ValueError("degenerate parameters")
-    m = series.T - 1
+    m = _fit_window(series, params.m)
     taus = np.arange(1, horizons + 1)
     y_last = float(series.log_cost[-1])
     mean = y_last + params.mu * taus

@@ -178,8 +178,9 @@ def _check(table: SeriesTable) -> None:
     good_cost = np.isfinite(table.cost) & (table.cost > 0)
     good_production = np.isfinite(table.production) & (table.production > 0)
     for i in np.flatnonzero(unnamed | ~good_cost | ~good_production)[:1]:
-        what = "non-positive cost" if not good_cost[i] else "non-positive production"
-        raise _Fault(names[series[i]], i, "empty technology name" if unnamed[i] else what)
+        column = "cost" if not good_cost[i] else "production"
+        kind = "non-positive" if np.isfinite(getattr(table, column)[i]) else "non-finite"
+        raise _Fault(names[series[i]], i, "empty technology name" if unnamed[i] else f"{kind} {column}")
     for j in np.flatnonzero(T < 3)[:1]:
         raise _Fault(names[j], None, "fewer than 3 rows")
     first = np.zeros(len(names), dtype=bool)

@@ -169,12 +169,11 @@ class SurrogateSpec:
 @dataclass(frozen=True)
 class EnsembleResult:
     """Pointwise mean and 2.5/97.5 nearest-rank percentile bands of a
-    statistic over an ensemble of synthetic datasets."""
+    statistic over the ``spec.n_ensembles`` synthetic datasets of a spec."""
 
     mean: np.ndarray
     lower: np.ndarray
     upper: np.ndarray
-    n_replicates: int
 
 
 def _log_production(draws: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -301,25 +300,27 @@ def make_dataset(
     names = [f"tech{j:03d}" for j in range(n)]
     rows_T = np.tile(T, size)
     corrected = spec.corrected_experience
-    if spec.shared_production:
-        # one path a replicate, drawn with the first technology's g and sigma_q
-        keys = [(r, 0, _ROLE_SHARED_PRODUCTION) for r in block]
-        shared = (np.full(size, v) for v in (T.max(), g[0], sigma_q[0]))
-        paths = _production(spec.seed, keys, *shared, corrected)
-        production = np.repeat(paths, n, axis=0)
-    else:
-        keys = [(r, j, _ROLE_PRODUCTION) for r in block for j in range(n)]
-        production = _production(spec.seed, keys, rows_T, g, sigma_q, corrected)
-    if corrected:
-        experience = _corrected_experience(names * size, production, rows_T)
-    else:
-        experience = np.cumsum(production, axis=1)
-    cost_keys = [(r, j, _ROLE_COST) for r in block for j in range(n)]
-    u = _normals(spec.seed, cost_keys, rows_T, sigma_eta / np.sqrt(1.0 + rho * rho))
-    log_cost = _log_cost(np.diff(np.log(experience), axis=1), u, omega, rho)
-    keep = np.arange(production.shape[1]) < rows_T[:, None]
-    years = np.broadcast_to(np.arange(1, production.shape[1] + 1), keep.shape)
-    columns = (years[keep], np.exp(log_cost[keep]), production[keep], experience[keep])
+    # a level that overflows or underflows a float fails the SeriesTable contract
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        if spec.shared_production:
+            # one path a replicate, drawn with the first technology's g and sigma_q
+            keys = [(r, 0, _ROLE_SHARED_PRODUCTION) for r in block]
+            shared = (np.full(size, v) for v in (T.max(), g[0], sigma_q[0]))
+            paths = _production(spec.seed, keys, *shared, corrected)
+            production = np.repeat(paths, n, axis=0)
+        else:
+            keys = [(r, j, _ROLE_PRODUCTION) for r in block for j in range(n)]
+            production = _production(spec.seed, keys, rows_T, g, sigma_q, corrected)
+        if corrected:
+            experience = _corrected_experience(names * size, production, rows_T)
+        else:
+            experience = np.cumsum(production, axis=1)
+        cost_keys = [(r, j, _ROLE_COST) for r in block for j in range(n)]
+        u = _normals(spec.seed, cost_keys, rows_T, sigma_eta / np.sqrt(1.0 + rho * rho))
+        log_cost = _log_cost(np.diff(np.log(experience), axis=1), u, omega, rho)
+        keep = np.arange(production.shape[1]) < rows_T[:, None]
+        years = np.broadcast_to(np.arange(1, production.shape[1] + 1), keep.shape)
+        columns = (years[keep], np.exp(log_cost[keep]), production[keep], experience[keep])
     tables = [SeriesTable(names, T, *cut) for cut in zip(*(np.split(c, size) for c in columns))]
     return tables[0] if single else tables
 
@@ -330,10 +331,11 @@ def run_ensemble(spec: SurrogateSpec, pipeline) -> EnsembleResult:
     Returns the pointwise mean and the 2.5%/97.5% nearest-rank band, each in
     the statistic's shape (a scalar gives a vector of one); the band only
     means much with on the order of 100+ replicates. A pipeline failure
-    aborts with the replicate index so the exact dataset can be regenerated
-    via ``make_dataset(spec, replicate)``. Replicates run in order in the
-    calling thread; the CLI's ``--threads`` flag is accepted and has no
-    effect, because a thread pool made the ensemble no faster.
+    aborts with the replicate index and the cause's message, so the exact
+    dataset can be regenerated via ``make_dataset(spec, replicate)``.
+    Replicates run in order in the calling thread; the CLI's ``--threads``
+    flag is accepted and has no effect, because a thread pool made the
+    ensemble no faster.
 
     The datasets are built in blocks of ``_BLOCK_CELLS // (n_tech * max T)``
     replicates (at least one) by one ``make_dataset`` call each, and the
@@ -355,7 +357,7 @@ def run_ensemble(spec: SurrogateSpec, pipeline) -> EnsembleResult:
         except Exception as exc:
             raise RuntimeError(
                 f"pipeline failed on replicate {r} (seed={spec.seed}); "
-                f"reproduce with make_dataset(spec, {r})"
+                f"reproduce with make_dataset(spec, {r}): {exc}"
             ) from exc
 
     size = max(1, _BLOCK_CELLS // (spec.n_tech * int(np.max(spec.T))))
@@ -376,7 +378,6 @@ def run_ensemble(spec: SurrogateSpec, pipeline) -> EnsembleResult:
         mean=matrix.mean(axis=0),
         lower=srt[lo_idx],
         upper=srt[hi_idx],
-        n_replicates=n,
     )
 
 

@@ -510,6 +510,40 @@ class TestSimulateCommand:
         assert "pipeline failed on replicate 2" in capsys.readouterr().err
         assert list(out.iterdir()) == []
 
+    def test_failed_replicate_names_its_cause(self, tmp_path, capsys):
+        # production this volatile leaves experience that is not increasing
+        code = run_cli(
+            "--output-dir", tmp_path / "out", "simulate", "--n-tech", 3, "--periods", 10,
+            "--ensembles", 2, "--tau-max", 3, "--sigma-q", 50,
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: pipeline failed on replicate 0 ")
+        assert err.endswith(": tech000: experience must be finite, positive and strictly increasing\n")
+
+    # generator parameters whose cost or production levels overflow a float
+    @pytest.mark.parametrize("ensembles", [0, 2])
+    @pytest.mark.parametrize("edit, fault", [
+        (("--omega", "1e308"), "tech000: non-finite cost"), (("--g", "800"), "tech000: non-positive cost"),
+    ], ids=["omega", "g"])
+    def test_overflowing_generator_is_one_error(self, tmp_path, capsys, ensembles, edit, fault):
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "dataset.csv").write_text("kept\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run_cli(
+                "--output-dir", out, "simulate", "--n-tech", 3, "--periods", 10,
+                "--ensembles", ensembles, "--tau-max", 3, *edit,
+            )
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and captured.err.startswith("error: ")
+        assert captured.err.endswith(f"{fault}\n")
+        assert [p.name for p in out.iterdir()] == ["dataset.csv"]
+        assert (out / "dataset.csv").read_text() == "kept\n"
+
     def test_mimic_and_calibration_are_exclusive(self, tmp_path, capsys):
         out = tmp_path / "out"
         with pytest.raises(SystemExit) as exc:

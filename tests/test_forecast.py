@@ -10,6 +10,7 @@ from expcurve import (
     DataError,
     DiffSeries,
     MooreParams,
+    SurrogateSpec,
     WrightParams,
     compare_forecasts,
     constant_growth_series,
@@ -20,6 +21,8 @@ from expcurve import (
     load_reference_params,
     ma1_variance_approx,
     ma1_variance_constant_x,
+    make_dataset,
+    wright_ma1_variance,
 )
 
 
@@ -70,6 +73,13 @@ class TestConstantGrowthSeries:
                 constant_growth_series("Photovoltaics", T=41, r=r, mu=mu)
 
 
+def surrogate_series():
+    """A synthetic series of 30 years whose experience growth varies."""
+    series = make_dataset(SurrogateSpec(n_tech=1, T=30, seed=3, n_ensembles=1), 0)[0]
+    assert np.ptp(np.diff(series.log_experience)) > 0.01
+    return series
+
+
 class TestForecastWright:
     def test_pv_slope(self):
         row, series, w, _ = pv_setup()
@@ -79,9 +89,16 @@ class TestForecastWright:
         assert slopes[0] == pytest.approx(-0.12084, abs=1e-10)
 
     def test_default_future_growth_is_past_mean(self):
-        _, series, w, _ = pv_setup()
+        # a surrogate series' experience grows at a different rate each year,
+        # so no single change, nor the mean of the fit's window, gives these
+        # steps; the mean of all the past changes does
+        series = surrogate_series()
+        past_x = np.diff(series.log_experience)
+        w = WrightParams(omega=-0.3, sigma_eta=0.1, m=10)
         fc = forecast_wright(series, w, horizons=5)
-        assert fc.assumed_future_r == pytest.approx(0.318, rel=1e-12)
+        steps = np.diff(np.concatenate([[series.log_cost[-1]], fc.mean_log_cost]))
+        assert_allclose(steps, w.omega * past_x.mean(), rtol=1e-12)
+        assert abs(past_x[-10:].mean() / past_x.mean() - 1) > 1e-3
 
     def test_noise_free_bands_collapse(self):
         _, series, _, _ = pv_setup()
@@ -207,6 +224,54 @@ class TestForecastMoore:
             assert fc.var_exact[i] == pytest.approx(
                 ma1_variance_constant_x(sv, theta, int(tau), m), rel=1e-12
             )
+
+
+class TestFitWindow:
+    """A forecast takes its window from the fit's ``m``, not from the
+    length of the series it is anchored on."""
+
+    def test_moore_variances_at_the_fit_window(self):
+        _, series, _, mo = pv_setup()
+        theta = 0.19
+        fc = forecast_moore(series, replace(mo, m=10), horizons=12, theta_star=theta)
+        sv = mo.K / math.sqrt(1 + theta**2)
+        assert_allclose(fc.var_exact, ma1_variance_constant_x(sv, theta, fc.horizons, 10), rtol=1e-12)
+        assert_allclose(fc.var_simple, ma1_variance_approx(mo.K, theta, fc.horizons, 10), rtol=1e-12)
+
+    def test_wright_variances_at_the_fit_window(self):
+        _, series, w, _ = pv_setup()
+        rho = 0.19
+        fc = forecast_wright(series, replace(w, m=10), horizons=12, rho_star=rho)
+        su = w.sigma_eta / math.sqrt(1 + rho**2)
+        past_x = np.diff(series.log_experience)
+        future = np.full(12, past_x.mean())
+        exact = [wright_ma1_variance(su, rho, past_x[-10:], future[:tau]) for tau in fc.horizons]
+        assert_allclose(fc.var_exact, exact, rtol=1e-12)
+        assert_allclose(fc.var_simple, ma1_variance_approx(w.sigma_eta, rho, fc.horizons, 10), rtol=1e-12)
+        # A(10) at m = 10 is 20, where the whole series' m = 40 gives 12.5
+        factor = w.sigma_eta**2 * (1 + rho) ** 2 / (1 + rho**2)
+        assert fc.var_simple[9] == pytest.approx(factor * 20, rel=1e-12)
+
+    def test_wright_exact_variance_reads_the_last_m_changes(self):
+        series = surrogate_series()
+        rho = 0.19
+        fut = np.array([0.3, 0.25, 0.2, 0.15])
+        fc = forecast_wright(series, WrightParams(omega=-0.3, sigma_eta=0.1, m=10), 4, fut, rho)
+        su = 0.1 / math.sqrt(1 + rho**2)
+        past_x = np.diff(series.log_experience)
+        exact = [wright_ma1_variance(su, rho, past_x[-10:], fut[:tau]) for tau in fc.horizons]
+        assert_allclose(fc.var_exact, exact, rtol=1e-12)
+        first = wright_ma1_variance(su, rho, past_x[:10], fut)
+        assert abs(first / fc.var_exact[-1] - 1) > 1e-3
+
+    @pytest.mark.parametrize("m", [0, 41])
+    def test_window_outside_the_series_rejected(self, m):
+        _, series, w, mo = pv_setup()
+        message = rf"^pv: window m={m} is not in \[1, 40\]$"
+        with pytest.raises(ValueError, match=message):
+            forecast_wright(series, replace(w, m=m), horizons=3)
+        with pytest.raises(ValueError, match=message):
+            forecast_moore(series, replace(mo, m=m), horizons=3)
 
 
 class TestCompare:

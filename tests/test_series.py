@@ -135,6 +135,12 @@ class TestIngest:
         with pytest.raises(DataError, match="^" + message):
             ingest_csv(make_csv(tmp_path, text))
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_cost_names_its_line(self, tmp_path, value):
+        text = f"technology,year,cost,production\nB,2000,1,1\nB,2001,1,1\n\nB,2002,{value},1\n"
+        with pytest.raises(DataError, match=r"^B line 5: non-finite cost$"):
+            ingest_csv(make_csv(tmp_path, text))
+
     def test_line_counts_line_breaks_in_quoted_names(self, tmp_path):
         # each row of "B\nC" spans two lines; the year gap is on line 7
         row = '"B\nC",{},1,1\n'
@@ -193,8 +199,8 @@ class TestTechSeries:
     @pytest.mark.parametrize(
         "field, message",
         [
-            ("cost", "non-positive cost"),
-            ("production", "non-positive production"),
+            ("cost", "non-finite cost"),
+            ("production", "non-finite production"),
             ("experience", "experience must be finite"),
         ],
     )

@@ -597,7 +597,6 @@ class TestRunEnsemble:
         assert_allclose(res.mean, [4.2])
         assert_allclose(res.lower, [4.2])
         assert_allclose(res.upper, [4.2])
-        assert res.n_replicates == 50
 
     def test_band_ordering_and_coverage(self):
         # statistic: mean log-production growth; true value g = 0.1
