@@ -175,16 +175,13 @@ def _distinct_text(col, lone: bool):
     of a byte matrix, padded with 0xFF, and the index of each value of
     ``col`` among them. Text is quoted as by ``csv.writer``; other values
     are written by ``str``. Columns come in runs of one value (a series'
-    name, a model's rows), so only the head of each run is sorted; a column
-    with no runs (models alternating row by row) is sorted itself."""
+    name), so only the head of each run is sorted; in a column with no runs
+    (models alternating row by row) every value is a head."""
     heads = np.ones(len(col), dtype=bool)
     heads[1:] = col[1:] != col[:-1]
-    if heads.all():
-        values, index = np.unique(col, return_inverse=True)
-    else:
-        starts = np.flatnonzero(heads)
-        values, index = np.unique(col[starts], return_inverse=True)
-        index = np.repeat(index, np.diff(starts, append=len(col)))
+    starts = np.flatnonzero(heads)
+    values, index = np.unique(col[starts], return_inverse=True)
+    index = np.repeat(index, np.diff(starts, append=len(col)))
     text = [
         (_quote(v, lone) if col.dtype.kind in "USO" else str(v)).encode("utf-8")
         for v in values.tolist()

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .params_io import PARAM_COLUMNS, param_table
-from .series import DataError, DiffSeries, SeriesTable
+from .series import DataError, DiffSeries, SeriesTable, _growth_moments
 
 # MA(1) coefficients at or beyond this magnitude are flagged as boundary
 # estimates; pooling excludes them as likely misspecified.
@@ -98,7 +98,8 @@ def fit_wright(diffs: DiffSeries) -> WrightParams:
     """
     if diffs.m < 2:
         raise ValueError(f"need at least 2 differences, got {diffs.m}")
-    sx2, omega, sig_eta2, _, _ = _window_fits(diffs.x, diffs.y)
+    with np.errstate(divide="ignore", invalid="ignore"):  # a zero sx2 is refused below
+        sx2, omega, sig_eta2, _, _ = _window_fits(diffs.x, diffs.y)
     if sx2 <= 0.0:
         raise ValueError("degenerate regressor: all experience changes are zero")
     return WrightParams(omega=float(omega), sigma_eta=math.sqrt(sig_eta2), m=diffs.m)
@@ -315,10 +316,7 @@ def full_sample_estimates(dataset: SeriesTable) -> np.ndarray:
         rows = start[j, None] + np.arange(length - 1)
         y, x = dy[rows], dx[rows]
         _, omega, sig_eta2, mu, k2 = _window_fits(x, y)
-        growth = np.stack([dq[rows], x])
-        g, r = growth.mean(axis=-1)
-        sigma_q, sigma_x = growth.std(axis=-1, ddof=1)
-        est[:-1, j] = mu, np.sqrt(k2), g, sigma_q, r, sigma_x, omega, np.sqrt(sig_eta2)
+        est[:-1, j] = mu, np.sqrt(k2), *_growth_moments(dq[rows], x), omega, np.sqrt(sig_eta2)
         if length > 4:
             ma1 += map(DiffSeries, y, x)
             ma1_rows += j.tolist()

@@ -92,14 +92,15 @@ def forecast_wright(
     simplified one is the large-horizon approximation, which assumes they
     were constant and also drops the ``-2 rho (1 + A/m)`` share of the
     variance, so it overstates the exact variance by a wide margin at
-    horizons of a few years.
+    horizons of a few years. ``rho_star`` must lie in [-1, 1].
     """
     if horizons < 1:
         raise ValueError("need at least one horizon")
     # NaN fails every test
-    finite = math.isfinite(params.omega) and math.isfinite(rho_star)
-    if not (0.0 <= params.sigma_eta < math.inf and finite):
+    if not (0.0 <= params.sigma_eta < math.inf and math.isfinite(params.omega)):
         raise ValueError("degenerate parameters")
+    if not abs(rho_star) <= 1.0:
+        raise ValueError(f"rho_star must lie in [-1, 1], got {rho_star}")
     m = _fit_window(series, params.m)
     past_x = np.diff(series.log_experience)
     fut = _future_diffs(future_x_growth, horizons, float(past_x.mean()))
@@ -129,12 +130,13 @@ def forecast_moore(
 ) -> DistForecast:
     """Time-trend distributional forecast (unconditional on experience).
     The variances take the fit's window ``params.m``, which must lie in
-    ``[1, series.T - 1]``."""
+    ``[1, series.T - 1]``, and ``theta_star`` must lie in [-1, 1]."""
     if horizons < 1:
         raise ValueError("need at least one horizon")
-    finite = math.isfinite(params.mu) and math.isfinite(theta_star)
-    if not (0.0 <= params.K < math.inf and finite):
+    if not (0.0 <= params.K < math.inf and math.isfinite(params.mu)):
         raise ValueError("degenerate parameters")
+    if not abs(theta_star) <= 1.0:
+        raise ValueError(f"theta_star must lie in [-1, 1], got {theta_star}")
     m = _fit_window(series, params.m)
     taus = np.arange(1, horizons + 1)
     y_last = float(series.log_cost[-1])

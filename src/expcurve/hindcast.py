@@ -232,7 +232,7 @@ def _windows(dataset: SeriesTable, cfg: HindcastConfig) -> _Windows:
     # origins' positions in the concatenated levels; dx[p] and dy[p] step
     # from level p to p + 1, so a window is dx[at - m:at] and horizon h
     # adds dx[at + h - 1]
-    at = (np.cumsum(T) - T)[sid] + o
+    at = dataset._start[sid] + o
     past = at[:, None] + np.arange(-m, 0)
     xw, yw = dx[past], dy[past]
     _, omega, sig_eta2, mu, k2 = _window_fits(xw, yw)

@@ -98,10 +98,10 @@ class SeriesTable:
     columns. All arrays are read-only copies.
 
     The constructor enforces the data contract: it raises :class:`DataError`
-    for the first empty name or non-finite or non-positive cost or
-    production, else the first series of fewer than 3 years, name given
-    twice, duplicate or missing year, or experience that is not finite,
-    positive and strictly increasing.
+    for the first empty name or non-finite or non-positive production or
+    cost (a row with both named by its production), else the first series
+    of fewer than 3 years, name given twice, duplicate or missing year, or
+    experience that is not finite, positive and strictly increasing.
 
     ``len(table)``, ``table[i]`` and iteration give :class:`TechSeries` row
     views; a slice or a boolean/integer index array over series gives a
@@ -178,7 +178,7 @@ def _check(table: SeriesTable) -> None:
     good_cost = np.isfinite(table.cost) & (table.cost > 0)
     good_production = np.isfinite(table.production) & (table.production > 0)
     for i in np.flatnonzero(unnamed | ~good_cost | ~good_production)[:1]:
-        column = "cost" if not good_cost[i] else "production"
+        column = "production" if not good_production[i] else "cost"
         kind = "non-positive" if np.isfinite(getattr(table, column)[i]) else "non-finite"
         raise _Fault(names[series[i]], i, "empty technology name" if unnamed[i] else f"{kind} {column}")
     for j in np.flatnonzero(T < 3)[:1]:
@@ -352,14 +352,17 @@ def build_experience(dataset: SeriesTable) -> SeriesTable:
     )
 
 
+def _growth_moments(dq, dx) -> tuple:
+    """Means and sample standard deviations ``(g, sigma_q, r, sigma_x)`` of
+    rows of log production and experience changes, along the last axis."""
+    growth = np.stack([dq, dx])
+    g, r = growth.mean(axis=-1)
+    sigma_q, sigma_x = growth.std(axis=-1, ddof=1)
+    return g, sigma_q, r, sigma_x
+
+
 def growth_stats(series: TechSeries) -> GrowthStats:
     """Means and sample standard deviations of log production/experience growth."""
-    dlq = np.diff(np.log(series.production))
-    dlz = np.diff(series.log_experience)
-    return GrowthStats(
-        g=float(dlq.mean()),
-        sigma_q=float(dlq.std(ddof=1)),
-        r=float(dlz.mean()),
-        sigma_x=float(dlz.std(ddof=1)),
-        g_d=float(_discrete_growth(series.production[None], np.array([series.T]))[0]),
-    )
+    moments = _growth_moments(np.diff(np.log(series.production)), np.diff(series.log_experience))
+    g_d = _discrete_growth(series.production[None], np.array([series.T]))[0]
+    return GrowthStats(*map(float, moments), g_d=float(g_d))

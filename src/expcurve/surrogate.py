@@ -27,6 +27,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .diagnostics import DistCheck, ecdf_vs_reference, pit
+from .estimators import _window_fits
 from .hindcast import HindcastConfig, _windows
 from .series import GROWTH_FLOOR, DataError, SeriesTable, _corrected_experience, _discrete_growth
 from .variance import _ma1_unit_variance, wright_ma1_variance
@@ -124,7 +125,9 @@ class SurrogateSpec:
     entry each) mimic a heterogeneous dataset. ``shared_production`` makes
     all technologies ride a single production path; ``corrected_experience``
     selects between the initial-stock construction used on real data and a
-    plain running sum of production. ``seed`` is a non-negative integer.
+    plain running sum of production, which includes each year's own output
+    (the corrected sum, like :class:`~expcurve.series.TechSeries`, excludes
+    it). ``seed`` is a non-negative integer.
     """
 
     n_tech: int
@@ -438,8 +441,9 @@ def run_calibration_study(
     must be at least ``m + 2``.
 
     Each design yields its raw errors, their unit-innovation MA(1) variance
-    and the estimated innovation variance; one normalization then divides
-    them by the scale of the reference.
+    and their windows' residual variance from the library's window fit
+    (``_window_fits``); one normalization then divides them by the scale of
+    the reference.
     """
     if variance not in ("estimated", "true"):
         raise ValueError("variance must be 'estimated' or 'true'")
@@ -459,24 +463,20 @@ def run_calibration_study(
         u = _normals(seed, [(0, 0, _ROLE_COST)], np.array([n_series * T_short]), np.array([su_true]))
         u = u.reshape(n_series, T_short)
         e = u[:, 1:] + rho * u[:, :-1]
-        yd = spec.omega * x + e
-        omega_hat = (yd[:, :m] @ xw) / float(xw @ xw)
+        _, omega_hat, sig_eta2, _, _ = _window_fits(xw, spec.omega * xw + e[:, :m])
         raw = (spec.omega - omega_hat) * x_fut[0] + e[:, m]
-        resid = yd[:, :m] - omega_hat[:, None] * xw
-        su_hat2 = (resid * resid).sum(axis=1) / (m - 1) / (1.0 + rho * rho)
-        unit = true_unit = wright_ma1_variance(1.0, rho, xw, x_fut)
+        unit = wright_ma1_variance(1.0, rho, xw, x_fut)
     else:
         w = _windows(make_dataset(spec, 0), cfg)
         raw = w.e_wright
-        su_hat2 = (w.sig_eta2 * (1.0 / (1.0 + rho * rho)))[w.win]
+        sig_eta2 = w.sig_eta2[w.win]
         unit = _ma1_unit_variance(rho, w.xw[w.win], w.fsum, w.tau)
-        # `unit` in all but its last bits; ROADMAP item 4 deletes this line
-        true_unit = su_hat2 * unit / (np.sqrt(w.sig_eta2[w.win]) ** 2 / (1.0 + rho * rho))
 
     if variance == "estimated":
+        su_hat2 = sig_eta2 * (1.0 / (1.0 + rho * rho))
         norm, reference, df = raw / np.sqrt(unit * su_hat2), "student", m - 1
     else:
-        norm, reference, df = raw / np.sqrt(true_unit * su_true * su_true), "normal", None
+        norm, reference, df = raw / np.sqrt(unit * su_true * su_true), "normal", None
     check = ecdf_vs_reference(norm, reference, df=df)
     return CalibrationResult(
         normalized=norm,

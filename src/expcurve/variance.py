@@ -111,16 +111,13 @@ def wright_ma1_variance(sigma_u, rho, past_x, future_x) -> float:
     With ``rho = 0`` this is exactly :func:`wright_variance` at
     ``sigma_eta = sigma_u``.
     """
-    if not abs(rho) <= 1.0:
-        raise ValueError("rho must lie in [-1, 1]")
     past_x = np.asarray(past_x, dtype=float)
     future_x = np.asarray(future_x, dtype=float)
     if float(past_x @ past_x) <= 0.0:
         raise ValueError("degenerate past experience changes (sum of squares is zero)")
     tau = len(future_x)
-    if tau == 0:
-        return 0.0
-    return sigma_u * sigma_u * float(_ma1_unit_variance(rho, past_x, future_x.sum(), tau))
+    unit = _ma1_unit_variance(rho, past_x, future_x.sum(), tau)  # which checks rho
+    return sigma_u * sigma_u * float(unit) if tau else 0.0
 
 
 def ma1_variance_constant_x(sigma_u, rho, tau, m):

@@ -521,10 +521,13 @@ class TestSimulateCommand:
         assert err.startswith("error: pipeline failed on replicate 0 ")
         assert err.endswith(": tech000: experience must be finite, positive and strictly increasing\n")
 
-    # generator parameters whose cost or production levels overflow a float
+    # generator parameters whose cost or production levels overflow a float;
+    # at --g 800 the row of infinite production also has a cost of 0, derived
+    # from it, and the fault is named by the production
     @pytest.mark.parametrize("ensembles", [0, 2])
     @pytest.mark.parametrize("edit, fault", [
-        (("--omega", "1e308"), "tech000: non-finite cost"), (("--g", "800"), "tech000: non-positive cost"),
+        (("--omega", "1e308"), "tech000: non-finite cost"),
+        (("--g", "800"), "tech000: non-finite production"),
     ], ids=["omega", "g"])
     def test_overflowing_generator_is_one_error(self, tmp_path, capsys, ensembles, edit, fault):
         out = tmp_path / "out"
@@ -603,6 +606,19 @@ class TestForecastCommand:
         argv = ["forecast", "--tech", "Photovoltaics", "--horizon", 3, "--future-growth", growth]
         assert run_cli("--output-dir", out, *argv) == 1
         assert capsys.readouterr().err == "error: future experience growth must be positive and finite\n"
+        assert list(out.iterdir()) == []
+
+    # each coefficient is refused by name, before any variance is computed
+    @pytest.mark.parametrize("option, value, name", [
+        ("--theta-star", "-2", "theta_star"), ("--rho-star", "1.5", "rho_star"),
+    ], ids=["theta-star", "rho-star"])
+    def test_coefficient_out_of_range_writes_nothing(self, tmp_path, capsys, option, value, name):
+        out = tmp_path / "out"
+        argv = ["forecast", "--tech", "Photovoltaics", "--horizon", 3, option, value]
+        assert run_cli("--output-dir", out, *argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {name} must lie in [-1, 1], got {float(value)}\n"
         assert list(out.iterdir()) == []
 
     def test_non_finite_params_row_writes_nothing(self, tmp_path, capsys):
@@ -812,7 +828,10 @@ class TestDeterminism:
 # variance moved into shared kernels. The diagnose and simulate digests were
 # captured before every CSV writer moved onto the column-wise codec, the
 # manifests and the runs with non-default options before the manifests were
-# built from the parsed options.
+# built from the parsed options. The calibration ECDF and PIT files of the
+# iid runs and of the overlapping true-variance run were re-captured when the
+# study's iid windows moved onto the library's window fit and its second
+# true-variance form went (last bits of the normalized errors).
 GOLDEN_OUTPUTS = {
     "estimate": {
         "params.csv": "b508710e9d50b061f73e619484f74a214fd9660a1aaccd97908db3b63e14ad47",
@@ -849,8 +868,8 @@ GOLDEN_OUTPUTS = {
         "simulate_manifest.txt": "1ffcb76c2c7607457d486ff802fbcbd384c3df06d6a0036c0f6b6822a820223a",
     },
     "simulate-calibration": {
-        "calibration_ecdf.csv": "a108c9206011f173535917c678ee831095f83e8de65380373c142b84de25dc95",
-        "calibration_pit.csv": "5e1d9527627cb68436a7b2646ea382cf639210e16c4ad7526093c91bcfaed96f",
+        "calibration_ecdf.csv": "aee8e63b9ff034092220ece5f52a8128cd9d2462044d440b6b39012006537fb0",
+        "calibration_pit.csv": "08f917a2a22382c490d6fcdbb96acbcdad723509fbcf9f0ca836c3e4ac2b4e48",
         "simulate_manifest.txt": "67466624d6cf253cc6223a385650d6736fd3c8cc2ff061b1dccde3b644eaaad6",
     },
     "simulate-bands": {
@@ -875,16 +894,15 @@ GOLDEN_OUTPUTS = {
         "simulate_manifest.txt": "8809255e81a842d39477f182c39ab0c6ffd63ca61379cf379dd0f269814aebf4",
     },
     "simulate-calibration-options": {
-        "calibration_ecdf.csv": "aef762ed6790c8846c77db192ccd7cd5bbeee66541b8bbefc2380f277c05f788",
-        "calibration_pit.csv": "80b926e4b8b4848822a24e17b8a96b7d58f4064d8e03058a62586b81a64ce34e",
+        "calibration_ecdf.csv": "75cc0cac2d2ded2697d7c7080c9bee6d0fee61b78d1b06e94a779e64e286eed6",
+        "calibration_pit.csv": "b4e228d61e7f139872d558e77c3ccfe3cc9343d2f9450559c58a30bd9e7d0032",
         "summary.txt": "29ec30450fe8dbc9001199657fa09de3210f70d2706b745a8e07206dfd7dcb61",
         "simulate_manifest.txt": "a575b50115ebff60f1d89e97bb354d9c3a03e99ba4da7d91e9795631afae94b4",
     },
-    # the two calibration branches the runs above leave out, captured before
-    # the four branches shared one normalization
+    # the two calibration branches the runs above leave out
     "simulate-calibration-iid-true": {
-        "calibration_ecdf.csv": "68b2b2c78361e4fda7fa2fc23cb9612b9ddc085bb9d961ea10217193407808b7",
-        "calibration_pit.csv": "f14a8e3954d71f9d2cc0c089188877b3d9d98a1fc930850108cdba861ff5345a",
+        "calibration_ecdf.csv": "f67821662916b40c1b629e0ba08e2ad4a87ce6a9c22adce525355a49f4b05398",
+        "calibration_pit.csv": "736dc3b099a91720906537e9e371551843aaf82d193a030770a7e4ea8e2337a7",
         "summary.txt": "d37eeb0e1f93952d78dafcc24ceb5d4193be0f823893c13fc64396342ae237a9",
         "simulate_manifest.txt": "2cd86f2bb373cb1ff6ddd3aa7cd59b23ab7c1296d81d8b871a249ff868724308",
     },

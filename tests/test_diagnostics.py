@@ -127,3 +127,14 @@ class TestTanhCheck:
     def test_nonpositive_growth_rejected(self):
         with pytest.raises(ValueError, match="g must be positive"):
             tanh_check([0.1, 0.0], [0.1, 0.1])
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: ecdf_vs_reference([0.1, math.nan]), "^sample contains non-finite values$"),
+    (lambda: ecdf_vs_reference([0.1, math.inf], "student", df=3), "^sample contains non-finite"),
+    (lambda: pit([0.1]), "^need at least 2 observations$"),
+    (lambda: pit(np.empty(0), "student", df=3), "^need at least 2 observations$"),
+], ids=["ecdf-nan", "ecdf-inf", "pit-one", "pit-none"])
+def test_sample_checks(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

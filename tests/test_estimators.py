@@ -385,3 +385,13 @@ class TestPoolRho:
         ]
         kept = [p.rho for p in fits if not p.boundary]
         assert pool_rho([p.rho for p in fits]) == (float(np.mean(kept)), 1)
+
+
+@pytest.mark.parametrize("call, message", [
+    # positive changes whose squares underflow to 0
+    (lambda: fit_wright(DiffSeries(y=[0.1, 0.2], x=[1e-200, 1e-200])), "^degenerate regressor"),
+    (lambda: fit_moore(DiffSeries(y=[0.1], x=[0.1])), "^need at least 2 differences, got 1$"),
+], ids=["wright-underflow", "moore-short"])
+def test_window_checks(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

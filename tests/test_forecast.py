@@ -184,21 +184,24 @@ class TestNonFiniteInputs:
         fc = forecast_wright(series, w, horizons=2, future_x_growth=[0.1, 0.2, math.nan])
         assert np.all(np.isfinite(fc.mean_log_cost)) and np.all(np.isfinite(fc.var_exact))
 
+    # a non-finite MA(1) coefficient is refused by name
     @pytest.mark.parametrize("bad", BAD)
     def test_wright_parameters(self, bad):
         _, series, w, _ = pv_setup()
-        cases = [(replace(w, sigma_eta=bad), {}), (replace(w, omega=bad), {}), (w, {"rho_star": bad})]
-        for params, kwargs in cases:
+        for params in (replace(w, sigma_eta=bad), replace(w, omega=bad)):
             with pytest.raises(ValueError, match="^degenerate parameters$"):
-                forecast_wright(series, params, horizons=3, **kwargs)
+                forecast_wright(series, params, horizons=3)
+        with pytest.raises(ValueError, match=r"^rho_star must lie in \[-1, 1\], got "):
+            forecast_wright(series, w, horizons=3, rho_star=bad)
 
     @pytest.mark.parametrize("bad", BAD)
     def test_moore_parameters(self, bad):
         _, series, _, mo = pv_setup()
-        cases = [(replace(mo, K=bad), {}), (replace(mo, mu=bad), {}), (mo, {"theta_star": bad})]
-        for params, kwargs in cases:
+        for params in (replace(mo, K=bad), replace(mo, mu=bad)):
             with pytest.raises(ValueError, match="^degenerate parameters$"):
-                forecast_moore(series, params, horizons=3, **kwargs)
+                forecast_moore(series, params, horizons=3)
+        with pytest.raises(ValueError, match=r"^theta_star must lie in \[-1, 1\], got "):
+            forecast_moore(series, mo, horizons=3, theta_star=bad)
 
 
 class TestForecastMoore:
@@ -340,3 +343,20 @@ class TestSahalForecastEquivalence:
         fw = forecast_wright(ts, w, horizons=8, future_x_growth=0.15)
         fm = forecast_moore(ts, MooreParams(mu=mo.mu, K=mo.K, m=19), horizons=8)
         assert_allclose(fw.mean_log_cost, fm.mean_log_cost, rtol=1e-12)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda s, w, mo: forecast_wright(s, w, horizons=0), "^need at least one horizon$"),
+    (lambda s, w, mo: forecast_moore(s, mo, horizons=0), "^need at least one horizon$"),
+    (lambda s, w, mo: forecast_wright(s, w, 3, rho_star=-1.01),
+     r"^rho_star must lie in \[-1, 1\], got -1.01$"),
+    (lambda s, w, mo: forecast_moore(s, mo, 3, theta_star=2.0),
+     r"^theta_star must lie in \[-1, 1\], got 2.0$"),
+    # a 20-year constant-growth series, with its moore fit, ends 21 years earlier
+    (lambda s, w, mo: compare_forecasts(forecast_wright(s, w, 3), forecast_moore(
+        *pv_setup(T=20)[1::2], 3)), "^forecasts anchored at different base years$"),
+], ids=["wright-horizons", "moore-horizons", "rho-star", "theta-star", "base-years"])
+def test_forecast_checks(call, message):
+    _, series, w, mo = pv_setup()
+    with pytest.raises(ValueError, match=message):
+        call(series, w, mo)

@@ -674,3 +674,25 @@ class TestTableProperties:
                      "sigma_eta_hat", "A", "normalized_error", "pooled_error", "m"):
             assert getattr(back, name).tobytes() == getattr(errs, name).tobytes(), name
         assert back == errs
+
+
+def _table_columns():
+    errs = run_hindcast(surrogate(T=9, seed=4), HindcastConfig(m=4, tau_max=2))
+    return errs, {f.name: getattr(errs, f.name) for f in dataclasses.fields(HindcastError)}
+
+
+@pytest.mark.parametrize("edit, error, message", [
+    (lambda c: c | {"tau": c["tau"][:-1]}, ValueError, "^columns must be one-dimensional"),
+    (lambda c: c | {"A": c["A"][:, None]}, ValueError, "^columns must be one-dimensional"),
+    (lambda c: c | {"extra": c["A"]}, TypeError, r"^unknown column\(s\): extra$"),
+], ids=["short-column", "two-dimensional", "unknown-column"])
+def test_table_checks(edit, error, message):
+    _, columns = _table_columns()
+    with pytest.raises(error, match=message):
+        HindcastTable(**edit(columns))
+
+
+def test_table_equals_only_tables():
+    errs, _ = _table_columns()
+    assert errs.__eq__(list(errs)) is NotImplemented
+    assert errs != list(errs) and errs != 0

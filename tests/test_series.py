@@ -372,3 +372,17 @@ class TestSeriesTable:
         with pytest.raises(DataError, match="^b: experience must be finite"):
             SeriesTable(["a", "b"], [10, 10], np.r_[raw[0].years, raw[1].years], np.ones(20),
                         np.ones(20), np.r_[np.arange(1.0, 11.0), 5.0, np.arange(5.0, 14.0)])
+
+
+# the checks no other test reaches, and a row whose cost and production both
+# break the contract, which is named by its production
+@pytest.mark.parametrize("call, message", [
+    (lambda: DiffSeries(y=[], x=[]), "^need at least one difference$"),
+    (lambda: SeriesTable(["a"], [3], [1, 2, 3], [1.0, 0.0, 1.0], [1.0, math.inf, 1.0]),
+     "^a: non-finite production$"),
+    (lambda: SeriesTable(["a"], [3], [1, 2, 3], [1.0, math.nan, 1.0], [1.0, -2.0, 1.0]),
+     "^a: non-positive production$"),
+], ids=["no-differences", "zero-cost-inf-production", "nan-cost-negative-production"])
+def test_contract_checks(call, message):
+    with pytest.raises(DataError, match=message):
+        call()

@@ -730,3 +730,15 @@ class TestCalibrationStudy:
     def test_bad_variance_mode(self):
         with pytest.raises(ValueError):
             run_calibration_study(variance="guessed")
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: SurrogateSpec(n_tech=1, sigma_q=-0.1), "^volatilities must be non-negative$"),
+    (lambda: SurrogateSpec(n_tech=2, sigma_eta=[0.1, -0.1]), "^volatilities must be non-negative$"),
+    (lambda: SurrogateSpec(n_tech=1, rho=1.5), r"^rho must lie in \[-1, 1\]$"),
+    (lambda: SurrogateSpec(n_tech=2, rho=[0.2, -1.01]), r"^rho must lie in \[-1, 1\]$"),
+    (lambda: gen_log_production(1, 0.1, 0.1, 0), "^need at least 2 periods$"),
+], ids=["sigma-q", "sigma-eta-vector", "rho", "rho-vector", "one-period"])
+def test_generator_checks(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

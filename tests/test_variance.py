@@ -273,3 +273,26 @@ class TestReductionChainAndMonotonicity:
             vals = [f(t, 0.4) for t in range(1, 10)]
             assert all(b > a for a, b in zip(vals, vals[1:]))
             assert f(5, 0.8) > f(5, 0.4)
+
+
+# each argument check of the module, by the message it raises
+@pytest.mark.parametrize("call, message", [
+    (lambda: a_factor(-1, 5), "tau must be non-negative"),
+    (lambda: a_factor(1, 0), "m must be positive"),
+    (lambda: moore_variance(-0.1, 1, 5), "scale must be non-negative"),
+    (lambda: _ma1_unit_variance(1.5, np.ones(3), 1.0, 1), r"rho must lie in \[-1, 1\]"),
+    (lambda: wright_ma1_variance(1.0, math.nan, [0.1, 0.1], [0.1]), r"rho must lie in \[-1, 1\]"),
+    (lambda: wright_ma1_variance(1.0, 0.2, [0.0, 0.0], [0.1]), "degenerate past experience"),
+    (lambda: ma1_variance_constant_x(1.0, 0.2, 1, 0), "m must be at least 1"),
+    (lambda: ma1_variance_constant_x(1.0, -1.5, 1, 5), r"rho must lie in \[-1, 1\]"),
+], ids=[
+    "a-tau", "a-m", "moore-scale", "unit-rho", "ma1-rho", "ma1-past", "constant-x-m",
+    "constant-x-rho",
+])
+def test_argument_checks(call, message):
+    with pytest.raises(ValueError, match=f"^{message}"):
+        call()
+
+
+def test_ma1_variance_of_no_horizon_is_zero():
+    assert wright_ma1_variance(1.0, 0.2, [0.1, 0.1], []) == 0.0
