@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import csv
 import io
+import os
 import re
 import warnings
 
@@ -247,9 +248,9 @@ def read_csv(path, columns: dict, what: str) -> dict[str, np.ndarray]:
     hold other columns, in any order. Text columns come back as ``str``
     arrays as wide as their longest value. Blank lines are skipped, and so
     is a UTF-8 byte-order mark. Raises ``ValueError`` naming ``what`` for a
-    bytes or void type and for a missing column, and its subclass
-    :class:`RowError`, which names the data row, for a row that ends before
-    one of them or a value that does not parse.
+    bytes or void type, a header that ``csv.reader`` refuses and a missing
+    column, and its subclass :class:`RowError`, which names the data row,
+    for a row that ends before one of them or a value that does not parse.
     """
     # text is parsed into objects, then sized to its longest value; NumPy
     # would read it into a bytes type, or a str type with no width, as empty
@@ -258,7 +259,10 @@ def read_csv(path, columns: dict, what: str) -> dict[str, np.ndarray]:
         if np.dtype(kind).kind in "SV":
             raise ValueError(f"{what}: column {name!r} asked for as {np.dtype(kind)}; text is read as str")
     with open(path, newline="", encoding="utf-8-sig") as fh:
-        header = next(csv.reader(fh), [])
+        try:
+            header = next(csv.reader(fh), [])
+        except csv.Error as exc:  # no ValueError; a field past csv.field_size_limit()
+            raise ValueError(f"{what}: {exc}") from None
         missing = [name for name in columns if name not in header]
         if missing:
             raise ValueError(f"{what} missing column(s): {', '.join(missing)}")
@@ -304,14 +308,18 @@ def row_line(path, row: int) -> tuple[int, dict]:
     counted as :func:`read_csv` names them (from 1 below the header, blank
     lines skipped), and the row's fields by header name; a short row lacks
     the names past its end. A quoted field may hold line breaks, so the file
-    is scanned with ``csv.reader``; only error paths need this."""
+    is scanned with ``csv.reader``; only error paths need this. A record
+    that ``csv.reader`` refuses raises ``ValueError`` naming the file."""
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
-        header = next(reader, [])
-        start = reader.line_num + 1
-        for record in reader:
-            if record:  # a blank line is no data row
-                row -= 1
-                if not row:
-                    return start, dict(zip(header, record))
+        try:
+            header = next(reader, [])
             start = reader.line_num + 1
+            for record in reader:
+                if record:  # a blank line is no data row
+                    row -= 1
+                    if not row:
+                        return start, dict(zip(header, record))
+                start = reader.line_num + 1
+        except csv.Error as exc:
+            raise ValueError(f"{os.path.basename(path)}: {exc}") from None

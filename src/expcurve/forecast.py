@@ -106,10 +106,9 @@ def forecast_wright(
     fut = _future_diffs(future_x_growth, horizons, float(past_x.mean()))
     taus = np.arange(1, horizons + 1)
     y_last = float(series.log_cost[-1])
-    mean = y_last + params.omega * np.cumsum(fut)
+    fsum = np.cumsum(fut)
+    mean = y_last + params.omega * fsum
     sigma_u = params.sigma_eta / math.sqrt(1.0 + rho_star * rho_star)
-    # summed per horizon, not by cumsum, so each value equals wright_ma1_variance's
-    fsum = np.array([fut[:t].sum() for t in taus])
     var_exact = sigma_u * sigma_u * _ma1_unit_variance(rho_star, past_x[-m:], fsum, taus)
     var_simple = ma1_variance_approx(params.sigma_eta, rho_star, taus, m)
     return DistForecast(

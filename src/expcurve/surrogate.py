@@ -13,9 +13,7 @@ does not depend on the order in which replicates run, nor on which others
 are built with it. Replicates are built in blocks: a block hashes its
 stream keys in batches, gives each stream a ``PCG64`` of its own
 (``_streams``), and computes on all of its replicates' technologies at once,
-as the rows of (path × year) matrices. On the bundled 51-technology table a
-replicate's dataset takes about 0.9 ms in a block of four, against 1.1 ms
-alone, and its 102 streams, with their draws, about 0.5 ms of that.
+as the rows of (path × year) matrices.
 """
 
 from __future__ import annotations
@@ -30,7 +28,7 @@ from .diagnostics import DistCheck, ecdf_vs_reference, pit
 from .estimators import _window_fits
 from .hindcast import HindcastConfig, _windows
 from .series import GROWTH_FLOOR, DataError, SeriesTable, _corrected_experience, _discrete_growth
-from .variance import _ma1_unit_variance, wright_ma1_variance
+from .variance import _ma1_unit_variance
 
 # Role ids for the RNG stream key.
 _ROLE_PRODUCTION = 0
@@ -331,9 +329,12 @@ def make_dataset(
 def run_ensemble(spec: SurrogateSpec, pipeline) -> EnsembleResult:
     """Apply ``pipeline`` (dataset -> statistic of any shape) to every replicate.
 
-    Returns the pointwise mean and the 2.5%/97.5% nearest-rank band, each in
-    the statistic's shape (a scalar gives a vector of one); the band only
-    means much with on the order of 100+ replicates. A pipeline failure
+    Returns the pointwise mean and the 2.5%/97.5% band, each in the
+    statistic's shape (a scalar gives a vector of one); the band only means
+    much with on the order of 100+ replicates. The band is the nearest-rank
+    quantile: of ``n`` replicates, the ``ceil(q n)``-th smallest, which is
+    NumPy's ``method="inverted_cdf"``. A ``nan`` in any replicate makes that
+    entry of the mean and of both band edges ``nan``. A pipeline failure
     aborts with the replicate index and the cause's message, so the exact
     dataset can be regenerated via ``make_dataset(spec, replicate)``.
     Replicates run in order in the calling thread; the CLI's ``--threads``
@@ -348,8 +349,7 @@ def run_ensemble(spec: SurrogateSpec, pipeline) -> EnsembleResult:
     the replicate it would name built alone. ``simulate``'s pipeline is
     ``hindcast.mse_curve``, which reads the window gather and builds no
     error table. On the bundled table (m = 5, ``tau_max`` 20) blocks hold
-    four replicates, and a replicate's dataset takes about 0.9 ms and its
-    ``mse_curve`` about 0.5 ms.
+    four replicates.
     """
 
     def one(r: int, dataset) -> np.ndarray:
@@ -373,15 +373,8 @@ def run_ensemble(spec: SurrogateSpec, pipeline) -> EnsembleResult:
             datasets = [None] * len(block)  # built again by one()
         rows += map(one, block, datasets)
     matrix = np.stack(rows)
-    n = matrix.shape[0]
-    srt = np.sort(matrix, axis=0)
-    lo_idx = max(int(math.ceil(0.025 * n)) - 1, 0)
-    hi_idx = max(int(math.ceil(0.975 * n)) - 1, 0)
-    return EnsembleResult(
-        mean=matrix.mean(axis=0),
-        lower=srt[lo_idx],
-        upper=srt[hi_idx],
-    )
+    lower, upper = np.quantile(matrix, [0.025, 0.975], axis=0, method="inverted_cdf")
+    return EnsembleResult(mean=matrix.mean(axis=0), lower=lower, upper=upper)
 
 
 @dataclass(frozen=True)
@@ -465,7 +458,7 @@ def run_calibration_study(
         e = u[:, 1:] + rho * u[:, :-1]
         _, omega_hat, sig_eta2, _, _ = _window_fits(xw, spec.omega * xw + e[:, :m])
         raw = (spec.omega - omega_hat) * x_fut[0] + e[:, m]
-        unit = wright_ma1_variance(1.0, rho, xw, x_fut)
+        unit = _ma1_unit_variance(rho, xw, x_fut.sum(), 1)
     else:
         w = _windows(make_dataset(spec, 0), cfg)
         raw = w.e_wright

@@ -24,16 +24,6 @@ import warnings
 
 import numpy as np
 
-__all__ = [
-    "a_factor",
-    "moore_variance",
-    "wright_variance",
-    "wright_ma1_variance",
-    "ma1_variance_constant_x",
-    "ma1_variance_approx",
-    "sigma_x_theory",
-]
-
 # Relative floor applied when the constant-growth MA(1) formula is evaluated
 # outside its meaningful range and dips non-positive.
 _VARIANCE_FLOOR = 1e-12

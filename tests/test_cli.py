@@ -365,6 +365,30 @@ class TestDiagnoseReads:
             assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
 
 
+class TestOversizedField:
+    """``csv.reader`` refuses a field longer than its 131,072-character
+    limit with ``csv.Error``, which is no ``ValueError``; the codec names
+    the file instead, and the run ends in one error line."""
+
+    HEADER = "technology,year,cost,production"
+
+    @pytest.mark.parametrize("command, text, what", [
+        ("estimate", f"{HEADER},{'x' * 140_000}\nA,2000,1,1\n", "data.csv"),
+        ("estimate", f"{HEADER}\nA,2000,1,1\nA,2001,\"{'x' * 200_000}\"\n", "data.csv"),
+        ("diagnose", f"model,tau,A,pooled_error,{'x' * 140_000}\nwright,1,1.2,0.5,\n", "error CSV"),
+    ], ids=["estimate-header", "estimate-short-row", "diagnose-header"])
+    def test_is_one_error(self, tmp_path, capsys, command, text, what):
+        path = tmp_path / "data.csv"
+        path.write_text(text)
+        out = tmp_path / "out"
+        option = "--input" if command == "estimate" else "--errors"
+        assert run_cli("--output-dir", out, command, option, path) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {what}: field larger than field limit (131072)\n"
+        assert list(out.iterdir()) == []
+
+
 class TestSimulateCommand:
     def test_dataset_and_bands(self, tmp_path):
         out = tmp_path / "out"
@@ -831,7 +855,10 @@ class TestDeterminism:
 # built from the parsed options. The calibration ECDF and PIT files of the
 # iid runs and of the overlapping true-variance run were re-captured when the
 # study's iid windows moved onto the library's window fit and its second
-# true-variance form went (last bits of the normalized errors).
+# true-variance form went (last bits of the normalized errors). The Wright
+# and comparison files of the forecast-input run were re-captured when the
+# exact Wright variance took its future sums from the mean path's cumulative
+# sum (last bits of the variances).
 GOLDEN_OUTPUTS = {
     "estimate": {
         "params.csv": "b508710e9d50b061f73e619484f74a214fd9660a1aaccd97908db3b63e14ad47",
@@ -845,9 +872,9 @@ GOLDEN_OUTPUTS = {
         "forecast_manifest.txt": "5389900dab4e04b602b1e58cfe5245ad11a4cfd68d0437ba6f8672cb383eff77",
     },
     "forecast-input": {
-        "forecast_wright.csv": "8ace5388d697f2e98aafc6288bcbbda4da0744569cabfed28c9821c5d23f0674",
+        "forecast_wright.csv": "b9eb9e45b60def62b1edb9748b4682c8e3671e7e38738c1ee691548fa12b3d41",
         "forecast_moore.csv": "dafdb8493bf4e07abb2bfec4c82578c7d7fe39a267d06c347386ad975e7f8ca9",
-        "comparison.csv": "7778524a9e246c93e7bb3c6b15f3dc4e31bcab1b5f17f90abdb372574955c3bb",
+        "comparison.csv": "2bfa2c8e960583b5358bbd44f13fe3f09685dd578b074081f81e168e76e23883",
         "forecast_manifest.txt": "67750e1fd70a472ef92cecf07cc2888785f518aa7aefd3a7bffa85df45d24ff6",
     },
     "diagnose-student": {

@@ -620,6 +620,32 @@ class TestRunEnsemble:
         backwards = [stat(make_dataset(spec, r)) for r in reversed(range(16))]
         assert_allclose(np.sort(backwards, axis=0)[0], a.lower, rtol=0)
 
+    @pytest.mark.parametrize("n", [1, 2, 39, 40, 41, 80, 81])
+    def test_band_is_the_nearest_rank(self, n):
+        # oracle: the ceil(q n)-th smallest of each entry, by an independent sort
+        spec = SurrogateSpec(n_tech=1, T=6, seed=4, n_ensembles=n)
+        stat = lambda ds: np.reshape(ds.cost, (2, 3))
+        res = run_ensemble(spec, stat)
+        values = np.stack([stat(make_dataset(spec, r)) for r in range(n)])
+        for q, band in ((0.025, res.lower), (0.975, res.upper)):
+            rank = math.ceil(q * n) - 1
+            assert_array_equal(band, [[sorted(values[:, i, j])[rank] for j in range(3)] for i in range(2)])
+
+    def test_nan_in_one_replicate_propagates(self):
+        spec = SurrogateSpec(n_tech=1, T=6, seed=4, n_ensembles=40)
+        calls = iter(range(spec.n_ensembles))
+
+        def stat(ds):
+            out = np.reshape(ds.cost, (2, 3)).copy()
+            if next(calls) == 7:  # replicates run in order
+                out[1, 2] = np.nan
+            return out
+
+        res = run_ensemble(spec, stat)
+        for field in ("mean", "lower", "upper"):
+            nan = np.isnan(getattr(res, field))
+            assert nan[1, 2] and nan.sum() == 1, field
+
     def test_statistic_keeps_its_shape(self):
         spec = SurrogateSpec(n_tech=3, T=10, seed=5, n_ensembles=40)
         stat = lambda ds: np.reshape(ds.cost, (3, 10))[:2, :4]
