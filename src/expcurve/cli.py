@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import math
 import os
 import sys
 from pathlib import Path
@@ -279,18 +278,6 @@ def _forecast_columns(fc) -> dict:
     }
 
 
-# What a forecast needs of a parameter row: T and r build the series it
-# starts from, and K and sigma_eta are scales.
-_ROW_NEEDS = {
-    "T": (lambda v: v >= 3, "at least 3"),
-    "mu": (math.isfinite, "finite"),
-    "K": (lambda v: 0 <= v < math.inf, "finite and non-negative"),
-    "r": (lambda v: 0 < v < math.inf, "finite and positive"),
-    "omega": (math.isfinite, "finite"),
-    "sigma_eta": (lambda v: 0 <= v < math.inf, "finite and non-negative"),
-}
-
-
 def cmd_forecast(args) -> tuple[dict, dict, dict]:
     inputs = {}
     if args.input:
@@ -309,11 +296,7 @@ def cmd_forecast(args) -> tuple[dict, dict, dict]:
         if not len(rows):
             raise DataError(f"technology '{args.tech}' not found in parameter table")
         # a name given twice takes its last row
-        values = dict(zip(_ROW_NEEDS, rows[-1][list(_ROW_NEEDS)].item()))
-        for name, (meets, need) in _ROW_NEEDS.items():
-            if not meets(values[name]):
-                raise DataError(f"parameter row of '{args.tech}': {name} is {values[name]}, not {need}")
-        T, mu, K, r, omega, sigma_eta = values.values()
+        T, mu, K, r, omega, sigma_eta = rows[-1][["T", "mu", "K", "r", "omega", "sigma_eta"]].item()
         series = constant_growth_series(args.tech, T=T, r=r, mu=mu)
         wparams = WrightParams(omega=omega, sigma_eta=sigma_eta, m=T - 1)
         mparams = MooreParams(mu=mu, K=K, m=T - 1)
@@ -352,7 +335,8 @@ def cmd_forecast(args) -> tuple[dict, dict, dict]:
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="expcurve",
-        description="Experience-curve and time-trend cost forecasting toolkit.",
+        description="Experience-curve and time-trend cost forecasting toolkit. A negative "
+        "value written with an exponent follows its option after '=': --rho=-2e-1.",
     )
     parser.add_argument("--seed", type=int, default=0, help="base RNG seed")
     parser.add_argument(

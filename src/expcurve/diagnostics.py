@@ -91,28 +91,49 @@ def pit(sample, reference: str = "normal", df=None) -> np.ndarray:
     return _reference_cdf(reference, df)(s)
 
 
+def _refuse(column: str, values: np.ndarray, ok: np.ndarray, need: str) -> None:
+    """Raise ``ValueError`` naming ``column``, the row (counted from 1) and
+    the value of the first entry of ``values`` that is not ``ok``."""
+    for i in np.flatnonzero(~ok)[:1]:
+        raise ValueError(f"{column} in row {i + 1} is {values[i]}, not {need}")
+
+
 def sahal_check(mu, r, omega) -> tuple[np.ndarray, np.ndarray]:
     """Exponent identity scatter data.
 
     From columns of cost drift ``mu``, experience growth ``r`` and
     experience exponent ``omega`` returns ``(mu_over_r, residual)``, where
     ``residual = omega - mu / r``. When both cost and experience trends are
-    exponential, ``omega`` and ``mu / r`` coincide.
+    exponential, ``omega`` and ``mu / r`` coincide. Each value must be
+    finite and ``r`` non-zero, and ``mu / r`` and the residual must not
+    overflow a float (``ValueError``).
     """
     mu, r, omega = (np.asarray(c, dtype=float) for c in (mu, r, omega))
+    for name, column in zip(("mu", "r", "omega"), (mu, r, omega)):
+        _refuse(name, column, np.isfinite(column), "finite")
     if np.any(r == 0.0):
         raise ValueError("r must be non-zero")
-    mu_over_r = mu / r
-    return mu_over_r, omega - mu_over_r
+    with np.errstate(over="ignore"):
+        mu_over_r = mu / r
+        residual = omega - mu_over_r
+    _refuse("mu / r", mu_over_r, np.isfinite(mu_over_r), "finite")
+    _refuse("omega - mu / r", residual, np.isfinite(residual), "finite")
+    return mu_over_r, residual
 
 
 def tanh_check(g, sigma_q) -> np.ndarray:
     """Predicted experience volatility ``sigma_q * sqrt(tanh(g / 2))`` for
     columns of log production drift ``g`` and volatility ``sigma_q``.
 
-    Each value goes through :func:`sigma_x_theory`, which requires ``g > 0``.
+    ``g`` must be finite and ``sigma_q`` non-negative with a finite square
+    (``ValueError``); each value goes through :func:`sigma_x_theory`, which
+    requires ``g > 0``.
     """
+    g, sigma_q = np.asarray(g, dtype=float), np.asarray(sigma_q, dtype=float)
+    _refuse("g", g, np.isfinite(g), "finite")
+    with np.errstate(over="ignore"):  # the variance squares sigma_q
+        ok = (0.0 <= sigma_q) & (sigma_q * sigma_q < np.inf)
+    _refuse("sigma_q", sigma_q, ok, "non-negative with a finite square")
     # value by value, because np.tanh differs from math.tanh in the last bit
     # on about a third of inputs
-    pairs = zip(np.asarray(g, dtype=float).tolist(), np.asarray(sigma_q, dtype=float).tolist())
-    return np.sqrt([sigma_x_theory(a, b)[1] for a, b in pairs])
+    return np.sqrt([sigma_x_theory(a, b)[1] for a, b in zip(g.tolist(), sigma_q.tolist())])

@@ -68,6 +68,27 @@ def _future_diffs(future_x_growth, horizons: int, fallback: float) -> np.ndarray
     return fut
 
 
+# What a forecast needs of each parameter it reads: T and r build the series
+# it starts from, and K and sigma_eta are scales.
+_NEEDS = {
+    "T": (lambda v: v >= 3, "at least 3"),
+    "mu": (math.isfinite, "finite"),
+    "K": (lambda v: 0 <= v < math.inf, "finite and non-negative"),
+    "r": (lambda v: 0 < v < math.inf, "finite and positive"),
+    "omega": (math.isfinite, "finite"),
+    "sigma_eta": (lambda v: 0 <= v < math.inf, "finite and non-negative"),
+}
+
+
+def _require(name: str, **values) -> None:
+    """Raise ``DataError`` for the first value that fails its rule in
+    :data:`_NEEDS`; ``name`` is the series' name."""
+    for param, value in values.items():
+        meets, need = _NEEDS[param]
+        if not meets(value):
+            raise DataError(f"{name}: {param} is {value}, not {need}")
+
+
 def _fit_window(series: TechSeries, m: int) -> int:
     """The fit's window ``m``, which must lie within the series' changes."""
     if not 1 <= m <= series.T - 1:
@@ -92,13 +113,13 @@ def forecast_wright(
     simplified one is the large-horizon approximation, which assumes they
     were constant and also drops the ``-2 rho (1 + A/m)`` share of the
     variance, so it overstates the exact variance by a wide margin at
-    horizons of a few years. ``rho_star`` must lie in [-1, 1].
+    horizons of a few years. ``rho_star`` must lie in [-1, 1], and a
+    ``DataError`` names ``params.omega`` unless it is finite and
+    ``params.sigma_eta`` unless it is finite and non-negative.
     """
     if horizons < 1:
         raise ValueError("need at least one horizon")
-    # NaN fails every test
-    if not (0.0 <= params.sigma_eta < math.inf and math.isfinite(params.omega)):
-        raise ValueError("degenerate parameters")
+    _require(series.name, omega=params.omega, sigma_eta=params.sigma_eta)
     if not abs(rho_star) <= 1.0:
         raise ValueError(f"rho_star must lie in [-1, 1], got {rho_star}")
     m = _fit_window(series, params.m)
@@ -129,11 +150,12 @@ def forecast_moore(
 ) -> DistForecast:
     """Time-trend distributional forecast (unconditional on experience).
     The variances take the fit's window ``params.m``, which must lie in
-    ``[1, series.T - 1]``, and ``theta_star`` must lie in [-1, 1]."""
+    ``[1, series.T - 1]``, and ``theta_star`` must lie in [-1, 1]. A
+    ``DataError`` names ``params.mu`` unless it is finite and ``params.K``
+    unless it is finite and non-negative."""
     if horizons < 1:
         raise ValueError("need at least one horizon")
-    if not (0.0 <= params.K < math.inf and math.isfinite(params.mu)):
-        raise ValueError("degenerate parameters")
+    _require(series.name, mu=params.mu, K=params.K)
     if not abs(theta_star) <= 1.0:
         raise ValueError(f"theta_star must lie in [-1, 1], got {theta_star}")
     m = _fit_window(series, params.m)
@@ -172,44 +194,29 @@ def compare_forecasts(a: DistForecast, b: DistForecast) -> np.ndarray:
     return np.column_stack([a.horizons, a.mean_log_cost - b.mean_log_cost, ratio])
 
 
-def constant_growth_series(
-    name: str,
-    T: int,
-    r: float,
-    mu: float,
-    base_year: int | None = None,
-    y_last: float = 0.0,
-) -> TechSeries:
+def constant_growth_series(name: str, T: int, r: float, mu: float) -> TechSeries:
     """Synthetic series with exactly constant log growth rates.
 
     Experience grows by ``r`` per year and log cost changes by ``mu``; the
     production column is the exact forward difference of experience, so the
-    accumulation identity holds. Useful for forecasting from published
-    parameter estimates when the underlying series is not available: slopes
-    and band widths are meaningful, absolute levels are not. ``T < 3`` or
-    ``r <= 0`` breaks the series' data contract, and so does a cost,
-    production or experience level too large for a float or, for ``r > 0``,
-    one that rounds to zero (``DataError``).
+    accumulation identity holds. The years are ``1..T`` and the last log
+    cost is 0. Useful for forecasting from published parameter estimates
+    when the underlying series is not available: slopes and band widths are
+    meaningful, absolute levels are not. ``T`` must be at least 3, ``mu``
+    finite and ``r`` finite and positive; a ``DataError`` names the first
+    that is not, or a cost, production or experience level that is too
+    large for a float or rounds to zero.
     """
-    base_year = T if base_year is None else base_year
+    _require(name, T=T, mu=mu, r=r)
     t = np.arange(T)
     with np.errstate(over="ignore"):
         z = np.exp(r * t)
-        try:
-            q = z * (math.exp(r) - 1.0)
-        except OverflowError:
-            q = np.full(T, math.inf)
-        cost = np.exp(y_last + mu * (t - (T - 1)))
+        q = z * (np.exp(r) - 1.0)
+        cost = np.exp(mu * (t - (T - 1)))
     growth = f"{name}: constant growth (r={r}, mu={mu})"
     if any(np.isinf(v).any() for v in (z, q, cost)):
         raise DataError(f"{growth} overflows a float within {T} periods")
     # exp(r) - 1 is 0 for r below about 1e-16, and early costs round to 0
-    if r > 0 and not (np.all(q > 0) and np.all(cost > 0)):
+    if not (np.all(q > 0) and np.all(cost > 0)):
         raise DataError(f"{growth} underflows a float within {T} periods")
-    return TechSeries(
-        name=name,
-        years=np.arange(base_year - T + 1, base_year + 1),
-        cost=cost,
-        production=q,
-        experience=z,
-    )
+    return TechSeries(name=name, years=np.arange(1, T + 1), cost=cost, production=q, experience=z)

@@ -310,7 +310,9 @@ def _discrete_growth(production: np.ndarray, T: np.ndarray) -> np.ndarray:
     ``i`` holds a series of ``T[i]`` years, then padding."""
     first = production[:, :1].ravel()  # a table of no series has no columns
     last = production[np.arange(len(production)), T - 1]
-    with np.errstate(divide="ignore"):  # an end that underflowed to 0 gives g_d = -1
+    # an end that underflowed to 0 gives g_d = -1, and a quotient that
+    # overflows gives inf; the table's contract refuses the experience built
+    with np.errstate(divide="ignore", over="ignore"):
         return np.exp(np.log(last / first) / (T - 1)) - 1.0
 
 
@@ -328,8 +330,9 @@ def _corrected_experience(names, production: np.ndarray, T: np.ndarray) -> np.nd
     for i in np.flatnonzero(~(g_d > GROWTH_FLOOR))[:1]:
         raise DataError(f"{names[i]}: zero production growth rate (g_d={g_d[i]:.3g})")
     z = np.zeros(production.shape)
-    np.cumsum(production[:, :-1], axis=1, out=z[:, 1:])
-    z += production[:, :1] / g_d[:, None]
+    with np.errstate(over="ignore"):  # an experience level past the floats is inf, and refused
+        np.cumsum(production[:, :-1], axis=1, out=z[:, 1:])
+        z += production[:, :1] / g_d[:, None]
     return z
 
 

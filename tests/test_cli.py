@@ -42,13 +42,18 @@ PV_ROW = {
 }
 
 
+def params_csv(tmp_path, *rows):
+    """A parameter table with one row per edit of ``PV_ROW`` in ``rows``."""
+    params = tmp_path / "params.csv"
+    lines = [",".join(PV_ROW)] + [",".join((PV_ROW | edit).values()) for edit in rows]
+    params.write_text("\n".join(lines) + "\n")
+    return params
+
+
 def pv_forecast_args(tmp_path, **edit):
     """The ``forecast`` arguments of a parameter table holding ``PV_ROW``
     with ``edit`` applied."""
-    row = PV_ROW | edit
-    params = tmp_path / "params.csv"
-    params.write_text(",".join(row) + "\n" + ",".join(row.values()) + "\n")
-    return ("forecast", "--params", params, "--tech", "Photovoltaics")
+    return ("forecast", "--params", params_csv(tmp_path, edit), "--tech", "Photovoltaics")
 
 
 def small_dataset(tmp_path, n_tech=3, T=14, seed=5):
@@ -229,6 +234,31 @@ class TestDiagnoseCommand:
         assert list((tmp_path / "fresh").iterdir()) == []
         assert {f.name: f.read_bytes() for f in reused.iterdir()} == before
 
+    # each value a check reads is refused by column, row and value before
+    # any write; the second row is Photovoltaics' with the edit
+    @pytest.mark.parametrize("edit, message", [
+        ({"omega": "-inf"}, "omega in row 2 is -inf, not finite"),
+        ({"mu": "nan", "g": "inf"}, "mu in row 2 is nan, not finite"),
+        ({"r": "inf"}, "r in row 2 is inf, not finite"),
+        ({"mu": "1e300", "r": "1e-10"}, "mu / r in row 2 is inf, not finite"),
+        ({"omega": "1.7e308", "mu": "-1.7e308", "r": "1.7"}, "omega - mu / r in row 2 is inf, not finite"),
+        ({"g": "inf"}, "g in row 2 is inf, not finite"),
+        ({"sigma_q": "-0.08"}, "sigma_q in row 2 is -0.08, not non-negative with a finite square"),
+        ({"sigma_q": "1e300"}, "sigma_q in row 2 is 1e+300, not non-negative with a finite square"),
+    ], ids=["omega", "mu", "r", "mu-over-r", "residual", "g", "sigma_q", "sigma_q-squared"])
+    def test_bad_params_value_writes_nothing(self, tmp_path, capsys, edit, message):
+        data = small_dataset(tmp_path)
+        assert run_cli("--output-dir", tmp_path, "hindcast", "--input", data) == 0
+        params = params_csv(tmp_path, {}, edit)
+        out = tmp_path / "out"
+        capsys.readouterr()
+        code = run_cli("--output-dir", out, "diagnose", "--errors", tmp_path / "errors.csv", "--params", params)
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+        assert list(out.iterdir()) == []
+
     def test_header_only_errors_rejected(self, tmp_path, capsys):
         errors = tmp_path / "errors.csv"
         errors.write_text(",".join(hindcast.ERROR_COLUMNS) + "\n")
@@ -386,6 +416,30 @@ class TestOversizedField:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: {what}: field larger than field limit (131072)\n"
+        assert list(out.iterdir()) == []
+
+
+# production that overflows a float on its way to experience: in the
+# growth rate's ratio 1e300 / 1e-200, and in the running sum of values near
+# the largest float
+OVERFLOWING_PRODUCTION = {
+    "growth-ratio": ["1e-200", "1e300", "1e300", "1e300", "1e300"],
+    "running-sum": ["1e307", "5e307", "1e308", "1.5e308", "1.7e308"],
+}
+
+
+class TestOverflowingProduction:
+    @pytest.mark.parametrize("command", [["estimate"], ["forecast", "--tech", "A"]], ids=["estimate", "forecast"])
+    @pytest.mark.parametrize("production", OVERFLOWING_PRODUCTION.values(), ids=OVERFLOWING_PRODUCTION)
+    def test_is_one_error(self, tmp_path, capsys, command, production):
+        data = tmp_path / "data.csv"
+        rows = "".join(f"A,{2000 + i},1,{q}\n" for i, q in enumerate(production))
+        data.write_text("technology,year,cost,production\n" + rows)
+        out = tmp_path / "out"
+        assert run_cli("--output-dir", out, command[0], "--input", data, *command[1:]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: A: experience must be finite, positive and strictly increasing\n"
         assert list(out.iterdir()) == []
 
 
@@ -571,6 +625,14 @@ class TestSimulateCommand:
         assert [p.name for p in out.iterdir()] == ["dataset.csv"]
         assert (out / "dataset.csv").read_text() == "kept\n"
 
+    # argparse reads "-2e-1" after an option as an option name; the "=" form
+    # passes it as the value
+    def test_negative_exponent_value_in_equals_form(self, tmp_path):
+        out = tmp_path / "out"
+        argv = ["simulate", "--n-tech", 2, "--periods", 10, "--rho=-2e-1", "--ensembles", 0]
+        assert run_cli("--output-dir", out, *argv) == 0
+        assert "option.rho=-0.2\n" in (out / "simulate_manifest.txt").read_text()
+
     def test_mimic_and_calibration_are_exclusive(self, tmp_path, capsys):
         out = tmp_path / "out"
         with pytest.raises(SystemExit) as exc:
@@ -632,6 +694,15 @@ class TestForecastCommand:
         assert capsys.readouterr().err == "error: future experience growth must be positive and finite\n"
         assert list(out.iterdir()) == []
 
+    def test_negative_exponent_growth_in_equals_form(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        argv = ["forecast", "--tech", "Photovoltaics", "--future-growth=-1e-3"]
+        assert run_cli("--output-dir", out, *argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: future experience growth must be positive and finite\n"
+        assert list(out.iterdir()) == []
+
     # each coefficient is refused by name, before any variance is computed
     @pytest.mark.parametrize("option, value, name", [
         ("--theta-star", "-2", "theta_star"), ("--rho-star", "1.5", "rho_star"),
@@ -653,7 +724,9 @@ class TestForecastCommand:
         )
         out = tmp_path / "out"
         assert run_cli("--output-dir", out, "forecast", "--params", params, "--tech", "X") == 1
-        err = "error: parameter row of 'X': K is nan, not finite and non-negative\n"
+        # the series is checked first, then the Wright parameters, then the
+        # Moore ones, so sigma_eta is named before K
+        err = "error: X: sigma_eta is inf, not finite and non-negative\n"
         assert capsys.readouterr().err == err
         assert list(out.iterdir()) == []
 
@@ -667,8 +740,8 @@ class TestForecastCommand:
         ("sigma_eta", "nan", "finite and non-negative"),
     ])
     def test_bad_params_row_names_the_parameter(self, tmp_path, capsys, name, value, need):
-        # unchecked, mu = nan would fail in the synthetic series the forecast
-        # builds, with an error naming a series that is in no file
+        # each value is refused before the arithmetic that reads it, so the
+        # error names the parameter and not what it would have broken
         header = "technology,T,mu,K,g,sigma_q,r,sigma_x,omega,sigma_eta,rho"
         values = "Photovoltaics,12,-0.05,0.1,0.1,0.08,0.1,0.01,-0.5,0.2,0.2"
         row = dict(zip(header.split(","), values.split(",")))
@@ -678,7 +751,7 @@ class TestForecastCommand:
         out = tmp_path / "out"
         assert run_cli("--output-dir", out, "forecast", "--params", params, "--tech", "Photovoltaics") == 1
         shown = float(value) if name != "T" else int(value)
-        err = f"error: parameter row of 'Photovoltaics': {name} is {shown}, not {need}\n"
+        err = f"error: Photovoltaics: {name} is {shown}, not {need}\n"
         assert capsys.readouterr().err == err
         assert list(out.iterdir()) == []
 

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -114,6 +115,18 @@ class TestSahalCheck:
             sahal_check([-0.1, -0.1], [0.2, 0.0], [-0.5, -0.5])
 
 
+    @pytest.mark.parametrize("mu, r, omega, message", [
+        ([-0.1, math.nan], [0.2, 0.2], [-0.5, -0.5], "mu in row 2 is nan, not finite"),
+        ([-0.1, -0.1], [0.2, -math.inf], [-0.5, -0.5], "r in row 2 is -inf, not finite"),
+        ([-0.1, -0.1], [0.2, 0.2], [-math.inf, -0.5], "omega in row 1 is -inf, not finite"),
+        ([-0.1, 1e300], [0.2, 1e-10], [-0.5, -0.5], "mu / r in row 2 is inf, not finite"),
+        ([-1.7e308], [1.7], [1.7e308], "omega - mu / r in row 1 is inf, not finite"),
+    ])
+    def test_bad_value_named_by_column_and_row(self, mu, r, omega, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            sahal_check(mu, r, omega)
+
+
 class TestTanhCheck:
     def test_pairs(self):
         theory = tanh_check([0.1, 0.3], [0.1, 0.2])
@@ -127,6 +140,18 @@ class TestTanhCheck:
     def test_nonpositive_growth_rejected(self):
         with pytest.raises(ValueError, match="g must be positive"):
             tanh_check([0.1, 0.0], [0.1, 0.1])
+
+    # sigma_q = 1e300 is finite, but the variance's sigma_q ** 2 is not
+    @pytest.mark.parametrize("g, sigma_q, message", [
+        ([0.1, math.inf], [0.1, 0.1], "g in row 2 is inf, not finite"),
+        ([math.nan, 0.1], [0.1, 0.1], "g in row 1 is nan, not finite"),
+        ([0.1, 0.1], [0.1, -0.08], "sigma_q in row 2 is -0.08, not non-negative with a finite square"),
+        ([0.1], [math.nan], "sigma_q in row 1 is nan, not non-negative with a finite square"),
+        ([0.1], [1e300], "sigma_q in row 1 is 1e+300, not non-negative with a finite square"),
+    ])
+    def test_bad_value_named_by_column_and_row(self, g, sigma_q, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            tanh_check(g, sigma_q)
 
 
 @pytest.mark.parametrize("call, message", [

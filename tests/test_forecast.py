@@ -48,9 +48,27 @@ class TestConstantGrowthSeries:
         assert_allclose(np.diff(ts.experience), ts.production[:-1], rtol=1e-12)
 
     def test_anchoring(self):
-        ts = constant_growth_series("c", T=8, r=0.1, mu=-0.05, base_year=2020, y_last=1.5)
-        assert ts.years[-1] == 2020
-        assert ts.log_cost[-1] == pytest.approx(1.5, rel=1e-12)
+        ts = constant_growth_series("c", T=8, r=0.1, mu=-0.05)
+        assert ts.years.tolist() == list(range(1, 9))
+        assert ts.log_cost[-1] == 0.0
+
+    # each value is refused by name before any arithmetic reads it, so no
+    # NumPy warning comes first; T, then mu, then r
+    @pytest.mark.parametrize("T, mu, r, message", [
+        (2, math.nan, 0.0, "T is 2, not at least 3"),
+        (41, math.nan, -1.0, "mu is nan, not finite"),
+        (41, math.inf, 0.318, "mu is inf, not finite"),
+        (41, -math.inf, 0.318, "mu is -inf, not finite"),
+        (41, -0.121, math.nan, "r is nan, not finite and positive"),
+        (41, -0.121, math.inf, "r is inf, not finite and positive"),
+        (41, -0.121, -math.inf, "r is -inf, not finite and positive"),
+        (41, -0.121, 0.0, "r is 0.0, not finite and positive"),
+    ])
+    def test_bad_parameter_is_refused_by_name(self, T, mu, r, message):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataError, match=f"^Photovoltaics: {message}$"):
+                constant_growth_series("Photovoltaics", T=T, r=r, mu=mu)
 
     # Photovoltaics' row (T = 41) with one value raised until a level
     # overflows: r = 1000 overflows exp(r) itself, r = 20 the later
@@ -184,22 +202,22 @@ class TestNonFiniteInputs:
         fc = forecast_wright(series, w, horizons=2, future_x_growth=[0.1, 0.2, math.nan])
         assert np.all(np.isfinite(fc.mean_log_cost)) and np.all(np.isfinite(fc.var_exact))
 
-    # a non-finite MA(1) coefficient is refused by name
+    # a non-finite parameter or MA(1) coefficient is refused by name
     @pytest.mark.parametrize("bad", BAD)
     def test_wright_parameters(self, bad):
         _, series, w, _ = pv_setup()
-        for params in (replace(w, sigma_eta=bad), replace(w, omega=bad)):
-            with pytest.raises(ValueError, match="^degenerate parameters$"):
-                forecast_wright(series, params, horizons=3)
+        for name, need in (("sigma_eta", "finite and non-negative"), ("omega", "finite")):
+            with pytest.raises(DataError, match=f"^pv: {name} is {bad}, not {need}$"):
+                forecast_wright(series, replace(w, **{name: bad}), horizons=3)
         with pytest.raises(ValueError, match=r"^rho_star must lie in \[-1, 1\], got "):
             forecast_wright(series, w, horizons=3, rho_star=bad)
 
     @pytest.mark.parametrize("bad", BAD)
     def test_moore_parameters(self, bad):
         _, series, _, mo = pv_setup()
-        for params in (replace(mo, K=bad), replace(mo, mu=bad)):
-            with pytest.raises(ValueError, match="^degenerate parameters$"):
-                forecast_moore(series, params, horizons=3)
+        for name, need in (("K", "finite and non-negative"), ("mu", "finite")):
+            with pytest.raises(DataError, match=f"^pv: {name} is {bad}, not {need}$"):
+                forecast_moore(series, replace(mo, **{name: bad}), horizons=3)
         with pytest.raises(ValueError, match=r"^theta_star must lie in \[-1, 1\], got "):
             forecast_moore(series, mo, horizons=3, theta_star=bad)
 
