@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .params_io import PARAM_COLUMNS, param_table
-from .series import DataError, DiffSeries, SeriesTable, _growth_moments
+from .series import DiffSeries, SeriesTable, _growth_moments
 
 # MA(1) coefficients at or beyond this magnitude are flagged as boundary
 # estimates; pooling excludes them as likely misspecified.
@@ -302,18 +302,15 @@ def full_sample_estimates(dataset: SeriesTable) -> np.ndarray:
     :func:`fit_wright_ma1` call.
     """
     T = dataset.T
-    cut = np.cumsum(T)[:-1] - 1  # the steps from one series into the next
+    # step p runs from level p to p + 1; a series' steps start at its first level
     logs = (dataset.log_cost, dataset.log_experience, np.log(dataset.production))
-    dy, dx, dq = (np.delete(np.diff(c), cut) for c in logs)
-    if np.any(dx <= 0):
-        raise DataError("experience differences must be positive")
-    start = np.cumsum(T - 1) - (T - 1)
+    dy, dx, dq = (np.diff(c) for c in logs)
     # rows in PARAM_COLUMNS order after technology and T
     est = np.full((len(PARAM_COLUMNS) - 2, len(T)), np.nan)
     ma1, ma1_rows = [], []
     for length in np.unique(T).tolist():
         j = np.flatnonzero(T == length)
-        rows = start[j, None] + np.arange(length - 1)
+        rows = dataset._start[j, None] + np.arange(length - 1)
         y, x = dy[rows], dx[rows]
         _, omega, sig_eta2, mu, k2 = _window_fits(x, y)
         est[:-1, j] = mu, np.sqrt(k2), *_growth_moments(dq[rows], x), omega, np.sqrt(sig_eta2)

@@ -101,7 +101,8 @@ class SeriesTable:
     for the first empty name or non-finite or non-positive production or
     cost (a row with both named by its production), else the first series
     of fewer than 3 years, name given twice, duplicate or missing year, or
-    experience that is not finite, positive and strictly increasing.
+    experience that is not finite, positive and strictly increasing, in
+    level and in log.
 
     ``len(table)``, ``table[i]`` and iteration give :class:`TechSeries` row
     views; a slice or a boolean/integer index array over series gives a
@@ -194,8 +195,9 @@ def _check(table: SeriesTable) -> None:
         raise _Fault(names[series[k]], k + 1, what)
     if z is not None:
         good = np.isfinite(z) & (z > 0)
-        with np.errstate(invalid="ignore"):
-            good[1:] &= ~within | (np.diff(z) > 0)
+        # in log too: every Wright fit divides by the log-experience steps
+        with np.errstate(divide="ignore", invalid="ignore"):
+            good[1:] &= ~within | (np.diff(z) > 0) & (np.diff(table.log_experience) > 0)
         for i in np.flatnonzero(~good)[:1]:
             what = "experience must be finite, positive and strictly increasing"
             raise _Fault(names[series[i]], i, what)
@@ -205,8 +207,8 @@ def _check(table: SeriesTable) -> None:
 class DiffSeries:
     """First differences: ``y`` of log cost, ``x`` of log experience.
 
-    Built from ``m + 1`` observations it holds ``m`` differences. Experience
-    is strictly increasing, so every ``x`` must be positive.
+    Built from ``m + 1`` observations it holds ``m`` differences. Every ``x``
+    must be positive, as the :class:`SeriesTable` contract makes them.
     """
 
     y: np.ndarray

@@ -443,6 +443,28 @@ class TestOverflowingProduction:
         assert list(out.iterdir()) == []
 
 
+class TestFlatLogExperience:
+    # experience rises every year, but production of 3e-8 on an experience
+    # of 2e7 leaves its log flat from 2002 to 2010, so no Wright fit divides
+    @pytest.mark.parametrize("command", [
+        ["estimate"], ["hindcast", "--m", "5"], ["forecast", "--tech", "A"],
+    ], ids=["estimate", "hindcast", "forecast"])
+    def test_is_one_error_everywhere(self, tmp_path, capsys, command):
+        data = tmp_path / "data.csv"
+        production = [1.0] + [3e-8] * 10 + [1.0000001]
+        rows = "".join(f"A,{2000 + i},{1 + i / 100:.2f},{q}\n" for i, q in enumerate(production))
+        data.write_text("technology,year,cost,production\n" + rows)
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run_cli("--output-dir", out, command[0], "--input", data, *command[1:])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: A: experience must be finite, positive and strictly increasing\n"
+        assert list(out.iterdir()) == []
+
+
 class TestSimulateCommand:
     def test_dataset_and_bands(self, tmp_path):
         out = tmp_path / "out"

@@ -341,16 +341,6 @@ class TestFitWrightMa1Batch:
             assert_array_equal(*bits)
 
 
-    def test_full_sample_estimates_rejects_flat_log_experience(self):
-        from expcurve import DataError, SeriesTable
-
-        # experience strictly increasing, but too little for its log to move
-        z = [1e20, 1e20 + 2**14, 1e20 + 2**15]
-        table = SeriesTable(["a"], [3], [1, 2, 3], [1.0, 0.9, 0.8], [1.0, 1.0, 1.0], z)
-        assert np.all(np.diff(table.experience) > 0)
-        with pytest.raises(DataError, match="experience differences must be positive"):
-            full_sample_estimates(table)
-
 
 class TestPoolRho:
     def test_simple_rule(self):

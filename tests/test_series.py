@@ -373,6 +373,21 @@ class TestSeriesTable:
             SeriesTable(["a", "b"], [10, 10], np.r_[raw[0].years, raw[1].years], np.ones(20),
                         np.ones(20), np.r_[np.arange(1.0, 11.0), 5.0, np.arange(5.0, 14.0)])
 
+    def test_flat_log_experience_rejected(self):
+        # experience strictly increasing, but too little for its log to move:
+        # every Wright fit divides by the log steps, so the contract refuses it
+        z = [1e20, 1e20 + 2**14, 1e20 + 2**15]
+        assert np.all(np.diff(z) > 0) and not np.all(np.diff(np.log(z)) > 0)
+        columns = [1, 2, 3], [1.0, 0.9, 0.8], [1.0, 1.0, 1.0]
+        with pytest.raises(DataError, match="^a: experience must be finite, positive and strictly increasing$"):
+            SeriesTable(["a"], [3], *columns, z)
+        with pytest.raises(DataError, match="^a: experience must be finite, positive and strictly increasing$"):
+            TechSeries("a", *columns, z)
+        # a year's production of 3e-8 adds 8 ulps to an experience of 2e7,
+        # which its log does not see
+        with pytest.raises(DataError, match="^a: experience must be finite, positive and strictly increasing$"):
+            build_experience(SeriesTable(["a"], [3], *columns[:2], [1.0, 3e-8, 1.0000001]))
+
 
 # the checks no other test reaches, and a row whose cost and production both
 # break the contract, which is named by its production
