@@ -204,9 +204,10 @@ def _lines(fields) -> bytes:
     return lines.tobytes().translate(None, b"\xff")
 
 
-def write_csv(path, header, *blocks) -> None:
+def write_csv(path, header, blocks) -> None:
     """Write ``header`` and the rows of each block of columns to ``path``.
 
+    ``blocks`` is an iterable, each block written before the next is taken.
     A block is a sequence of equal-length columns, one per header field. The
     bytes are those ``csv.writer`` writes: minimal quoting and ``\\r\\n``
     line ends. Float columns get 17 significant digits (``_fmt``), so a round

@@ -12,11 +12,14 @@ It creates ``--output-dir``, runs the command, writes each output and then a
 succeeded, renames them into place, the manifest last. So a run that fails
 to compute or write removes its temp files and leaves ``--output-dir`` as it
 was (empty if it was created); only a failed rename can leave part of a run.
-The manifest records the command, the seed, the package version, the
-options and a SHA-256 of each input file, hashed before any output is
-written. The options are the parsed namespace less the entries in
-``_NOT_OPTIONS``: the command and the seed, ``--threads`` (accepted, with no
-effect) and ``--output-dir``, and the file inputs. A command adds what it
+``hindcast``'s writer builds and formats ``errors.csv`` block by block from
+the command's one gather, so its peak memory is the gather plus one block
+(``run_hindcast`` still returns the whole table). The manifest
+records the command, the seed, the package version, the options and a
+SHA-256 of each input file, hashed before any output is written. The
+options are the parsed namespace less the entries in ``_NOT_OPTIONS``: the
+command and the seed, ``--threads`` (accepted, with no effect) and
+``--output-dir``, and the file inputs. A command adds what it
 derives (``forecast`` whether it used the bundled table). ``simulate
 --calibration`` keeps the six options its study reads; the other
 ``simulate`` modes drop ``variance`` and ``iid_windows`` and record
@@ -37,7 +40,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, _csvio
-from .diagnostics import ecdf_vs_reference, ks_critical_value, sahal_check, tanh_check
+from .diagnostics import _refuse, ecdf_vs_reference, ks_critical_value, sahal_check, tanh_check
 from .estimators import (
     RHO_STAR, THETA_STAR, MooreParams, WrightParams, fit_moore, fit_wright, full_sample_estimates
 )
@@ -50,11 +53,10 @@ from .forecast import (
 from .hindcast import (
     MODELS,
     HindcastConfig,
+    _errors_csv_writer,
     _model_slice,
     mse_curve,
     read_error_columns,
-    run_hindcast,
-    write_errors_csv,
 )
 from .params_io import read_params_csv, reference_params_path, write_params_csv
 from .series import DataError, build_experience, ingest_csv, write_csv
@@ -63,7 +65,7 @@ from .surrogate import SurrogateSpec, make_dataset, run_calibration_study, run_e
 
 def _csv(header, *blocks):
     """A writer of one CSV: ``header`` and the rows of each block."""
-    return lambda path: _csvio.write_csv(path, header, *blocks)
+    return lambda path: _csvio.write_csv(path, header, blocks)
 
 
 def _text(text: str):
@@ -128,8 +130,7 @@ def cmd_hindcast(args) -> tuple[dict, dict, dict]:
     cfg = HindcastConfig(m=args.m, tau_max=args.tau_max, rho=args.rho_star)
     dataset = build_experience(ingest_csv(args.input))
     _check_reach(dataset.T, cfg)
-    errors = run_hindcast(dataset, cfg)
-    return {"errors.csv": lambda p: write_errors_csv(p, errors)}, _options(args), {"data": args.input}
+    return {"errors.csv": _errors_csv_writer(dataset, cfg)}, _options(args), {"data": args.input}
 
 
 # ----------------------------------------------------------------- diagnose
@@ -182,12 +183,16 @@ def cmd_diagnose(args) -> tuple[dict, dict, dict]:
             ["technology", "omega", "mu_over_r", "residual"],
             [table["technology"], table["omega"], *sahal_check(table["mu"], table["r"], table["omega"])],
         )
-        growing = table[table["g"] > 0]
+        grow = table["g"] > 0
+        # rows that do not grow go through tanh_check as g = 1, sigma_q = 0,
+        # so that its errors name the file's data rows
+        theory = tanh_check(np.where(grow, table["g"], 1.0), np.where(grow, table["sigma_q"], 0.0))
+        _refuse("sigma_x", table["sigma_x"], np.isfinite(table["sigma_x"]) | ~grow, "finite")
+        growing = table[grow]
         skipped = len(table) - len(growing)
         outputs["tanh.csv"] = _csv(
             ["technology", "g", "sigma_q", "r", "sigma_x_observed", "sigma_x_theory"],
-            [growing[c] for c in ("technology", "g", "sigma_q", "r", "sigma_x")]
-            + [tanh_check(growing["g"], growing["sigma_q"])],
+            [growing[c] for c in ("technology", "g", "sigma_q", "r", "sigma_x")] + [theory[grow]],
         )
         summary.append(f"sahal: n={len(table)}")
         summary.append(f"tanh: n={len(growing)} skipped_nonpositive_growth={skipped}")

@@ -18,6 +18,10 @@ a NumPy array over all rows and ``table[table.model == "moore"]`` is a
 sub-table; ``len``, ``table[i]`` and iteration give :class:`HindcastError`
 row views for code that works record by record. The table is the one error
 container: every function here that takes errors takes a table.
+
+:func:`run_hindcast` returns the whole table; the ``hindcast`` command
+writes ``errors.csv`` block by block from one gather, so its peak memory is
+the gather plus one block.
 """
 
 from __future__ import annotations
@@ -36,6 +40,7 @@ from .series import SeriesTable
 from .variance import a_factor, ma1_variance_constant_x
 
 MODELS = ("moore", "wright")  # in the order a hindcast writes each error's rows
+_BLOCK = _CHUNK  # errors per block of the hindcast command's table: 2 rows each, about 1 MB
 
 
 @dataclass(frozen=True)
@@ -403,7 +408,24 @@ def write_errors_csv(path, errors: HindcastTable) -> None:
     a time. Text gets ``csv``'s minimal quoting and lines end in
     ``\\r\\n``.
     """
-    _csvio.write_csv(path, ERROR_COLUMNS, [getattr(errors, name) for name in ERROR_COLUMNS])
+    _csvio.write_csv(path, ERROR_COLUMNS, [[getattr(errors, name) for name in ERROR_COLUMNS]])
+
+
+def _errors_csv_writer(dataset: SeriesTable, cfg: HindcastConfig):
+    """Gather ``dataset`` now, so that its warnings come before any write,
+    and return a writer of the bytes of ``write_errors_csv(path,
+    run_hindcast(dataset, cfg))`` that builds and formats the table
+    ``_BLOCK`` errors at a time: it holds the gather and one block."""
+    w = _windows(dataset, cfg)
+
+    def blocks():
+        per_error = ("win", "tau", "fsum", "e_moore", "e_wright")  # the per-window arrays stay whole
+        for lo in range(0, len(w.tau), _BLOCK):
+            part = w._replace(**{f: getattr(w, f)[lo:lo + _BLOCK] for f in per_error})
+            table = _error_table(dataset, cfg, part)
+            yield [getattr(table, name) for name in ERROR_COLUMNS]
+
+    return lambda path: _csvio.write_csv(path, ERROR_COLUMNS, blocks())
 
 
 def _window_size(tau: np.ndarray, A: np.ndarray) -> np.ndarray:

@@ -57,7 +57,7 @@ def read_params_csv(path) -> np.ndarray:
 
 
 def write_params_csv(path, table: np.ndarray) -> None:
-    _csvio.write_csv(path, PARAM_COLUMNS, [table[c] for c in PARAM_COLUMNS])
+    _csvio.write_csv(path, PARAM_COLUMNS, [[table[c] for c in PARAM_COLUMNS]])
 
 
 def reference_params_path() -> Path:

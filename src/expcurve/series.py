@@ -300,11 +300,11 @@ def write_csv(path, dataset: SeriesTable) -> None:
     """
     built = dataset.experience is not None
     empty = np.full(len(dataset.years), "")
-    _csvio.write_csv(path, REQUIRED_COLUMNS + DERIVED_COLUMNS, [
+    _csvio.write_csv(path, REQUIRED_COLUMNS + DERIVED_COLUMNS, [[
         np.repeat(dataset.names, dataset.T), dataset.years, dataset.cost, dataset.production,
         dataset.experience if built else empty, dataset.log_cost,
         dataset.log_experience if built else empty,
-    ])
+    ]])
 
 
 def _discrete_growth(production: np.ndarray, T: np.ndarray) -> np.ndarray:

@@ -231,7 +231,8 @@ def _production(seed, keys, T, g, sigma_q, conditioned: bool) -> np.ndarray:
     initial-stock correction (see ``make_dataset``); a path that passes
     keeps its first draw, the unconditioned stream. At redraw attempt ``k``
     all paths still failing draw, in one batch, from streams ``(*key, k)``;
-    after 999 attempts the first path still failing raises ``DataError``.
+    after 999 attempts the first path still failing raises ``DataError``. If
+    that path has ``sigma_q = 0`` it raises at once, since no redraw moves it.
     """
     production = np.ones((len(keys), T.max()))
     todo = np.arange(len(keys))
@@ -245,6 +246,8 @@ def _production(seed, keys, T, g, sigma_q, conditioned: bool) -> np.ndarray:
         todo = todo[~(_discrete_growth(paths, T[todo]) > GROWTH_FLOOR)]
         if not (conditioned and len(todo)):
             return production
+        if sigma_q[todo[0]] == 0.0:  # a path with no noise is the same on every redraw
+            break
     i = todo[0]
     raise DataError(
         f"no growing production path found for stream {keys[i]} "

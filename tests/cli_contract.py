@@ -31,10 +31,9 @@ EXTREMES = [
     math.nan, math.inf, -math.inf,
 ]
 
-# columns that hold no computed float: text, comparison.csv's ratio, which
-# is inf or nan where the Moore variance is zero, and tanh.csv's copy of the
-# parameter table's sigma_x, which no check reads
-UNCHECKED = {"technology", "model", "band_width_ratio", "sigma_x_observed"}
+# columns that hold no computed float: text, and comparison.csv's ratio,
+# which is inf or nan where the Moore variance is zero
+UNCHECKED = {"technology", "model", "band_width_ratio"}
 
 # what a hindcast warns of: a series too short for one window, and the
 # windows of zero residual scale

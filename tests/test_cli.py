@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -23,6 +24,7 @@ from expcurve import (
     read_params_csv,
     run_hindcast,
     write_csv,
+    write_errors_csv,
 )
 import expcurve
 from expcurve import _csvio, cli, estimators, hindcast, surrogate
@@ -175,6 +177,81 @@ class TestHindcastCommand:
         assert "no series has the m + 2 = 7 periods that one error needs" in capsys.readouterr().err
         assert list(out.iterdir()) == []
 
+
+def mixed_dataset(path):
+    """A data CSV of series of 5 (too short for m = 5), 9, 14 and 30 years,
+    then a 10-year series of constant cost, whose windows have zero residual
+    scale."""
+    ds = make_dataset(SurrogateSpec(n_tech=4, T=np.array([5, 9, 14, 30]), seed=4, n_ensembles=1), 0)
+    flat = TechSeries("flat", np.arange(10), np.ones(10), 2.0 * 1.1 ** np.arange(10))
+    series = [TechSeries(ts.name, ts.years, ts.cost, ts.production) for ts in ds]
+    write_csv(path, SeriesTable.from_series([*series, flat]))
+    return path
+
+
+class TestHindcastBlocks:
+    """``hindcast`` builds and writes its error table ``_BLOCK`` errors at a
+    time, from one gather, with the bytes of the whole table."""
+
+    WARNINGS = ["4 window(s) had zero residual scale; their normalized errors are recorded as nan",
+                "tech000: too short for m=5 (T=5); skipped"]
+
+    @pytest.mark.parametrize("blocks", ["under-one", "one", "several"])
+    @pytest.mark.parametrize("tau_max", [3, 100], ids=["tau-3", "tau-beyond-every-reach"])
+    def test_bytes_of_the_whole_table(self, tmp_path, monkeypatch, blocks, tau_max):
+        data = mixed_dataset(tmp_path / "data.csv")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            table = run_hindcast(build_experience(ingest_csv(data)), HindcastConfig(tau_max=tau_max))
+        write_errors_csv(tmp_path / "whole.csv", table)
+        n = len(table) // 2  # errors, two rows each
+        size = {"under-one": n + 1, "one": n, "several": n // 4 + 1}[blocks]
+        count = -(-n // size)
+        assert (count, n % size > 0) == {"under-one": (1, True), "one": (1, False), "several": (4, True)}[blocks]
+        built, error_table = [], hindcast._error_table
+
+        def counted(*args):  # the warnings caught before each block is built
+            built.append(len(caught))
+            return error_table(*args)
+
+        monkeypatch.setattr(hindcast, "_BLOCK", size)
+        monkeypatch.setattr(hindcast, "_error_table", counted)
+        out = tmp_path / "out"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run_cli("--output-dir", out, "hindcast", "--input", data, "--tau-max", tau_max) == 0
+        assert sorted(str(w.message) for w in caught) == self.WARNINGS
+        assert built == [2] * count  # each warning once, before any block
+        assert (out / "errors.csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()
+
+    def test_bytes_of_the_whole_table_at_the_block_size(self, tmp_path):
+        data = small_dataset(tmp_path, n_tech=20, T=50)
+        table = run_hindcast(build_experience(ingest_csv(data)), HindcastConfig())
+        assert len(table) // 2 > 3 * hindcast._BLOCK and len(table) // 2 % hindcast._BLOCK
+        write_errors_csv(tmp_path / "whole.csv", table)
+        assert run_cli("--output-dir", tmp_path / "out", "hindcast", "--input", data) == 0
+        assert (tmp_path / "out" / "errors.csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()
+
+    def test_peak_memory_grows_by_well_under_the_table(self, tmp_path):
+        # four times the series: the command's traced peak grows by the
+        # gather's share, not by the error table's 10 MB
+        peaks, tables = [], []
+        for n_tech in (20, 80):
+            (tmp_path / str(n_tech)).mkdir()
+            data = small_dataset(tmp_path / str(n_tech), n_tech=n_tech, T=50)
+            table = run_hindcast(build_experience(ingest_csv(data)), HindcastConfig())
+            tables.append(sum(getattr(table, name).nbytes for name in hindcast._FIELDS))
+            del table
+            tracemalloc.start()
+            try:
+                assert run_cli("--output-dir", tmp_path / str(n_tech), "hindcast", "--input", data) == 0
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert tables[1] - tables[0] > 10e6
+        assert peaks[1] - peaks[0] < (tables[1] - tables[0]) / 3
+
+
 class TestDiagnoseCommand:
     def test_outputs(self, tmp_path):
         data = small_dataset(tmp_path)
@@ -245,7 +322,8 @@ class TestDiagnoseCommand:
         ({"g": "inf"}, "g in row 2 is inf, not finite"),
         ({"sigma_q": "-0.08"}, "sigma_q in row 2 is -0.08, not non-negative with a finite square"),
         ({"sigma_q": "1e300"}, "sigma_q in row 2 is 1e+300, not non-negative with a finite square"),
-    ], ids=["omega", "mu", "r", "mu-over-r", "residual", "g", "sigma_q", "sigma_q-squared"])
+        ({"sigma_x": "nan"}, "sigma_x in row 2 is nan, not finite"),
+    ], ids=["omega", "mu", "r", "mu-over-r", "residual", "g", "sigma_q", "sigma_q-squared", "sigma_x"])
     def test_bad_params_value_writes_nothing(self, tmp_path, capsys, edit, message):
         data = small_dataset(tmp_path)
         assert run_cli("--output-dir", tmp_path, "hindcast", "--input", data) == 0
@@ -257,6 +335,32 @@ class TestDiagnoseCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: {message}\n"
+        assert list(out.iterdir()) == []
+
+    # tanh.csv skips a first row that does not grow, and an error still
+    # counts it among the file's data rows
+    @pytest.mark.parametrize("edit, message", [
+        ({"sigma_q": "-0.08"}, "sigma_q in row 2 is -0.08, not non-negative with a finite square"),
+        ({"sigma_x": "inf"}, "sigma_x in row 2 is inf, not finite"),
+        ({}, None),
+    ], ids=["sigma_q", "sigma_x", "none"])
+    @pytest.mark.parametrize("g", ["-0.1", "0", "nan"])
+    def test_bad_tanh_value_after_a_row_without_growth(self, tmp_path, capsys, g, edit, message):
+        data = small_dataset(tmp_path)
+        assert run_cli("--output-dir", tmp_path, "hindcast", "--input", data) == 0
+        # the skipped row's own sigma_q and sigma_x are read by no check
+        rows = [PV_ROW | {"g": g, "sigma_q": "-1", "sigma_x": "nan"}, PV_ROW | edit]
+        params = tmp_path / "params.csv"
+        params.write_text("\n".join([",".join(PV_ROW)] + [",".join(row.values()) for row in rows]) + "\n")
+        out = tmp_path / "out"
+        capsys.readouterr()
+        code = run_cli("--output-dir", out, "diagnose", "--errors", tmp_path / "errors.csv", "--params", params)
+        if message is None:
+            assert code == 0
+            assert (out / "tanh.csv").read_text().count("\n") == 2  # the header and the growing row
+            return
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert list(out.iterdir()) == []
 
     def test_header_only_errors_rejected(self, tmp_path, capsys):
@@ -582,6 +686,28 @@ class TestSimulateCommand:
             assert code == 0
             assert built == replicates
         assert (tmp_path / "4" / "dataset.csv").read_bytes() == (tmp_path / "0" / "dataset.csv").read_bytes()
+
+    def test_noise_free_shrinking_row_refused_after_one_draw(self, tmp_path, monkeypatch, capsys):
+        # with sigma_q = 0 every redraw of a production path is the same
+        # path, so one that fails the growth test is refused at once
+        batches, normals = [], surrogate._normals
+
+        def counted(seed, keys, *args):
+            batches.append(keys)
+            return normals(seed, keys, *args)
+
+        monkeypatch.setattr(surrogate, "_normals", counted)
+        row = PV_ROW | {"technology": "X", "T": "6", "g": "-0.05", "sigma_q": "0"}
+        params = tmp_path / "params.csv"
+        params.write_text(",".join(row) + "\n" + ",".join(row.values()) + "\n")
+        out = tmp_path / "out"
+        capsys.readouterr()
+        code = run_cli("--output-dir", out, "simulate", "--mimic", params, "--ensembles", 0, "--m", 2, "--tau-max", 3)
+        assert code == 1
+        message = "no growing production path found for stream (0, 0, 0) (g=-0.05, sigma_q=0.0, T=6)"
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert batches == [[(0, 0, 0)]]
+        assert list(out.iterdir()) == []
 
     def test_shortest_usable_series(self, tmp_path):
         # m + 2 periods make one window with one forecast

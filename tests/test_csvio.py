@@ -163,7 +163,7 @@ class TestFloatFallback:
         y = np.repeat(x[: n // 4], 4)  # each value four times
         monkeypatch.setattr(_csvio, "_fmt", counted)
         path = tmp_path / "x.csv"
-        _csvio.write_csv(path, ["x", "y"], [x, y])
+        _csvio.write_csv(path, ["x", "y"], [[x, y]])
         fallback = [
             v for v in x.tolist() + y.tolist()
             if not (1e-4 <= abs(v) < 1e16) or is_tie(v)
@@ -216,13 +216,13 @@ class TestFloatKernel:
         values = np.array([np.nan, np.inf, -np.inf, 1e308, 5e-324, -0.0])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            _csvio.write_csv(path, ["x"], [values])
+            _csvio.write_csv(path, ["x"], [[values]])
         assert file_text(path) == csv_writer_text(["x"], [[_fmt(v)] for v in values.tolist()])
 
     def test_widest_fallback_among_kernel_texts(self, tmp_path):
         path = tmp_path / "x.csv"
         values = np.array([0.5, -1.3118095100000001e140, -0.00012345678901234567, 3.0])
-        _csvio.write_csv(path, ["x", "n"], [values, np.arange(4)])
+        _csvio.write_csv(path, ["x", "n"], [[values, np.arange(4)]])
         rows = [[_fmt(v), i] for i, v in enumerate(values.tolist())]
         assert file_text(path) == csv_writer_text(["x", "n"], rows)
 
@@ -464,7 +464,7 @@ class TestWriterProperty:
     def test_bytes_are_csv_writer_bytes(self, tmp_path_factory, case):
         header, blocks = case
         path = tmp_path_factory.mktemp("w") / "out.csv"
-        _csvio.write_csv(path, header, *blocks)
+        _csvio.write_csv(path, header, blocks)
         rows = []
         for block in blocks:
             rows += zip(*(
@@ -484,13 +484,13 @@ class TestWriterProperty:
         path = tmp_path / "out.csv"
         names = np.array(["a", "", "b,c", ""])
         for header in ([""], ["name"]):
-            _csvio.write_csv(path, header, [names])
+            _csvio.write_csv(path, header, [[names]])
             assert file_text(path) == csv_writer_text(header, [[v] for v in names.tolist()])
         assert _csvio.read_csv(path, {"name": str}, "x")["name"].tolist() == names.tolist()
 
     def test_text_is_read_as_str_of_any_str_type(self, tmp_path):
         path = tmp_path / "out.csv"
-        _csvio.write_csv(path, ["name"], [np.array(["ab", "c"])])
+        _csvio.write_csv(path, ["name"], [[np.array(["ab", "c"])]])
         for kind in (str, np.str_, "U1"):
             assert _csvio.read_csv(path, {"name": kind}, "x")["name"].tolist() == ["ab", "c"]
         for kind in (bytes, np.bytes_, np.void):
@@ -503,7 +503,7 @@ class TestWriterProperty:
         # its fields by position
         path = tmp_path / "out.csv"
         values = {"": np.array(["a", "", "b,c"]), "x": np.array([0.5, -0.0, np.nan])}
-        _csvio.write_csv(path, header, [values[name] for name in header])
+        _csvio.write_csv(path, header, [[values[name] for name in header]])
         back = _csvio.read_csv(path, {name: {"": str, "x": float}[name] for name in header}, "x")
         assert list(back) == header
         assert back[""].tolist() == values[""].tolist()
