@@ -51,7 +51,6 @@ from .surrogate import (
     CalibrationResult,
     EnsembleResult,
     SurrogateSpec,
-    gen_log_production,
     make_dataset,
     run_calibration_study,
     run_ensemble,

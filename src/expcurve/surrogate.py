@@ -1,11 +1,10 @@
 """Synthetic datasets and ensemble confidence bands.
 
-Production is a geometric random walk with drift; experience integrates it
-(optionally through the same initial-stock correction applied to real data);
-log-cost changes follow the experience curve with MA(1) noise. Pushing many
-such datasets through the identical hindcast/diagnostic pipeline yields the
-sampling distribution of any statistic, which is how the overlapping-window
-dependence of hindcast errors is handled.
+Production is a geometric random walk with drift, conditioned by exact draws
+to grow when experience integrates it through the initial-stock correction of
+real data; log-cost changes follow the experience curve with MA(1) noise.
+Many such datasets pushed through one hindcast/diagnostic pipeline give the
+sampling distribution of any statistic, overlapping-window dependence included.
 
 Randomness is counter-keyed: stream ``(seed, replicate, technology, role)``
 fully determines every draw, so a replicate is reproducible in isolation and
@@ -195,19 +194,6 @@ def _log_cost(x: np.ndarray, u: np.ndarray, omega: np.ndarray, rho: np.ndarray) 
     return lc
 
 
-def gen_log_production(T: int, g: float, sigma_q: float, seed) -> np.ndarray:
-    """Log of a geometric random walk: ``g t + sum_{j<=t} a_j``, starting at 0.
-
-    Stays in log space, so it is safe for very long horizons where the level
-    series would overflow. Combine with ``numpy.logaddexp.accumulate`` to get
-    log cumulative production stably.
-    """
-    if T < 2:
-        raise ValueError("need at least 2 periods")
-    a = np.random.default_rng(seed).normal(0.0, sigma_q, T - 1)
-    return _log_production(a[None], np.array([float(g)]))[0]
-
-
 def _normals(seed, keys, lengths, scale) -> np.ndarray:
     """Rows of normal draws, padded with zeros: row ``i`` holds the
     ``lengths[i]`` values ``Generator.normal(0.0, scale[i], lengths[i])``
@@ -223,32 +209,47 @@ def _normals(seed, keys, lengths, scale) -> np.ndarray:
     return 0.0 + scale[:, None] * z
 
 
+def _grown(draws: np.ndarray, T: np.ndarray, g: np.ndarray):
+    """Production paths from rows of innovations, and which grow enough."""
+    years = np.arange(draws.shape[1] + 1)
+    # the padding is log production 0, so no exp overflows past a row's end
+    paths = np.exp(np.where(years < T[:, None], _log_production(draws, g), 0.0))
+    return paths, _discrete_growth(paths, T) > GROWTH_FLOOR
+
+
 def _production(seed, keys, T, g, sigma_q, conditioned: bool) -> np.ndarray:
     """Production paths as the rows of a (path × year) matrix, one stream
     ``keys[i]`` per row of ``T[i]`` years, padded with ones.
 
-    ``conditioned`` redraws each path that fails the growth test of the
-    initial-stock correction (see ``make_dataset``); a path that passes
-    keeps its first draw, the unconditioned stream. At redraw attempt ``k``
-    all paths still failing draw, in one batch, from streams ``(*key, k)``;
-    after 999 attempts the first path still failing raises ``DataError``. If
-    that path has ``sigma_q = 0`` it raises at once, since no redraw moves it.
+    ``conditioned`` draws each path that fails the growth test (see
+    ``make_dataset``) once more, from stream ``(*key, 1)`` and its law given
+    that it passes. The test reads only the sum S of the n = T - 1
+    innovations, so S comes from its normal tail above the test's bound by
+    inversion, and the innovations are ``sigma_q (z - mean(z)) + S / n`` for
+    n standard normals z. A path with no tail mass, or that fails by rounding
+    (about 1e-16 n times S's density at the bound), raises ``DataError``.
     """
-    production = np.ones((len(keys), T.max()))
-    todo = np.arange(len(keys))
-    for attempt in range(1000):
-        batch = [(*keys[i], attempt) if attempt else keys[i] for i in todo]
-        draws = _normals(seed, batch, T[todo] - 1, sigma_q[todo])
-        years = np.arange(draws.shape[1] + 1)
-        # the padding is log production 0, so no exp overflows past a row's end
-        paths = np.exp(np.where(years < T[todo, None], _log_production(draws, g[todo]), 0.0))
-        production[todo, : paths.shape[1]] = paths
-        todo = todo[~(_discrete_growth(paths, T[todo]) > GROWTH_FLOOR)]
-        if not (conditioned and len(todo)):
-            return production
-        if sigma_q[todo[0]] == 0.0:  # a path with no noise is the same on every redraw
+    draws = _normals(seed, keys, T - 1, sigma_q)
+    production, grew = _grown(draws, T, g)
+    failed = np.flatnonzero(~grew).tolist()
+    if not (conditioned and failed):
+        return production
+    from statistics import NormalDist, StatisticsError
+
+    for i, rng in zip(failed, _streams(seed, [(*keys[i], 1) for i in failed])):
+        n, sd = int(T[i]) - 1, float(sigma_q[i]) * math.sqrt(T[i] - 1)
+        c = n * (math.log1p(GROWTH_FLOOR) - float(g[i]))  # the test is S > c
+        u, z = 1.0 - rng.random(), rng.standard_normal(n)
+        try:  # P(S > c) is 0 at sd = 0, and underflows past c = 37.5 sd
+            s = -sd * NormalDist().inv_cdf(math.erfc(c / (sd * math.sqrt(2))) / 2 * u)
+        except (StatisticsError, ZeroDivisionError):
             break
-    i = todo[0]
+        draws[i, :n] = sigma_q[i] * (z - z.mean()) + s / n
+    else:  # every failing path was bridged
+        production[failed], grew = _grown(draws[failed], T[failed], g[failed])
+        if grew.all():
+            return production
+        i = failed[np.argmin(grew)]
     raise DataError(
         f"no growing production path found for stream {keys[i]} "
         f"(g={g[i]}, sigma_q={sigma_q[i]}, T={T[i]})"
@@ -267,8 +268,8 @@ def make_dataset(
     [0, 2**32). The replicates asked for are built as one block: the paths
     are the rows of (path × year) matrices, replicate by replicate and
     technology by technology within each. The block's production and cost
-    stream keys are hashed in two batches (see ``_streams``), the redraws in
-    one more batch per attempt, and each formula is applied once per block.
+    stream keys are hashed in two batches (see ``_streams``), the bridge
+    draws in one more, and each formula is applied once per block.
     Every row adds its terms in the order a single series would, so a table
     is the same whatever block it is built in, and a replicate is the same
     as a block of one. Then the block is cut into one table per replicate,
@@ -283,9 +284,9 @@ def make_dataset(
     ``build_experience`` applies to real data, and real datasets are
     implicitly selected the same way, since technologies whose production
     never grew cannot be corrected and are dropped. A path that fails the
-    test is redrawn (see ``_production``). A shared path is conditioned over
-    its full length only, so a technology whose shorter stretch of it did
-    not grow raises ``DataError``.
+    test is drawn again from its law given that it passes (``_production``).
+    A shared path is conditioned over its full length only, so a technology
+    whose shorter stretch of it did not grow raises ``DataError``.
     """
     single = np.ndim(replicate) == 0
     block = [replicate] if single else list(replicate)
@@ -310,8 +311,7 @@ def make_dataset(
             # one path a replicate, drawn with the first technology's g and sigma_q
             keys = [(r, 0, _ROLE_SHARED_PRODUCTION) for r in block]
             shared = (np.full(size, v) for v in (T.max(), g[0], sigma_q[0]))
-            paths = _production(spec.seed, keys, *shared, corrected)
-            production = np.repeat(paths, n, axis=0)
+            production = np.repeat(_production(spec.seed, keys, *shared, corrected), n, axis=0)
         else:
             keys = [(r, j, _ROLE_PRODUCTION) for r in block for j in range(n)]
             production = _production(spec.seed, keys, rows_T, g, sigma_q, corrected)

@@ -265,7 +265,8 @@ def test_criterion_5_tanh_law():
     for g in (0.05, 0.1, 0.3):
         for sq in (0.05, 0.1):
             seed = int(g * 1000) + int(sq * 100)
-            lq = ec.gen_log_production(10_000, g, sq, seed)
+            a = np.random.default_rng(seed).normal(0.0, sq, 10_000 - 1)
+            lq = ec.surrogate._log_production(a[None], np.array([g]))[0]
             lz = np.logaddexp.accumulate(lq)
             burn = max(200, int(20 / g))
             dlz = np.diff(lz)[burn:]

@@ -37,7 +37,6 @@ PUBLIC_API = (
     "forecast_moore",
     "forecast_wright",
     "full_sample_estimates",
-    "gen_log_production",
     "growth_stats",
     "ingest_csv",
     "ks_critical_value",
@@ -101,6 +100,13 @@ MIMIC_PARAMS = (
     "Z,11,-0.03,0.04,0.15,0.09,0.15,0.015,-0.3,0.04,0.2\n"
 )
 
+# A row whose production grows on about 4% of first draws, so the ensemble
+# bridges its paths (surrogate._production).
+BRIDGED_PARAMS = (
+    "technology,T,mu,K,g,sigma_q,r,sigma_x,omega,sigma_eta,rho\n"
+    "X,9,-0.05,0.05,-0.05,0.08,0.1,0.01,-0.5,0.05,0.2\n"
+)
+
 
 # Arguments that _reference_cdf rejects before it imports SciPy.
 BAD_REFERENCE_CALLS = """
@@ -125,6 +131,8 @@ def test_cli_does_not_load_scipy_stats(tmp_path):
     expcurve.write_csv(data, expcurve.make_dataset(spec, 0))
     params = tmp_path / "params.csv"
     params.write_text(MIMIC_PARAMS)
+    bridged = tmp_path / "bridged.csv"
+    bridged.write_text(BRIDGED_PARAMS)
     out = tmp_path / "out"
 
     def run_main(*argv):
@@ -137,6 +145,9 @@ def test_cli_does_not_load_scipy_stats(tmp_path):
         "bad reference arguments": BAD_REFERENCE_CALLS,
         "simulate": run_main("simulate", "--n-tech", 3, "--periods", 12, "--ensembles", 0),
         "simulate --mimic": run_main("simulate", "--mimic", params, "--ensembles", 1, "--tau-max", 4),
+        # the row's paths are bridged, which loads statistics but not SciPy
+        "simulate --mimic (bridged)": run_main("simulate", "--mimic", bridged, "--ensembles", 2, "--tau-max", 4)
+        + "\nassert 'statistics' in sys.modules",
         "estimate": run_main("estimate", "--input", data, "--emit-series"),
         "hindcast": run_main("hindcast", "--input", data, "--tau-max", 4),
         "forecast (table)": run_main("forecast", "--tech", "Photovoltaics", "--horizon", 5),

@@ -719,8 +719,8 @@ class TestSimulateCommand:
         assert (out / "bands_moore.csv").exists() and (out / "bands_wright.csv").exists()
 
     def test_failed_replicate_writes_nothing(self, tmp_path, capsys):
-        # replicates 0 and 1 pass, the shared production path of replicate 2
-        # does not grow over the 5-period technology's stretch
+        # replicate 0 passes, the shared production path of replicate 1 does
+        # not grow over the 5-period technology's stretch
         params = tmp_path / "p.csv"
         params.write_text(
             "technology,T,mu,K,g,sigma_q,r,sigma_x,omega,sigma_eta,rho\n"
@@ -733,7 +733,7 @@ class TestSimulateCommand:
             "--ensembles", 20, "--m", 2, "--tau-max", 2,
         )
         assert code == 1
-        assert "pipeline failed on replicate 2" in capsys.readouterr().err
+        assert "pipeline failed on replicate 1" in capsys.readouterr().err
         assert list(out.iterdir()) == []
 
     def test_failed_replicate_names_its_cause(self, tmp_path, capsys):

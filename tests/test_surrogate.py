@@ -1,5 +1,6 @@
 import math
 import re
+from statistics import NormalDist, StatisticsError
 
 import numpy as np
 import pytest
@@ -11,7 +12,6 @@ from scipy import stats
 from expcurve import (
     DataError,
     SurrogateSpec,
-    gen_log_production,
     growth_stats,
     make_dataset,
     run_calibration_study,
@@ -50,27 +50,43 @@ def _reference_cost(x, omega, sigma_eta, rho, rng):
     return np.exp(np.concatenate([[0.0], np.cumsum(omega * x + e)]))
 
 
+def _reference_bridge(T, g, sigma_q, rng):
+    """Production given that its innovations sum to more than the growth
+    test's bound c: the sum S from the upper tail of its normal law above c,
+    by inversion of one uniform, and normal innovations given S."""
+    n = T - 1
+    sd = sigma_q * math.sqrt(n)
+    c = n * (math.log1p(GROWTH_FLOOR) - g)
+    tail = 0.5 * math.erfc(c / (sd * math.sqrt(2))) if sigma_q > 0 else 0.0
+    u = 1.0 - rng.random()
+    z = rng.standard_normal(n)
+    s = -sd * NormalDist().inv_cdf(u * tail)  # StatisticsError at tail 0
+    a = sigma_q * (z - z.mean()) + s / n
+    return np.exp(np.concatenate([[0.0], g * np.arange(1, T) + np.cumsum(a)]))
+
+
 def reference_dataset(spec, replicate):
     """The dataset make_dataset should return, and how many production
-    paths it redrew."""
-    redraws = 0
+    paths it bridged."""
+    bridged = 0
 
-    def draw_production(T, g, sigma_q, base_key):
-        nonlocal redraws
+    def draw_production(T, g, sigma_q, key):
+        nonlocal bridged
+        q = _reference_production(T, g, sigma_q, _reference_rng(spec.seed, *key))
         if not spec.corrected_experience:
-            q = _reference_production(T, g, sigma_q, _reference_rng(spec.seed, *base_key))
             return q, np.cumsum(q)
-        for attempt in range(1000):
-            key = base_key if attempt == 0 else (*base_key, attempt)
-            q = _reference_production(T, g, sigma_q, _reference_rng(spec.seed, *key))
-            try:
-                return q, _reference_experience("", q)
-            except DataError:
-                redraws += 1
-        raise DataError(
-            f"no growing production path found for stream {base_key} "
-            f"(g={g}, sigma_q={sigma_q}, T={T})"
-        )
+        try:
+            return q, _reference_experience("", q)
+        except DataError:
+            bridged += 1
+        try:
+            q = _reference_bridge(T, g, sigma_q, _reference_rng(spec.seed, *key, 1))
+            return q, _reference_experience("", q)
+        except (DataError, StatisticsError):
+            raise DataError(
+                f"no growing production path found for stream {key} "
+                f"(g={g}, sigma_q={sigma_q}, T={T})"
+            ) from None
 
     fields = ("T", "g", "sigma_q", "omega", "sigma_eta", "rho")
     lengths, *per_tech = (np.broadcast_to(getattr(spec, f), spec.n_tech).tolist() for f in fields)
@@ -93,7 +109,14 @@ def reference_dataset(spec, replicate):
         experience.append(z)
     years = np.concatenate([np.arange(1, T + 1) for T in lengths])
     columns = (years, *(np.concatenate(c) for c in (cost, production, experience)))
-    return (names, lengths, *columns), redraws
+    return (names, lengths, *columns), bridged
+
+
+def log_production(T, g, sigma_q, seed):
+    """An unconditioned log production path of ``T`` periods, its
+    innovations drawn by ``default_rng(seed)``."""
+    draws = np.random.default_rng(seed).normal(0.0, sigma_q, T - 1)
+    return surrogate._log_production(draws[None], np.array([g]))[0]
 
 
 def first_years(table, n):
@@ -105,8 +128,8 @@ def first_years(table, n):
 
 class TestGenProduction:
     def test_deterministic(self):
-        a = gen_log_production(30, 0.1, 0.1, 42)
-        b = gen_log_production(30, 0.1, 0.1, 42)
+        a = log_production(30, 0.1, 0.1, 42)
+        b = log_production(30, 0.1, 0.1, 42)
         assert_array_equal(a, b)
 
     def test_zero_volatility_exact_exponential(self):
@@ -115,7 +138,7 @@ class TestGenProduction:
         assert_allclose(np.diff(np.log(q)), 0.07, rtol=1e-12)
 
     def test_drift_matches(self):
-        lq = gen_log_production(10_001, 0.1, 0.1, 5)
+        lq = log_production(10_001, 0.1, 0.1, 5)
         d = np.diff(lq)
         assert d.mean() == pytest.approx(0.1, abs=0.003)
         assert d.std(ddof=1) == pytest.approx(0.1, abs=0.003)
@@ -174,7 +197,7 @@ class TestSigmaXTheory:
             assert var < 0.2**2
 
     def test_long_run_monte_carlo(self):
-        lq = gen_log_production(10_000, 0.1, 0.1, 3)
+        lq = log_production(10_000, 0.1, 0.1, 3)
         dlz = np.diff(np.logaddexp.accumulate(lq))[200:]
         _, var_th = sigma_x_theory(0.1, 0.1)
         assert dlz.var(ddof=1) == pytest.approx(var_th, rel=0.10)
@@ -218,8 +241,8 @@ class TestMakeDataset:
 
     def test_redraws_batched_through_streams(self, monkeypatch):
         # one initial-stock correction over every technology's row, and one
-        # _streams call per redraw attempt, holding a key for each path still
-        # failing the growth test with the attempt as a fourth element
+        # _streams call of bridge keys for a block with paths that fail the
+        # growth test: each failing path's key with a fourth element 1
         calls, built = [], []
         streams, build = surrogate._streams, surrogate._corrected_experience
 
@@ -238,18 +261,17 @@ class TestMakeDataset:
             calls.clear()
             built.clear()
             spec = SurrogateSpec(n_tech=6, T=T, g=g, sigma_q=0.1, seed=4, n_ensembles=1)
-            ds = make_dataset(spec, 0)
-            _, redraws = reference_dataset(spec, 0)
-            attempts = [call for call in calls if len(call[0]) == 4]
-            assert sum(map(len, attempts)) == redraws
-            assert [{key[3] for key in call} for call in attempts] == [
-                {k} for k in range(1, len(attempts) + 1)
-            ]
+            tables = make_dataset(spec, range(3))
+            bridged = sum(reference_dataset(spec, r)[1] for r in range(3))
+            bridges = [call for call in calls if len(call[0]) == 4]
+            assert len(bridges) == (bridged > 0)
+            assert sum(map(len, bridges)) == bridged
+            assert all(key[3] == 1 for call in bridges for key in call)
             assert len(built) == 1
-            for ts in ds:
+            for ts in (ts for ds in tables for ts in ds):
                 z = build([ts.name], ts.production[None], np.array([ts.T]))[0]
                 assert_array_equal(ts.experience, z)
-        assert len(attempts) > 1  # the second spec redrew some paths twice or more
+        assert bridged > 1  # the second spec bridged paths of several replicates
 
     @pytest.mark.parametrize(
         "g0, g, T",
@@ -257,22 +279,22 @@ class TestMakeDataset:
         ids=["shrinking", "underflowing", "both-shrinking"],
     )
     def test_redraws_exhausted(self, g0, g, T):
-        # a path that never grows fails every attempt of its stream; one
+        # a path with no noise that does not grow cannot be bridged; one
         # whose production underflows to 0 fails the test without a warning;
-        # of two such paths, the lower-index stream is named
+        # tech000 of both-shrinking, with noise, is bridged
         spec = SurrogateSpec(n_tech=2, T=np.array([9, T]), g=np.array([g0, g]),
                              sigma_q=np.array([0.1, 0.0]), seed=3, n_ensembles=1)
-        j, g, sigma_q, T = (0, g0, 0.1, 9) if g0 < 0 else (1, g, 0.0, T)
-        message = f"no growing production path found for stream (2, {j}, 0) (g={g}, sigma_q={sigma_q}, T={T})"
+        message = f"no growing production path found for stream (2, 1, 0) (g={g}, sigma_q=0.0, T={T})"
         with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
             make_dataset(spec, 2)
 
     def test_shared_path_not_growing_over_a_shorter_stretch(self):
-        # the shared path is conditioned over its full length only
+        # the shared path is conditioned over its full length only; that of
+        # replicate 7 grows on its first draw
         spec = SurrogateSpec(n_tech=3, T=np.array([30, 4, 30]), g=0.02, sigma_q=0.3, seed=2,
                              n_ensembles=1, shared_production=True)
-        with pytest.raises(DataError, match=r"^tech001: zero production growth rate \(g_d=-0.221\)$"):
-            make_dataset(spec, 0)
+        with pytest.raises(DataError, match=r"^tech001: zero production growth rate \(g_d=-0.322\)$"):
+            make_dataset(spec, 7)
 
     def test_per_tech_parameter_vectors(self):
         spec = SurrogateSpec(
@@ -369,6 +391,64 @@ class TestMakeDataset:
         errs = run_hindcast(ds, HindcastConfig(m=5, tau_max=20, rho=0.19))
         expect = sum(sum(min(20, T - t) for t in range(6, T)) for T in table["T"].tolist())
         assert sum(1 for e in errs if e.model == "wright") == expect
+
+
+class TestBridge:
+    """A path that fails the growth test on its first draw is bridged: its
+    conditioned production has the law of an unconditioned path given that
+    it passes, which an independent rejection sampler draws too."""
+
+    # first-draw chances of passing of about 0.73 (Sodium's row), 0.04, 0.01
+    ROWS = [(16, 0.013, 0.081), (9, -0.05, 0.08), (6, -0.05, 0.05)]
+
+    @staticmethod
+    def rejection_sample(T, g, sigma_q, size, rng):
+        """``size`` rows of log production over years 2..T, drawn
+        unconditioned until that many pass the growth test."""
+        kept, n = [], T - 1
+        while sum(map(len, kept)) < size:
+            lq = np.cumsum(rng.normal(g, sigma_q, (50_000, n)), axis=1)
+            kept.append(lq[np.expm1(lq[:, -1] / n) > GROWTH_FLOOR])
+        return np.concatenate(kept)[:size]
+
+    @staticmethod
+    def conditioned(T, g, sigma_q, size, seed):
+        """``size`` conditioned production paths of streams ``(r, 0, 0)``,
+        and how many of them were bridged."""
+        keys = [(r, 0, 0) for r in range(size)]
+        bridges, streams = [], surrogate._streams
+
+        def recorded(seed, batch):
+            bridges.extend(key for key in batch if len(key) == 4)
+            return streams(seed, batch)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(surrogate, "_streams", recorded)
+            q = surrogate._production(seed, keys, np.full(size, T), np.full(size, g),
+                                      np.full(size, sigma_q), True)
+        return q, len(bridges)
+
+    @pytest.mark.parametrize("T, g, sigma_q", ROWS)
+    def test_matches_rejection_sampler(self, T, g, sigma_q):
+        # two-sample KS on the innovations' sum, the first innovation and
+        # the path's maximum, 4,000 paths a side, at a pinned seed
+        size, seed = 4000, 0
+        q, bridged = self.conditioned(T, g, sigma_q, size, seed)
+        assert bridged > size // 5
+        assert np.all(surrogate._discrete_growth(q, np.full(size, T)) > GROWTH_FLOOR)
+        lq = np.log(q[:, 1:])
+        oracle = self.rejection_sample(T, g, sigma_q, size, np.random.default_rng(seed))
+        n = T - 1
+        for statistic in (lambda lq: lq[:, -1] - n * g, lambda lq: lq[:, 0] - g, lambda lq: lq.max(axis=1)):
+            assert stats.ks_2samp(statistic(lq), statistic(oracle)).pvalue > 1e-3
+
+    def test_underflowing_tail_refused(self):
+        # the normal tail above the growth test's bound, some 870 standard
+        # deviations up, underflows to 0
+        spec = SurrogateSpec(n_tech=1, T=120, g=-8.0, sigma_q=0.1, n_ensembles=1)
+        message = "no growing production path found for stream (0, 0, 0) (g=-8.0, sigma_q=0.1, T=120)"
+        with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+            make_dataset(spec, 0)
 
 
 MODES = {
@@ -763,8 +843,7 @@ class TestCalibrationStudy:
     (lambda: SurrogateSpec(n_tech=2, sigma_eta=[0.1, -0.1]), "^volatilities must be non-negative$"),
     (lambda: SurrogateSpec(n_tech=1, rho=1.5), r"^rho must lie in \[-1, 1\]$"),
     (lambda: SurrogateSpec(n_tech=2, rho=[0.2, -1.01]), r"^rho must lie in \[-1, 1\]$"),
-    (lambda: gen_log_production(1, 0.1, 0.1, 0), "^need at least 2 periods$"),
-], ids=["sigma-q", "sigma-eta-vector", "rho", "rho-vector", "one-period"])
+], ids=["sigma-q", "sigma-eta-vector", "rho", "rho-vector"])
 def test_generator_checks(call, message):
     with pytest.raises(ValueError, match=message):
         call()
