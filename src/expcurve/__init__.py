@@ -49,8 +49,8 @@ from .hindcast import (
 )
 from .surrogate import (
     CalibrationResult,
-    EnsembleResult,
     SurrogateSpec,
+    ensemble_band,
     make_dataset,
     run_calibration_study,
     run_ensemble,

@@ -40,7 +40,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, _csvio
-from .diagnostics import _refuse, ecdf_vs_reference, ks_critical_value, sahal_check, tanh_check
+from .diagnostics import _refuse, ecdf_vs_reference, ks_critical_value, pit, sahal_check, tanh_check
 from .estimators import (
     RHO_STAR, THETA_STAR, MooreParams, WrightParams, fit_moore, fit_wright, full_sample_estimates
 )
@@ -60,7 +60,7 @@ from .hindcast import (
 )
 from .params_io import read_params_csv, reference_params_path, write_params_csv
 from .series import DataError, build_experience, ingest_csv, write_csv
-from .surrogate import SurrogateSpec, make_dataset, run_calibration_study, run_ensemble
+from .surrogate import SurrogateSpec, ensemble_band, make_dataset, run_calibration_study, run_ensemble
 
 
 def _csv(header, *blocks):
@@ -183,6 +183,7 @@ def cmd_diagnose(args) -> tuple[dict, dict, dict]:
             ["technology", "omega", "mu_over_r", "residual"],
             [table["technology"], table["omega"], *sahal_check(table["mu"], table["r"], table["omega"])],
         )
+        _refuse("g", table["g"], np.isfinite(table["g"]), "finite")
         grow = table["g"] > 0
         # rows that do not grow go through tanh_check as g = 1, sigma_q = 0,
         # so that its errors name the file's data rows
@@ -209,16 +210,16 @@ def cmd_simulate(args) -> tuple[dict, dict, dict]:
     if args.calibration:
         study = ("m", "variance", "iid_windows", "n_tech", "periods")
         result = run_calibration_study(**{k: options[k] for k in study}, seed=args.seed)
-        check = result.check
+        errors, reference, df = result.normalized, result.reference, result.df
+        check = ecdf_vs_reference(errors, reference, df=df)
         outputs = {
             "calibration_ecdf.csv": _csv(
                 ["value", "ecdf", "ref_cdf"], [check.sample, check.ecdf, check.ref_cdf]
             ),
-            "calibration_pit.csv": _csv(["pit"], [result.pit_values]),
+            "calibration_pit.csv": _csv(["pit"], [pit(errors, reference, df=df)]),
             "summary.txt": _text(
-                f"n={len(result.normalized)}\nreference={result.reference}\n"
-                f"df={result.df}\nks={result.ks_stat:.6f}\n"
-                f"ks_critical_1pct={ks_critical_value(len(result.normalized)):.6f}\n"
+                f"n={len(errors)}\nreference={reference}\ndf={df}\nks={check.ks_stat:.6f}\n"
+                f"ks_critical_1pct={ks_critical_value(len(errors)):.6f}\n"
             ),
         }
         # the options the study reads
@@ -250,12 +251,11 @@ def cmd_simulate(args) -> tuple[dict, dict, dict]:
             return mse_curve(dataset, cfg)
 
         # one row per model, one column per horizon; nan where no error reaches it
-        result = run_ensemble(spec, statistic)
+        mean, lower, upper = ensemble_band(run_ensemble(spec, statistic))
         grid = np.arange(1, cfg.tau_max + 1, dtype=float)
         for k, model in enumerate(MODELS):
             bands[f"bands_{model}.csv"] = _csv(
-                ["grid", "stat_mean", "lo", "hi"],
-                [grid, result.mean[k], result.lower[k], result.upper[k]],
+                ["grid", "stat_mean", "lo", "hi"], [grid, mean[k], lower[k], upper[k]]
             )
     # replicate 0 is kept from the ensemble, not built again: a mimic dataset
     # is 946 rows, about 40 KB

@@ -93,9 +93,10 @@ def pit(sample, reference: str = "normal", df=None) -> np.ndarray:
 
 def _refuse(column: str, values: np.ndarray, ok: np.ndarray, need: str) -> None:
     """Raise ``ValueError`` naming ``column``, the row (counted from 1) and
-    the value of the first entry of ``values`` that is not ``ok``."""
+    the value of the first entry of ``values`` that is not ``ok``; a scalar
+    is a column of one."""
     for i in np.flatnonzero(~ok)[:1]:
-        raise ValueError(f"{column} in row {i + 1} is {values[i]}, not {need}")
+        raise ValueError(f"{column} in row {i + 1} is {np.ravel(values)[i]}, not {need}")
 
 
 def sahal_check(mu, r, omega) -> tuple[np.ndarray, np.ndarray]:
@@ -111,8 +112,7 @@ def sahal_check(mu, r, omega) -> tuple[np.ndarray, np.ndarray]:
     mu, r, omega = (np.asarray(c, dtype=float) for c in (mu, r, omega))
     for name, column in zip(("mu", "r", "omega"), (mu, r, omega)):
         _refuse(name, column, np.isfinite(column), "finite")
-    if np.any(r == 0.0):
-        raise ValueError("r must be non-zero")
+    _refuse("r", r, r != 0, "non-zero")
     with np.errstate(over="ignore"):
         mu_over_r = mu / r
         residual = omega - mu_over_r

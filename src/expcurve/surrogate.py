@@ -1,10 +1,13 @@
-"""Synthetic datasets and ensemble confidence bands.
+"""Synthetic datasets, replicate stacks and their confidence bands.
 
 Production is a geometric random walk with drift, conditioned by exact draws
 to grow when experience integrates it through the initial-stock correction of
 real data; log-cost changes follow the experience curve with MA(1) noise.
 Many such datasets pushed through one hindcast/diagnostic pipeline give the
-sampling distribution of any statistic, overlapping-window dependence included.
+sampling distribution of any statistic, overlapping-window dependence included:
+``run_ensemble`` stacks every replicate's statistic, ``ensemble_band`` gives
+the stack's mean and 95% band, and ``diagnostics`` judges samples against
+reference laws.
 
 Randomness is counter-keyed: stream ``(seed, replicate, technology, role)``
 fully determines every draw, so a replicate is reproducible in isolation and
@@ -23,7 +26,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .diagnostics import DistCheck, ecdf_vs_reference, pit
 from .estimators import _window_fits
 from .hindcast import HindcastConfig, _windows
 from .series import GROWTH_FLOOR, DataError, SeriesTable, _corrected_experience, _discrete_growth
@@ -164,16 +166,6 @@ class SurrogateSpec:
             raise ValueError("T must be integral")
         if np.any(T < 4):
             raise ValueError("T must be at least 4 per technology")
-
-
-@dataclass(frozen=True)
-class EnsembleResult:
-    """Pointwise mean and 2.5/97.5 nearest-rank percentile bands of a
-    statistic over the ``spec.n_ensembles`` synthetic datasets of a spec."""
-
-    mean: np.ndarray
-    lower: np.ndarray
-    upper: np.ndarray
 
 
 def _log_production(draws: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -329,20 +321,17 @@ def make_dataset(
     return tables[0] if single else tables
 
 
-def run_ensemble(spec: SurrogateSpec, pipeline) -> EnsembleResult:
+def run_ensemble(spec: SurrogateSpec, pipeline) -> np.ndarray:
     """Apply ``pipeline`` (dataset -> statistic of any shape) to every replicate.
 
-    Returns the pointwise mean and the 2.5%/97.5% band, each in the
-    statistic's shape (a scalar gives a vector of one); the band only means
-    much with on the order of 100+ replicates. The band is the nearest-rank
-    quantile: of ``n`` replicates, the ``ceil(q n)``-th smallest, which is
-    NumPy's ``method="inverted_cdf"``. A ``nan`` in any replicate makes that
-    entry of the mean and of both band edges ``nan``. A pipeline failure
-    aborts with the replicate index and the cause's message, so the exact
-    dataset can be regenerated via ``make_dataset(spec, replicate)``.
-    Replicates run in order in the calling thread; the CLI's ``--threads``
-    flag is accepted and has no effect, because a thread pool made the
-    ensemble no faster.
+    Returns the stack of statistics, of shape ``(n_ensembles, *shape)``:
+    row ``r`` is replicate ``r``'s statistic as floats, at least 1-D (a
+    scalar gives a vector of one); ``ensemble_band`` reduces it to a mean
+    and a 95% band. A pipeline failure aborts with the replicate index and
+    the cause's message, so the exact dataset can be regenerated via
+    ``make_dataset(spec, replicate)``. Replicates run in order in the
+    calling thread; the CLI's ``--threads`` flag is accepted and has no
+    effect, because a thread pool made the ensemble no faster.
 
     The datasets are built in blocks of ``_BLOCK_CELLS // (n_tech * max T)``
     replicates (at least one) by one ``make_dataset`` call each, and the
@@ -375,25 +364,32 @@ def run_ensemble(spec: SurrogateSpec, pipeline) -> EnsembleResult:
         except Exception:
             datasets = [None] * len(block)  # built again by one()
         rows += map(one, block, datasets)
-    matrix = np.stack(rows)
-    lower, upper = np.quantile(matrix, [0.025, 0.975], axis=0, method="inverted_cdf")
-    return EnsembleResult(mean=matrix.mean(axis=0), lower=lower, upper=upper)
+    return np.stack(rows)
+
+
+def ensemble_band(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The pointwise mean and the 2.5%/97.5% band of a ``run_ensemble``
+    stack, each in the statistic's shape; the band only means much with on
+    the order of 100+ replicates.
+
+    The band is the nearest-rank quantile: of ``n`` replicates, the
+    ``ceil(q n)``-th smallest, which is NumPy's ``method="inverted_cdf"``.
+    A ``nan`` in any replicate makes that entry of the mean and of both band
+    edges ``nan``.
+    """
+    lower, upper = np.quantile(stack, [0.025, 0.975], axis=0, method="inverted_cdf")
+    return stack.mean(axis=0), lower, upper
 
 
 @dataclass(frozen=True)
 class CalibrationResult:
-    """Normalized errors from a synthetic calibration study plus their
-    distribution check against the applicable reference."""
+    """Normalized errors from a synthetic calibration study and the law they
+    follow if the error theory holds: ``reference`` (``"normal"`` or
+    ``"student"``) with ``df`` degrees of freedom (``None`` for normal)."""
 
     normalized: np.ndarray
     reference: str
     df: int | None
-    check: DistCheck
-    pit_values: np.ndarray
-
-    @property
-    def ks_stat(self) -> float:
-        return self.check.ks_stat
 
 
 # The calibration study's generator; run_calibration_study sets n_tech, T
@@ -439,7 +435,8 @@ def run_calibration_study(
     Each design yields its raw errors, their unit-innovation MA(1) variance
     and their windows' residual variance from the library's window fit
     (``_window_fits``); one normalization then divides them by the scale of
-    the reference.
+    the reference. The study returns the normalized errors and that
+    reference; ``ecdf_vs_reference`` and ``pit`` judge them.
     """
     if variance not in ("estimated", "true"):
         raise ValueError("variance must be 'estimated' or 'true'")
@@ -473,11 +470,4 @@ def run_calibration_study(
         norm, reference, df = raw / np.sqrt(unit * su_hat2), "student", m - 1
     else:
         norm, reference, df = raw / np.sqrt(unit * su_true * su_true), "normal", None
-    check = ecdf_vs_reference(norm, reference, df=df)
-    return CalibrationResult(
-        normalized=norm,
-        reference=reference,
-        df=df,
-        check=check,
-        pit_values=pit(norm, reference, df=df),
-    )
+    return CalibrationResult(normalized=norm, reference=reference, df=df)

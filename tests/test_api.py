@@ -1,3 +1,4 @@
+import ast
 import subprocess
 import sys
 from pathlib import Path
@@ -15,7 +16,6 @@ PUBLIC_API = (
     "DiffSeries",
     "DistCheck",
     "DistForecast",
-    "EnsembleResult",
     "GrowthStats",
     "HindcastConfig",
     "HindcastError",
@@ -31,6 +31,7 @@ PUBLIC_API = (
     "compare_forecasts",
     "constant_growth_series",
     "ecdf_vs_reference",
+    "ensemble_band",
     "fit_moore",
     "fit_wright",
     "fit_wright_ma1",
@@ -73,6 +74,19 @@ def test_all_names_resolve(module):
 
 def test_public_api_is_pinned():
     assert tuple(sorted(expcurve.__all__)) == PUBLIC_API
+
+
+def test_surrogate_imports_nothing_from_diagnostics():
+    # surrogate data is generated and collected there, and judged by the
+    # caller: no import of the diagnostics module, at any depth of the file
+    tree = ast.parse((Path(expcurve.__file__).parent / "surrogate.py").read_text(encoding="utf-8"))
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            names.update((node.module or "").split("."))
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update(part for alias in node.names for part in alias.name.split("."))
+    assert "numpy" in names and "diagnostics" not in names
 
 
 def test_diagnostics_does_not_load_surrogate():

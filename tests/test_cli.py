@@ -337,6 +337,22 @@ class TestDiagnoseCommand:
         assert captured.err == f"error: {message}\n"
         assert list(out.iterdir()) == []
 
+    # a g that is not finite neither grows nor fails to grow: it is
+    # refused, not skipped as a row without growth
+    @pytest.mark.parametrize("g", ["nan", "-inf"])
+    def test_non_finite_g_writes_nothing(self, tmp_path, capsys, g):
+        data = small_dataset(tmp_path)
+        assert run_cli("--output-dir", tmp_path, "hindcast", "--input", data) == 0
+        params = params_csv(tmp_path, {"g": g})
+        out = tmp_path / "out"
+        capsys.readouterr()
+        code = run_cli("--output-dir", out, "diagnose", "--errors", tmp_path / "errors.csv", "--params", params)
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: g in row 1 is {g}, not finite\n"
+        assert list(out.iterdir()) == []
+
     # tanh.csv skips a first row that does not grow, and an error still
     # counts it among the file's data rows
     @pytest.mark.parametrize("edit, message", [
@@ -344,7 +360,7 @@ class TestDiagnoseCommand:
         ({"sigma_x": "inf"}, "sigma_x in row 2 is inf, not finite"),
         ({}, None),
     ], ids=["sigma_q", "sigma_x", "none"])
-    @pytest.mark.parametrize("g", ["-0.1", "0", "nan"])
+    @pytest.mark.parametrize("g", ["-0.1", "0"])
     def test_bad_tanh_value_after_a_row_without_growth(self, tmp_path, capsys, g, edit, message):
         data = small_dataset(tmp_path)
         assert run_cli("--output-dir", tmp_path, "hindcast", "--input", data) == 0

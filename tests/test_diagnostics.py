@@ -111,8 +111,13 @@ class TestSahalCheck:
         assert abs(residual[0]) < 1e-3
 
     def test_zero_r_rejected(self):
-        with pytest.raises(ValueError, match="r must be non-zero"):
+        with pytest.raises(ValueError, match=r"^r in row 2 is 0\.0, not non-zero$"):
             sahal_check([-0.1, -0.1], [0.2, 0.0], [-0.5, -0.5])
+        # scalars are columns of one
+        with pytest.raises(ValueError, match=r"^r in row 1 is 0\.0, not non-zero$"):
+            sahal_check(-0.1, 0.0, -0.5)
+        with pytest.raises(ValueError, match=r"^mu in row 1 is nan, not finite$"):
+            sahal_check(np.nan, 0.2, -0.5)
 
 
     @pytest.mark.parametrize("mu, r, omega, message", [

@@ -12,6 +12,7 @@ from scipy import stats
 from expcurve import (
     DataError,
     SurrogateSpec,
+    ensemble_band,
     growth_stats,
     make_dataset,
     run_calibration_study,
@@ -673,41 +674,39 @@ class TestBlocks:
 class TestRunEnsemble:
     def test_constant_statistic_collapses(self):
         spec = SurrogateSpec(n_tech=1, T=8, seed=0, n_ensembles=50)
-        res = run_ensemble(spec, lambda ds: [4.2])
-        assert_allclose(res.mean, [4.2])
-        assert_allclose(res.lower, [4.2])
-        assert_allclose(res.upper, [4.2])
+        for edge in ensemble_band(run_ensemble(spec, lambda ds: [4.2])):
+            assert_allclose(edge, [4.2])
 
     def test_band_ordering_and_coverage(self):
         # statistic: mean log-production growth; true value g = 0.1
         spec = SurrogateSpec(n_tech=4, T=30, seed=6, n_ensembles=120)
-        res = run_ensemble(
+        mean, lower, upper = ensemble_band(run_ensemble(
             spec,
             lambda ds: [np.mean([growth_stats(ts).g for ts in ds])],
-        )
-        assert res.lower[0] <= res.mean[0] <= res.upper[0]
-        assert res.lower[0] <= 0.1 <= res.upper[0]
+        ))
+        assert lower[0] <= mean[0] <= upper[0]
+        assert lower[0] <= 0.1 <= upper[0]
 
-    def test_thread_count_invariance(self):
+    def test_stack_rows_are_the_replicates(self):
+        # row r is replicate r's statistic on its dataset built alone, bit
+        # for bit, whatever order the replicates are built in
         spec = SurrogateSpec(n_tech=2, T=10, seed=9, n_ensembles=16)
-        stat = lambda ds: [ds[0].cost.sum(), ds[1].cost.sum()]
-        a = run_ensemble(spec, stat)
-        b = run_ensemble(spec, stat)
-        assert_allclose(a.mean, b.mean, rtol=0)
-        assert_allclose(a.lower, b.lower, rtol=0)
-        assert_allclose(a.upper, b.upper, rtol=0)
-        # a replicate depends only on its index, not on the order of the run
-        backwards = [stat(make_dataset(spec, r)) for r in reversed(range(16))]
-        assert_allclose(np.sort(backwards, axis=0)[0], a.lower, rtol=0)
+        stat = lambda ds: np.reshape(ds.cost, (2, 10))[:, ::3]
+        stack = run_ensemble(spec, stat)
+        assert stack.shape == (16, 2, 4) and stack.dtype == float
+        for r in reversed(range(16)):
+            assert stack[r].tobytes() == stat(make_dataset(spec, r)).tobytes()
+        # a scalar statistic gives rows of one
+        assert run_ensemble(spec, lambda ds: ds.cost.sum()).shape == (16, 1)
 
     @pytest.mark.parametrize("n", [1, 2, 39, 40, 41, 80, 81])
     def test_band_is_the_nearest_rank(self, n):
         # oracle: the ceil(q n)-th smallest of each entry, by an independent sort
         spec = SurrogateSpec(n_tech=1, T=6, seed=4, n_ensembles=n)
         stat = lambda ds: np.reshape(ds.cost, (2, 3))
-        res = run_ensemble(spec, stat)
+        _, lower, upper = ensemble_band(run_ensemble(spec, stat))
         values = np.stack([stat(make_dataset(spec, r)) for r in range(n)])
-        for q, band in ((0.025, res.lower), (0.975, res.upper)):
+        for q, band in ((0.025, lower), (0.975, upper)):
             rank = math.ceil(q * n) - 1
             assert_array_equal(band, [[sorted(values[:, i, j])[rank] for j in range(3)] for i in range(2)])
 
@@ -721,19 +720,19 @@ class TestRunEnsemble:
                 out[1, 2] = np.nan
             return out
 
-        res = run_ensemble(spec, stat)
-        for field in ("mean", "lower", "upper"):
-            nan = np.isnan(getattr(res, field))
+        band = ensemble_band(run_ensemble(spec, stat))
+        for field, edge in zip(("mean", "lower", "upper"), band):
+            nan = np.isnan(edge)
             assert nan[1, 2] and nan.sum() == 1, field
 
     def test_statistic_keeps_its_shape(self):
         spec = SurrogateSpec(n_tech=3, T=10, seed=5, n_ensembles=40)
         stat = lambda ds: np.reshape(ds.cost, (3, 10))[:2, :4]
-        res = run_ensemble(spec, stat)
-        flat = run_ensemble(spec, lambda ds: stat(ds).ravel())
-        for field in ("mean", "lower", "upper"):
-            assert getattr(res, field).shape == (2, 4)
-            assert_array_equal(getattr(res, field).ravel(), getattr(flat, field))
+        band = ensemble_band(run_ensemble(spec, stat))
+        flat = ensemble_band(run_ensemble(spec, lambda ds: stat(ds).ravel()))
+        for field, edge, flat_edge in zip(("mean", "lower", "upper"), band, flat):
+            assert edge.shape == (2, 4), field
+            assert_array_equal(edge.ravel(), flat_edge)
 
     def test_failure_carries_replicate(self):
         spec = SurrogateSpec(n_tech=1, T=8, seed=0, n_ensembles=5)
@@ -768,9 +767,9 @@ class TestRunEnsemble:
             n_tech=12, T=18, omega=-0.3, sigma_eta=sigma_eta, rho=rho,
             seed=4, n_ensembles=80, shared_production=True, corrected_experience=False,
         )
-        res = run_ensemble(spec, ecdf_stat)
+        _, lower, upper = ensemble_band(run_ensemble(spec, ecdf_stat))
         target = stats.norm.cdf(grid)
-        covered = np.mean((res.lower <= target) & (target <= res.upper))
+        covered = np.mean((lower <= target) & (target <= upper))
         assert covered >= 0.9
 
     def test_msq_bands_bracket_benchmark_line(self):
@@ -787,9 +786,9 @@ class TestRunEnsemble:
         spec = SurrogateSpec(
             n_tech=25, T=16, omega=0.0, sigma_eta=0.1, rho=0.0, seed=2, n_ensembles=120
         )
-        res = run_ensemble(spec, msq_stat)
+        _, lower, upper = ensemble_band(run_ensemble(spec, msq_stat))
         target = 2.0 * a_factor(taus, 5)
-        assert np.all(res.lower <= target) and np.all(target <= res.upper)
+        assert np.all(lower <= target) and np.all(target <= upper)
 
 
 class TestCalibrationStudy:
